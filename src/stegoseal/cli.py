@@ -9,20 +9,33 @@ stable contract:
     64  usage error (unknown or missing flags)
     65  malformed input data (bad PGM, message too long, bad key, ...)
     66  file cannot be read or written
+
+What each command reads: a stream starts at the first pixel in raster
+order and takes at most pipeline.stream_bound bytes, which lsb1 mode
+spreads over 8 pixels each (11 856 pixels in all). verify and inspect
+read the PGM header and only the first min(width * height, 11 856)
+pixels, the head; the pixel byte count is checked against the file size,
+so a truncated or over-long file is rejected without reading its pixels.
+seal seals the same head, reads the remaining pixels as one buffer, and
+writes the canonical header, the sealed head and that buffer; it reads
+all of --in before it opens --out, so both may name the same file.
+tamper reads and writes whole files.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import pipeline, stego
-from .entropy import BLOCK_HEADER_BYTES, BLOCK_TABLE, decode_blocks
+from .entropy import BLOCK_HEADER_BYTES, BLOCK_TABLE
 from .errors import StegosealError
-from .pgm import read_pgm, write_pgm
+from .pgm import GrayImage, header, read_pgm, read_pgm_head, write_pgm
 
 EX_OK = 0
 EX_TAMPERED = 1
@@ -36,6 +49,12 @@ _VERDICT_CODES = {
     pipeline.TAMPERED: EX_TAMPERED,
     pipeline.UNDECODABLE: EX_UNDECODABLE,
 }
+
+# Seal and verify touch no pixel past the stream's bound, and lsb1 spends
+# 8 pixels a byte, the most of either mode. embed and extract work in
+# raster order from pixel 0, so these first pixels, taken as a one-row
+# image, seal and verify exactly as the whole image does.
+_HEAD_PIXELS = 8 * pipeline.stream_bound(pipeline.SealConfig())
 
 
 class _UsageError(Exception):
@@ -79,8 +98,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: building one costs far more than parsing with
+    it, mostly in the help formatter's terminal-size queries."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
@@ -110,19 +136,30 @@ class _FileError(Exception):
     pass
 
 
-def _read_image(path: str):
+@contextlib.contextmanager
+def _file_errors(action: str, path: str):
     try:
-        data = Path(path).read_bytes()
+        yield
     except OSError as exc:
-        raise _FileError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise _FileError(f"cannot {action} {path}: {exc.strerror or exc}") from None
+
+
+def _read_image(path: str) -> GrayImage:
+    with _file_errors("read", path):
+        data = Path(path).read_bytes()
     return read_pgm(data)
 
 
+def _read_head(path: str) -> GrayImage:
+    """The first pixels of a PGM file as a one-row image (see _HEAD_PIXELS)."""
+    with _file_errors("read", path), open(path, "rb") as f:
+        _, _, pixels = read_pgm_head(f, _HEAD_PIXELS)
+    return GrayImage(len(pixels), 1, pixels)
+
+
 def _write_image(path: str, image) -> None:
-    try:
+    with _file_errors("write", path):
         Path(path).write_bytes(write_pgm(image))
-    except OSError as exc:
-        raise _FileError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _parse_key(text: str, cipher: str):
@@ -143,7 +180,10 @@ def _parse_key(text: str, cipher: str):
 
 
 def _cmd_seal(args) -> int:
-    cover = _read_image(args.input)
+    with _file_errors("read", args.input), open(args.input, "rb") as f:
+        width, height, pixels = read_pgm_head(f, _HEAD_PIXELS)
+        rest = f.read(width * height - len(pixels))  # before --out, which may be --in
+    cover = GrayImage(len(pixels), 1, pixels)
     config = pipeline.SealConfig(cipher=args.cipher, digest_algorithm=args.digest,
                                  embed_mode=args.mode)
     key = _parse_key(args.key, args.cipher)
@@ -152,7 +192,10 @@ def _cmd_seal(args) -> int:
     else:
         config.hill_key = key
     sealed = pipeline.seal(args.message, config, cover)
-    _write_image(args.output, sealed)
+    with _file_errors("write", args.output), open(args.output, "wb") as f:
+        f.write(header(width, height))
+        f.write(sealed.tobytes())
+        f.write(rest)
     changed = int(np.count_nonzero(sealed.pixels != cover.pixels))
     print(f"wrote={args.output}")
     print(f"mode={args.mode}")
@@ -161,7 +204,7 @@ def _cmd_seal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    image = _read_image(args.input)
+    image = _read_head(args.input)
     expected_key = None
     if args.key is not None:
         cipher = pipeline.HILL if "," in args.key else pipeline.CAESAR
@@ -205,11 +248,10 @@ def _cmd_tamper(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    image = _read_image(args.input)
+    image = _read_head(args.input)
     for mode in stego.MODES:
-        data = stego.extract(image, stego.capacity(image, mode), mode)
         try:
-            decoded = decode_blocks(data)
+            decoded = pipeline.read_stream(image, pipeline.SealConfig(embed_mode=mode))
         except StegosealError:
             continue
         elements = decoded.coeffs.size

@@ -45,7 +45,8 @@ import numpy as np
 from . import digest as _digest
 from .cipher import (caesar_decrypt, caesar_encrypt, hill_decrypt,
                      hill_encrypt, hill_key_inverse, normalize_letters)
-from .entropy import block_stream_bound, decode_blocks, encode_blocks
+from .entropy import (DecodedBlocks, block_stream_bound, decode_blocks,
+                      encode_blocks)
 from .errors import EmptyMessage, MalformedBlock, OutOfRange, StegosealError
 from .payload import (DEFAULT_ROW_LENGTH, ROWS, PayloadBlock, from_tiles,
                       pack, to_tiles, unpack)
@@ -184,15 +185,39 @@ def seal(message: str, config: SealConfig, cover: GrayImage) -> GrayImage:
     return embed(cover, encode_blocks(coeffs), config.embed_mode)
 
 
+def stream_bound(config: SealConfig) -> int:
+    """Most bytes the stream sealed under `config` can take.
+
+    Seal writes the stream from the first pixel in raster order, and
+    read_stream reads no byte past this bound, so both touch only the
+    first stream_bound pixels in overwrite mode and 8 times as many in
+    lsb1 mode.
+    """
+    return block_stream_bound(_tile_count(config))
+
+
+def _tile_count(config: SealConfig) -> int:
+    return ROWS * config.row_length // 64
+
+
+def read_stream(stego: GrayImage, config: SealConfig) -> DecodedBlocks:
+    """Decode the block stream embedded in `config.embed_mode`.
+
+    Reads at most stream_bound(config) bytes and rejects a header that
+    declares another tile count than the config's block has. Raises a
+    StegosealError when no such stream decodes.
+    """
+    length = min(capacity(stego, config.embed_mode), stream_bound(config))
+    data = extract(stego, length, config.embed_mode)
+    return decode_blocks(data, _tile_count(config))
+
+
 def verify(stego: GrayImage, config: SealConfig | None = None) -> VerificationReport:
     """Extract, decode and check a sealed image. Never raises on bad data."""
     config = config if config is not None else SealConfig()
     config.validate(require_key=False)
-    tiles = ROWS * config.row_length // 64
-    length = min(capacity(stego, config.embed_mode), block_stream_bound(tiles))
-    data = extract(stego, length, config.embed_mode)
     try:
-        decoded = decode_blocks(data, tiles)
+        decoded = read_stream(stego, config)
         block = _recover_block(decoded.coeffs, config.row_length)
         ciphertext, key_text, embedded_digest = unpack(block)
         kind, key = parse_key_text(key_text)

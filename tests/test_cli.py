@@ -1,11 +1,19 @@
+import os
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
+from time import perf_counter
 
+import numpy as np
 import pytest
 
+import stegoseal
+from stegoseal import pipeline
 from stegoseal.cli import main
-from stegoseal.entropy import BLOCK_TABLE
-from stegoseal.pgm import write_pgm
+from stegoseal.entropy import BLOCK_TABLE, encode_blocks
+from stegoseal.pgm import GrayImage, read_pgm, write_pgm
+from stegoseal.stego import embed
 
 from conftest import make_cover
 
@@ -183,13 +191,105 @@ def test_stdout_is_key_value_lines(cover_file, tmp_path, capsys):
 
 def test_module_entry_point(cover_file, tmp_path):
     stego = tmp_path / "stego.pgm"
+    # the child imports the same package as this process, however it got here
+    src = str(Path(stegoseal.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run(
         [sys.executable, "-m", "stegoseal", "seal", "--in", str(cover_file),
          "--out", str(stego), "--message", "subprocess check", "--key", "12"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     run = subprocess.run(
         [sys.executable, "-m", "stegoseal", "verify", "--in", str(stego)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert run.returncode == 0
     assert "verdict=VERIFIED" in run.stdout
+
+
+# A header with comments, a 10 KB one among them, and unusual whitespace.
+ODD_HEADER = b"P5 # cover\n#" + b"c" * 10_000 + b"\n\t{w}\x0b {h}\r\n# maxval next\n255\n"
+
+
+def odd_cover(path, width, height):
+    pixels = make_cover(0x0DD, width, height).tobytes()
+    path.write_bytes(ODD_HEADER.replace(b"{w}", b"%d" % width)
+                     .replace(b"{h}", b"%d" % height) + pixels)
+    return path
+
+
+@pytest.mark.parametrize("mode", ["overwrite", "lsb1"])
+@pytest.mark.parametrize("size", [(256, 256), (100, 100)])
+def test_seal_output_equals_library_seal(tmp_path, capsys, mode, size):
+    cover = odd_cover(tmp_path / "cover.pgm", *size)
+    stego = tmp_path / "stego.pgm"
+    assert main(["seal", "--in", str(cover), "--out", str(stego),
+                 "--message", PAPER_MESSAGE, "--key", "16", "--mode", mode]) == 0
+    out = parse_kv(capsys.readouterr().out)
+    config = pipeline.SealConfig(cipher="caesar", caesar_key=16,
+                                 digest_algorithm="sha512", embed_mode=mode)
+    original = read_pgm(cover.read_bytes())
+    sealed = pipeline.seal(PAPER_MESSAGE, config, original)
+    assert stego.read_bytes() == write_pgm(sealed)
+    assert int(out["pixels_changed"]) == np.count_nonzero(sealed.pixels != original.pixels)
+
+    # --out may name the input file
+    assert main(["seal", "--in", str(cover), "--out", str(cover),
+                 "--message", PAPER_MESSAGE, "--key", "16", "--mode", mode]) == 0
+    assert cover.read_bytes() == write_pgm(sealed)
+
+
+@pytest.mark.parametrize("command", ["seal", "verify", "inspect"])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_wrong_pixel_count_is_data_error(cover_file, tmp_path, capsys, command, extra):
+    data = cover_file.read_bytes()
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(data[:-1] if extra < 0 else data + b"\x00")
+    argv = [command, "--in", str(bad)]
+    if command == "seal":
+        argv += ["--out", str(tmp_path / "out.pgm"), "--message", "m", "--key", "1"]
+    assert main(argv) == 65
+    assert not (tmp_path / "out.pgm").exists()
+
+
+@pytest.mark.parametrize("mode", ["overwrite", "lsb1"])
+def test_cover_too_small_is_data_error(tmp_path, capsys, mode):
+    small = tmp_path / "small.pgm"
+    small.write_bytes(write_pgm(make_cover(3, 12, 12)))
+    code = main(["seal", "--in", str(small), "--out", str(tmp_path / "out.pgm"),
+                 "--message", PAPER_MESSAGE, "--key", "16", "--mode", mode])
+    assert code == 65
+    assert "image holds" in capsys.readouterr().err
+
+
+def test_inspect_rejects_forged_tile_count(tmp_path, capsys):
+    """A header declaring 65535 tiles, which seal never writes, decodes nothing."""
+    stream = encode_blocks(np.zeros((65535, 8, 8), dtype=np.int64))
+    zero = GrayImage(512, 512, np.zeros(512 * 512, dtype=np.uint8))
+    forged = tmp_path / "forged.pgm"
+    forged.write_bytes(write_pgm(embed(zero, stream)))
+    start = perf_counter()
+    code = main(["inspect", "--in", str(forged)])
+    elapsed = perf_counter() - start
+    assert code == 2
+    assert "error=no embedded stream found" in capsys.readouterr().out
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("mode", ["overwrite", "lsb1"])
+def test_verify_memory_is_bounded_by_the_stream(tmp_path, capsys, mode):
+    """verify holds the stream's pixels, not the 4 MB raster."""
+    cover = tmp_path / "cover.pgm"
+    cover.write_bytes(write_pgm(make_cover(0xB16, 2048, 2048)))
+    stego = tmp_path / "stego.pgm"
+    assert main(["seal", "--in", str(cover), "--out", str(stego),
+                 "--message", PAPER_MESSAGE, "--key", "16", "--mode", mode]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--in", str(stego)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert parse_kv(capsys.readouterr().out)["mode"] == mode
+    assert peak < 1_000_000

@@ -1,9 +1,11 @@
+import io
+
 import numpy as np
 import pytest
 
 from stegoseal.errors import (BadMagic, BadMaxval, MalformedHeader,
-                              TrailingData, TruncatedPixels)
-from stegoseal.pgm import GrayImage, read_pgm, write_pgm
+                              StegosealError, TrailingData, TruncatedPixels)
+from stegoseal.pgm import GrayImage, read_pgm, read_pgm_head, write_pgm
 
 
 def random_image(seed, w, h):
@@ -99,3 +101,74 @@ def test_gray_image_tobytes_row_major():
     assert img.tobytes() == bytes([1, 2, 3, 4])
     assert img.pixels[0, 1] == 2
     assert img.pixels[1, 0] == 3
+
+
+class CountingFile(io.BytesIO):
+    """An in-memory file that counts the bytes read from it."""
+
+    bytes_read = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.bytes_read += len(data)
+        return data
+
+
+PIXELS = bytes(range(6))
+HEADERS = [
+    b"P5\n2 3\n255\n",
+    b"P5 # binary pgm\n# a comment line\n  2\t3 # dims\n255\n",
+    b"P5\x0b2\r3\x0c255 ",
+    b"P5\n#" + b"c" * 10_000 + b"\n2 3\n255\n",
+    # maxval ends where the reader's first 4096-byte chunk does
+    b"P5\n#" + b"c" * 4084 + b"\n2 3\n255\n",
+    # the width token straddles the end of the first chunk
+    b"P5\n#" + b"c" * 4088 + b"\n0002 3\n255\n",
+    b"P5\n2 3\n#" + b"x" * 4094 + b"\n255\n",
+]
+
+
+@pytest.mark.parametrize("header", HEADERS)
+@pytest.mark.parametrize("limit", [1, 4, 6, 100])
+def test_read_pgm_head_matches_read_pgm(header, limit):
+    f = io.BytesIO(header + PIXELS)
+    width, height, pixels = read_pgm_head(f, limit)
+    img = read_pgm(header + PIXELS)
+    assert (width, height) == (img.width, img.height) == (2, 3)
+    assert pixels == img.tobytes()[:limit]
+    assert f.read() == PIXELS[limit:]  # left right after the returned pixels
+
+
+MALFORMED = [
+    b"", b"P", b"P2\n1 1\n255\n0", b"P6\n1 1\n255\n\x00\x00\x00",
+    b"P5\n1 1\n65535\n\x00\x00", b"P5\n2 2\n255\n\x00\x00\x00",
+    b"P5\n1 1\n255\n\x00\x00", b"P5\nab 1\n255\n\x00", b"P5\n1\n255\n",
+    b"P5\n0 4\n255\n\x00", b"P5\n1 1\n255", b"P5\n1 1\n255#\n\x00",
+    b"P5\n1 1 # no end", b"P5\n#" + b"c" * 10_000,
+]
+
+
+@pytest.mark.parametrize("data", MALFORMED)
+def test_read_pgm_head_rejects_what_read_pgm_rejects(data):
+    with pytest.raises(StegosealError) as whole:
+        read_pgm(data)
+    with pytest.raises(type(whole.value)):
+        read_pgm_head(io.BytesIO(data), 10)
+
+
+@pytest.mark.parametrize("extra, error", [(-1, TruncatedPixels), (1, TrailingData)])
+def test_read_pgm_head_checks_size_without_reading_pixels(extra, error):
+    header = b"P5\n2048 2048\n255\n"
+    f = CountingFile(header + bytes(2048 * 2048 + extra))
+    with pytest.raises(error):
+        read_pgm_head(f, 10)
+    assert f.bytes_read <= 4096
+
+
+def test_read_pgm_head_reads_only_the_head():
+    header = b"P5\n2048 2048\n255\n"
+    f = CountingFile(header + bytes(range(256)) * (2048 * 2048 // 256))
+    width, height, pixels = read_pgm_head(f, 300)
+    assert (width, height) == (2048, 2048)
+    assert pixels == (bytes(range(256)) * 2)[:300]
+    assert f.bytes_read <= 4096 + 300
