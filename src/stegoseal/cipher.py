@@ -6,6 +6,7 @@ messages round-trip exactly and tampering shows up in the digest check.
 
 from __future__ import annotations
 
+import string
 from math import gcd
 
 import numpy as np
@@ -23,22 +24,21 @@ def _check_shift(shift: int) -> int:
     return int(shift)
 
 
+# str.translate tables for each shift; they map the ASCII letters only
+_CAESAR_TABLES = tuple(
+    str.maketrans(string.ascii_lowercase + string.ascii_uppercase,
+                  string.ascii_lowercase[k:] + string.ascii_lowercase[:k]
+                  + string.ascii_uppercase[k:] + string.ascii_uppercase[:k])
+    for k in range(ALPHABET_SIZE))
+
+
 def caesar_encrypt(plaintext: str, shift: int) -> str:
     """Shift every Latin letter forward by `shift`, preserving case.
 
     Digits, spaces, punctuation and anything non-ASCII-letter pass through
     unchanged, so message length and layout are preserved.
     """
-    k = _check_shift(shift)
-    out = []
-    for ch in plaintext:
-        if "a" <= ch <= "z":
-            out.append(chr((ord(ch) - 97 + k) % 26 + 97))
-        elif "A" <= ch <= "Z":
-            out.append(chr((ord(ch) - 65 + k) % 26 + 65))
-        else:
-            out.append(ch)
-    return "".join(out)
+    return plaintext.translate(_CAESAR_TABLES[_check_shift(shift)])
 
 
 def caesar_decrypt(ciphertext: str, shift: int) -> str:

@@ -29,6 +29,21 @@ that no nonzero value follows, and padding that is not zero. Every other
 bit string decodes, so a stream is the only encoding of its coefficients:
 encode_blocks(decode_blocks(data).coeffs) == data[:consumed].
 
+Both directions are table-driven. The encoder looks up each symbol's
+codeword and length once, ORs it with the amplitude bits into one
+integer per tile, and writes a tile's whole bytes before the next. The
+decoder keeps the next bits of the stream in an integer and indexes a
+4096-entry token table with the next 12 of them, as the fast paths of
+zlib's inflate and libjpeg do. An entry gives the symbol, its code
+length, its amplitude size and, when code and amplitude both fit in the
+12 bits, the signed amplitude, so most symbols cost one lookup. The
+codes longer than 12 bits (a few rare symbols) fall back to a canonical
+first-code search over lengths 13-18 (Moffat & Turpin, "On the
+implementation of minimum redundancy prefix codes", IEEE Trans. Commun.
+1997). Its checks run in a fixed order: truncation of a code, then the
+kind of the symbol and its run, then truncation of an amplitude, then
+the padding.
+
 How BLOCK_TABLE was derived: the symbols of 1000 sealed blocks were
 counted, and every symbol of the alphabet was counted once more so that
 each gets a code; build_table turned the counts into code lengths. The
@@ -410,11 +425,79 @@ _BLOCK_CODE_LENGTHS = {
 
 BLOCK_TABLE = HuffmanTable.from_lengths(
     {sym: length for length, syms in _BLOCK_CODE_LENGTHS.items() for sym in syms})
-_BLOCK_CODES = BLOCK_TABLE.codes
-_BLOCK_SYMBOLS = {code: sym for sym, code in _BLOCK_CODES.items()}
-_LENGTHS = tuple(sorted(_BLOCK_CODE_LENGTHS))
-_LONGEST = _LENGTHS[-1]
+_LONGEST = max(_BLOCK_CODE_LENGTHS)
 _UNZIGZAG = np.argsort(_ZIGZAG_FLAT)
+_WINDOW = 12
+
+
+def _size(symbol: int) -> int:
+    """Amplitude bits that follow a block symbol."""
+    return symbol - DC_SYMBOL if symbol >= DC_SYMBOL else symbol & 15
+
+
+def _signed(bits: int, size: int) -> int:
+    """Coefficient value of `size` amplitude bits (size >= 1)."""
+    return bits if bits >> (size - 1) else bits + 1 - (1 << size)
+
+
+# Encoder, indexed by symbol: the codeword shifted left past the symbol's
+# amplitude bits, and the code length plus the amplitude size.
+_CODEWORDS = [(int(code, 2) << _size(sym), len(code) + _size(sym))
+              if (code := BLOCK_TABLE.codes.get(sym)) else None
+              for sym in range(DC_SYMBOL + 12)]
+
+
+def _tokens() -> list:
+    """The decoder's lookup table, indexed by the next _WINDOW bits.
+
+    Its entry is (symbol, code length, amplitude size, value), where value
+    is the signed amplitude when code and amplitude both fit in the
+    window, 0 for a symbol without amplitude and None otherwise. Windows
+    that start with a code longer than the window hold None.
+    """
+    table = [None] * (1 << _WINDOW)
+    for sym, code in BLOCK_TABLE.codes.items():
+        length = len(code)
+        if length > _WINDOW:
+            continue
+        size = _size(sym)
+        start = int(code, 2) << (_WINDOW - length)
+        spare = _WINDOW - length - size
+        if spare < 0 or not size:
+            span = 1 << (_WINDOW - length)
+            table[start:start + span] = [(sym, length, size, None if size else 0)] * span
+            continue
+        for bits in range(1 << size):
+            first = start | (bits << spare)
+            span = 1 << spare
+            table[first:first + span] = [(sym, length, size, _signed(bits, size))] * span
+    return table
+
+
+def _long_codes() -> tuple:
+    """(length, first code, end code, symbols) of each code length beyond
+    the window, for the canonical first-code search of Moffat & Turpin."""
+    by_length = {}     # canonical codes of one length are consecutive from the first
+    for sym, code in sorted(BLOCK_TABLE.codes.items(), key=lambda kv: (len(kv[1]), kv[0])):
+        if len(code) > _WINDOW:
+            by_length.setdefault(len(code), (int(code, 2), []))[1].append(sym)
+    return tuple((length, first, first + len(symbols), tuple(symbols))
+                 for length, (first, symbols) in by_length.items())
+
+
+_TOKENS = _tokens()
+_LONG_CODES = _long_codes()
+
+
+def _long_token(acc: int, have: int) -> tuple:
+    """Token of the code longer than the window at the top of the `have`
+    low bits of acc, found by the canonical first-code search."""
+    for length, first, end, symbols in _LONG_CODES:
+        code = (acc >> (have - length)) & ((1 << length) - 1)
+        if code < end:
+            sym = symbols[code - first]
+            return sym, length, _size(sym), None
+    raise AssertionError("BLOCK_TABLE is a complete code")
 
 
 def block_stream_bound(tiles: int) -> int:
@@ -436,14 +519,6 @@ class DecodedBlocks:
     consumed: int          # bytes of the whole stream
 
 
-def _amplitude(value: int) -> tuple[int, str]:
-    """(category, amplitude bits) of a coefficient value."""
-    size = abs(value).bit_length()
-    if not size:
-        return 0, ""
-    return size, format(value if value > 0 else value + (1 << size) - 1, f"0{size}b")
-
-
 def encode_blocks(coeffs) -> bytes:
     """Serialize integer coefficient tiles, shape (n, 8, 8), as a block stream."""
     arr = np.asarray(coeffs)
@@ -451,37 +526,50 @@ def encode_blocks(coeffs) -> bytes:
         raise BadShape(f"expected 1-65535 tiles of shape (n, 8, 8), got {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise TypeError(f"coefficients must be integers, got {arr.dtype}")
-    bits = []
-    previous = 0
+    eob, eob_bits = _CODEWORDS[EOB]
+    zrl, zrl_bits = _CODEWORDS[ZRL]
+    out = [bytes([BLOCK_MAGIC]), arr.shape[0].to_bytes(2, "big")]
+    acc = nbits = previous = 0     # acc holds the nbits not yet written
     for row in arr.reshape(-1, 64)[:, _ZIGZAG_FLAT].tolist():
-        size, amplitude = _amplitude(row[0] - previous)
+        value = row[0] - previous
         previous = row[0]
-        bits += [_block_code(DC_SYMBOL + size), amplitude]
-        last = max((k for k in range(1, 64) if row[k]), default=0)
+        size = abs(value).bit_length()
+        if value < 0:
+            value += (1 << size) - 1
+        if size > 11:
+            raise UnknownSymbol(f"coefficient symbol {DC_SYMBOL + size:#x} has no code")
+        code, n = _CODEWORDS[DC_SYMBOL + size]
+        acc = (acc << n) | code | value
+        nbits += n
         run = 0
-        for value in row[1:last + 1]:
+        for value in row[1:]:
             if not value:
                 run += 1
                 continue
             while run > 15:
-                bits.append(_block_code(ZRL))
+                acc = (acc << zrl_bits) | zrl
+                nbits += zrl_bits
                 run -= 16
-            size, amplitude = _amplitude(value)
-            bits += [_block_code((run << 4) | size), amplitude]
+            size = abs(value).bit_length()
+            if value < 0:
+                value += (1 << size) - 1
+            if size > 11:
+                raise UnknownSymbol(f"coefficient symbol {(run << 4) | size:#x} has no code"
+                                    if size < 16 else f"coefficient category {size} has no code")
+            code, n = _CODEWORDS[(run << 4) | size]
+            acc = (acc << n) | code | value
+            nbits += n
             run = 0
-        if last < 63:
-            bits.append(_block_code(EOB))
-    body = "".join(bits)
-    body += "0" * (-len(body) % 8)
-    header = bytes([BLOCK_MAGIC]) + arr.shape[0].to_bytes(2, "big")
-    return header + int(body, 2).to_bytes(len(body) // 8, "big")
-
-
-def _block_code(symbol: int) -> str:
-    code = _BLOCK_CODES.get(symbol)
-    if code is None:
-        raise UnknownSymbol(f"coefficient symbol {symbol:#x} has no code")
-    return code
+        if run:
+            acc = (acc << eob_bits) | eob
+            nbits += eob_bits
+        spare = nbits & 7
+        out.append((acc >> spare).to_bytes(nbits >> 3, "big"))
+        acc &= (1 << spare) - 1
+        nbits = spare
+    if nbits:
+        out.append(bytes([acc << (8 - nbits)]))
+    return b"".join(out)
 
 
 def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
@@ -499,65 +587,76 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
         raise CorruptHeader("block stream with zero tiles")
     if tiles is not None and count != tiles:
         raise CorruptHeader(f"stream declares {count} tiles, expected {tiles}")
-    body = data[BLOCK_HEADER_BYTES:block_stream_bound(count)]
-    bits = format(int.from_bytes(body, "big"), f"0{8 * len(body)}b") if body else ""
-    pos = 0
-
-    def read_symbol():
-        nonlocal pos
-        for length in _LENGTHS:
-            symbol = _BLOCK_SYMBOLS.get(bits[pos:pos + length])
-            if symbol is not None:
-                pos += length
-                symbols.append(symbol)
-                return symbol
-        raise TruncatedStream(f"bits ran out after {len(symbols)} symbols")
-
-    def read_value(size: int) -> int:
-        nonlocal pos
-        if not size:
-            return 0
-        chunk = bits[pos:pos + size]
-        if len(chunk) < size:
-            raise TruncatedStream("bits ran out inside an amplitude")
-        pos += size
-        value = int(chunk, 2)
-        return value if chunk[0] == "1" else value - (1 << size) + 1
-
+    body = bytes(data[BLOCK_HEADER_BYTES:block_stream_bound(count)])
+    nbits = 8 * len(body)
+    body += bytes(12)     # zeros to read past the end; the checks below stop there
+    # acc holds the next `have` bits in its low bits; i bytes of body are
+    # read, and a read that leaves `have` below `slack` ran past nbits
+    acc = have = i = dc = 0
+    slack = -nbits
+    tokens = _TOKENS
     symbols = []
+    append = symbols.append
     zz = [0] * (64 * count)
-    dc = 0
     for base in range(0, 64 * count, 64):
-        symbol = read_symbol()
+        if have < _LONGEST + 11:
+            acc = (acc & ((1 << have) - 1)) << 32 | int.from_bytes(body[i:i + 4], "big")
+            i += 4
+            have += 32
+            slack += 32
+        symbol, length, size, value = (tokens[(acc >> (have - _WINDOW)) & 0xFFF]
+                                       or _long_token(acc, have))
+        have -= length
+        if have < slack:
+            raise TruncatedStream(f"bits ran out after {len(symbols)} symbols")
+        append(symbol)
         if symbol < DC_SYMBOL:
             raise CorruptHeader("AC symbol where a DC category belongs")
-        dc += read_value(symbol - DC_SYMBOL)
+        if size:
+            have -= size
+            if have < slack:
+                raise TruncatedStream("bits ran out inside an amplitude")
+            if value is None:
+                value = _signed((acc >> have) & ((1 << size) - 1), size)
+            dc += value
         zz[base] = dc
         k = 1
-        zero_run = False
         while k < 64:
-            symbol = read_symbol()
-            if symbol == EOB:
-                if zero_run:
+            if have < _LONGEST + 11:
+                acc = (acc & ((1 << have) - 1)) << 32 | int.from_bytes(body[i:i + 4], "big")
+                i += 4
+                have += 32
+                slack += 32
+            symbol, length, size, value = (tokens[(acc >> (have - _WINDOW)) & 0xFFF]
+                                           or _long_token(acc, have))
+            have -= length
+            if have < slack:
+                raise TruncatedStream(f"bits ran out after {len(symbols)} symbols")
+            append(symbol)
+            if size and symbol < DC_SYMBOL:
+                k += symbol >> 4
+                if k >= 64:
+                    raise CorruptHeader("zero run past the end of a block")
+                have -= size
+                if have < slack:
+                    raise TruncatedStream("bits ran out inside an amplitude")
+                if value is None:
+                    value = _signed((acc >> have) & ((1 << size) - 1), size)
+                zz[base + k] = value
+                k += 1
+            elif symbol == EOB:
+                if symbols[-2] == ZRL:
                     raise CorruptHeader("ZRL before the end of a block")
                 break
-            if symbol == ZRL:
+            elif symbol == ZRL:
                 k += 16
-                zero_run = True
-            elif symbol >= DC_SYMBOL:
-                raise CorruptHeader("DC category where an AC symbol belongs")
+                if k >= 64:
+                    raise CorruptHeader("zero run past the end of a block")
             else:
-                k += symbol >> 4
-                if k < 64:
-                    zz[base + k] = read_value(symbol & 15)
-                    k += 1
-                    zero_run = False
-                    continue
-            if k >= 64:
-                raise CorruptHeader("zero run past the end of a block")
-    consumed_bits = -(-pos // 8) * 8
-    if "1" in bits[pos:consumed_bits]:
+                raise CorruptHeader("DC category where an AC symbol belongs")
+    pos = slack + nbits - have
+    if pos & 7 and body[pos >> 3] & ((0x100 >> (pos & 7)) - 1):
         raise DanglingBits("padding bits after the last block are not zero")
     coeffs = np.array(zz, dtype=np.int64).reshape(count, 64)[:, _UNZIGZAG]
     return DecodedBlocks(coeffs.reshape(count, 8, 8), symbols, pos,
-                         BLOCK_HEADER_BYTES + consumed_bits // 8)
+                         BLOCK_HEADER_BYTES + (pos + 7) // 8)

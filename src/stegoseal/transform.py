@@ -37,7 +37,13 @@ the coefficients differ from dct2's by rounding only, by less than 7 on
 8-bit tiles (tests/test_transform.py checks this bound).
 
 Both 2D transforms run the 1D transform down the columns, then along the
-rows, as dct2 = C @ tile @ C.T does.
+rows, as dct2 = C @ tile @ C.T does, on all the columns of a tile stack
+at once, shape (8, 8 * tiles). Each layer first gathers the 8 rows into
+its own order, in which the first entries of its rotations are rows 0-3
+and the second entries rows 4-7, pair by pair (layer 4 uses rows 2 and 3
+of layer 3's order). A shear is then a multiply by the per-pair
+multipliers, an add of half of 2**14, a shift right by 14 and an add
+into the other slice; the inverse subtracts the same increments.
 """
 
 from __future__ import annotations
@@ -92,55 +98,67 @@ _ROTATIONS = (
 )
 _BITS = 14
 
-
-def _shears() -> tuple:
-    """Each shear as an 8x9 integer matrix acting on [x; 1].
-
-    The ninth column adds half of 2**_BITS to the rows a shear changes, so
-    (matrix @ [x; 1]) >> _BITS is the rounded shear increment; rows that
-    the shear leaves alone come out as 0.
-    """
-    out = []
-    for layer in _ROTATIONS:
-        first = np.zeros((BLOCK, BLOCK + 1), np.int64)
-        second = np.zeros((BLOCK, BLOCK + 1), np.int64)
-        for i, j, k in layer:
-            t = k * math.pi / 16
-            first[i, j] = round((math.cos(t) - 1) / math.sin(t) * (1 << _BITS))
-            first[i, BLOCK] = 1 << (_BITS - 1)
-            second[j, i] = round(math.sin(t) * (1 << _BITS))
-            second[j, BLOCK] = 1 << (_BITS - 1)
-        out += [first, second, first]
-    for m in out:
-        m.flags.writeable = False
-    return tuple(out)
-
-
-_SHEARS = _shears()
-_SOURCE = np.array((0, 7, 3, 4, 1, 5, 2, 6))
+# Per layer (layers 3 and 4 share one), the order it holds the 8 entries
+# in, and the (first, second) row slices of its rotations in that order.
+_LAYOUTS = (
+    ((0, 1, 2, 3, 7, 6, 5, 4), ((slice(0, 4), slice(4, 8)),)),
+    ((0, 1, 7, 6, 3, 2, 4, 5), ((slice(0, 4), slice(4, 8)),)),
+    ((0, 3, 7, 6, 1, 2, 5, 4), ((slice(0, 4), slice(4, 8)), (slice(2, 3), slice(3, 4)))),
+)
+_SOURCE = (0, 7, 3, 4, 1, 5, 2, 6)
 _SIGN = np.array((1, -1, -1, 1, -1, -1, 1, -1))[:, None]
+_HALF = np.int64(1 << (_BITS - 1))
+
+
+def _layers() -> tuple:
+    """Per layout: the gather from the previous order, its inverse, and
+    per group (first rows, second rows, p, s) with p and s the shear
+    multipliers of its rotations as (k, 1) columns."""
+    angle = {(i, j): k for layer in _ROTATIONS for i, j, k in layer}
+    out = []
+    held = np.arange(BLOCK)
+    for order, slices in _LAYOUTS:
+        order = np.array(order)
+        gather = np.argsort(held)[order]
+        groups = []
+        for first, second in slices:
+            t = [angle[i, j] * math.pi / 16 for i, j in zip(order[first], order[second])]
+            p = [round((math.cos(a) - 1) / math.sin(a) * (1 << _BITS)) for a in t]
+            s = [round(math.sin(a) * (1 << _BITS)) for a in t]
+            groups.append((first, second, np.array(p)[:, None], np.array(s)[:, None]))
+        out.append((gather, np.argsort(gather), tuple(groups)))
+        held = order
+    return tuple(out), np.argsort(held)[list(_SOURCE)]
+
+
+_LAYERS, _OUT = _layers()
+_UNOUT = np.argsort(_OUT)
 
 
 def _lift(x: np.ndarray) -> np.ndarray:
-    """Forward 1D transform of each column of x, shape (9, n), last row ones."""
-    step = np.empty((BLOCK, x.shape[1]), np.int64)
-    for shear in _SHEARS:
-        np.matmul(shear, x, out=step)
-        step >>= _BITS
-        x[:BLOCK] += step
-    return x[_SOURCE] * _SIGN
+    """Forward 1D transform of each column of x, shape (8, n)."""
+    for gather, _, groups in _LAYERS:
+        x = x[gather]
+        for first, second, p, s in groups:
+            a, b = x[first], x[second]
+            a += (b * p + _HALF) >> _BITS
+            b += (a * s + _HALF) >> _BITS
+            a += (b * p + _HALF) >> _BITS
+    return x[_OUT] * _SIGN
 
 
 def _unlift(y: np.ndarray) -> np.ndarray:
-    """Exact inverse of _lift on each column of y, shape (8, n)."""
-    x = np.ones((BLOCK + 1, y.shape[1]), np.int64)
-    x[_SOURCE] = y * _SIGN
-    step = np.empty((BLOCK, y.shape[1]), np.int64)
-    for shear in reversed(_SHEARS):
-        np.matmul(shear, x, out=step)
-        step >>= _BITS
-        x[:BLOCK] -= step
-    return x[:BLOCK]
+    """Exact inverse of _lift on each column of y, shape (8, n): the same
+    increments subtracted in reverse order."""
+    x = (y * _SIGN)[_UNOUT]
+    for _, ungather, groups in reversed(_LAYERS):
+        for first, second, p, s in reversed(groups):
+            a, b = x[first], x[second]
+            a -= (b * p + _HALF) >> _BITS
+            b -= (a * s + _HALF) >> _BITS
+            a -= (b * p + _HALF) >> _BITS
+        x = x[ungather]
+    return x
 
 
 def _as_tiles(m, name: str) -> np.ndarray:
@@ -159,11 +177,9 @@ def int_dct2(tiles) -> np.ndarray:
     """
     t = _as_tiles(tiles, "tiles")
     n = t.size // (BLOCK * BLOCK)
-    x = np.ones((BLOCK + 1, n, BLOCK), np.int64)
-    x[:BLOCK] = t.reshape(n, BLOCK, BLOCK).transpose(1, 0, 2)    # (x, tile, y)
-    c = _lift(x.reshape(BLOCK + 1, -1)).reshape(BLOCK, n, BLOCK)  # (u, tile, y)
-    x[:BLOCK] = c.transpose(2, 1, 0)                               # (y, tile, u)
-    c = _lift(x.reshape(BLOCK + 1, -1)).reshape(BLOCK, n, BLOCK)  # (v, tile, u)
+    x = t.reshape(n, BLOCK, BLOCK).transpose(1, 0, 2).reshape(BLOCK, -1)         # (x, tile, y)
+    c = _lift(x.astype(np.int64, copy=False)).reshape(BLOCK, n, BLOCK)           # (u, tile, y)
+    c = _lift(c.transpose(2, 1, 0).reshape(BLOCK, -1)).reshape(BLOCK, n, BLOCK)  # (v, tile, u)
     return c.transpose(1, 2, 0).reshape(t.shape)
 
 
@@ -171,8 +187,8 @@ def int_idct2(coeffs) -> np.ndarray:
     """Exact inverse of int_dct2: int_idct2(int_dct2(t)) == t."""
     c = _as_tiles(coeffs, "coeffs")
     n = c.size // (BLOCK * BLOCK)
-    y = c.reshape(n, BLOCK, BLOCK).transpose(2, 0, 1).reshape(BLOCK, -1)   # (v, tile, u)
-    x = _unlift(y).reshape(BLOCK, n, BLOCK)                                # (y, tile, u)
+    y = c.reshape(n, BLOCK, BLOCK).transpose(2, 0, 1).reshape(BLOCK, -1)           # (v, tile, u)
+    x = _unlift(y.astype(np.int64, copy=False)).reshape(BLOCK, n, BLOCK)           # (y, tile, u)
     x = _unlift(x.transpose(2, 1, 0).reshape(BLOCK, -1)).reshape(BLOCK, n, BLOCK)  # (x, tile, y)
     return x.transpose(1, 0, 2).reshape(c.shape)
 

@@ -76,6 +76,29 @@ def test_caesar_round_trip_random():
         assert caesar_decrypt(caesar_encrypt(msg, key), key) == msg
 
 
+def caesar_by_character(text, shift):
+    """Shift ASCII letters one character at a time; everything else stays."""
+    out = []
+    for ch in text:
+        if "a" <= ch <= "z":
+            out.append(chr((ord(ch) - 97 + shift) % 26 + 97))
+        elif "A" <= ch <= "Z":
+            out.append(chr((ord(ch) - 65 + shift) % 26 + 65))
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def test_caesar_matches_per_character_shift():
+    rng = random.Random(4321)
+    alphabet = string.printable + "éÄßÿŻİＡ€\u0130\U0001F600"
+    for _ in range(1000):
+        msg = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
+        key = rng.randrange(26)
+        assert caesar_encrypt(msg, key) == caesar_by_character(msg, key)
+        assert caesar_decrypt(msg, key) == caesar_by_character(msg, 26 - key)
+
+
 def test_caesar_rejects_bad_shift():
     with pytest.raises(ValueError):
         caesar_encrypt("abc", 26)

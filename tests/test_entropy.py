@@ -1,6 +1,7 @@
 import itertools
 import random
 import string
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -386,6 +387,21 @@ def test_block_stream_rejects_non_canonical_forms():
         decode_blocks(bytes(valid))
 
 
+def test_block_stream_prefixes_are_truncated():
+    """Every proper prefix of a stream raises TruncatedStream, also when
+    the cut falls inside the amplitude of a tile's last coefficient."""
+    rng = np.random.default_rng(44)
+    last = np.zeros((1, 8, 8), np.int64)
+    last[0, 0, 0], last[0, 7, 7] = 3, -700       # no EOB: the stream ends in an amplitude
+    for tiles in [last] + [random_coefficient_tiles(rng, 2) for _ in range(20)]:
+        data = encode_blocks(tiles)
+        for cut in range(3, len(data)):
+            with pytest.raises(TruncatedStream):
+                decode_blocks(data[:cut])
+    with pytest.raises(TruncatedStream, match="inside an amplitude"):
+        decode_blocks(encode_blocks(last)[:-1])
+
+
 def test_block_stream_checks_tile_count_first():
     data = encode_blocks(np.zeros((3, 8, 8), np.int64))
     assert len(decode_blocks(data, tiles=3).coeffs) == 3
@@ -436,6 +452,23 @@ def test_block_table_codes_every_8bit_tile():
     assert BLOCK_TABLE.kraft_sum() == Fraction(1)
     with pytest.raises(UnknownSymbol):
         encode_blocks(np.full((1, 8, 8), 4096))
+
+
+def test_encode_blocks_time_is_linear_in_tiles():
+    """The most tiles a header can declare encode in well under 3 s, which
+    a single growing bit accumulator for the whole stream would not."""
+    start = time.perf_counter()
+    data = encode_blocks(np.zeros((0xFFFF, 8, 8), np.int64))
+    assert time.perf_counter() - start < 3
+    assert len(data) == 3 + (0xFFFF * (len(CODES[DC_SYMBOL]) + len(CODES[EOB])) + 7) // 8
+
+
+def test_encode_blocks_rejects_values_past_the_table():
+    for value in (2 ** 11, 2 ** 15, 2 ** 16, -(2 ** 20)):
+        tiles = np.zeros((1, 8, 8), np.int64)
+        tiles[0, 0, 1] = value
+        with pytest.raises(UnknownSymbol):
+            encode_blocks(tiles)
 
 
 def test_block_table_matches_its_derivation():

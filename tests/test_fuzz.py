@@ -1,0 +1,100 @@
+"""Property tests over streams and covers that seal never writes.
+
+The runs are derandomized with a fixed number of examples, so each run of
+the suite draws the same inputs.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from stegoseal.entropy import BLOCK_MAGIC, decode_blocks, encode_blocks
+from stegoseal.errors import StegosealError
+from stegoseal.pgm import GrayImage
+from stegoseal.pipeline import (TAMPERED, UNDECODABLE, VERIFIED, SealConfig,
+                                seal, verify)
+from stegoseal.stego import LSB1, OVERWRITE
+from stegoseal.transform import int_dct2
+
+from test_entropy import random_coefficient_tiles
+
+FUZZ = settings(max_examples=400, derandomize=True, database=None, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def _real_streams():
+    rng = np.random.default_rng(60)
+    streams = [encode_blocks(random_coefficient_tiles(rng, n)) for n in (1, 2, 3, 6)]
+    tiles = rng.integers(0, 256, (6, 8, 8)) * (rng.random((6, 8, 8)) < 0.3)
+    streams.append(encode_blocks(int_dct2(tiles)))
+    cover = GrayImage(64, 64, np.zeros(64 * 64, np.uint8))
+    for message, config in (("I'm so proud to be Egyptian", SealConfig(caesar_key=16)),
+                            ("ATTACK AT DAWN", SealConfig(cipher="hill", hill_key=[
+                                [6, 24, 1], [13, 16, 10], [20, 17, 15]]))):
+        pixels = np.asarray(seal(message, config, cover).pixels).tobytes()
+        streams.append(pixels[:decode_blocks(pixels).consumed])
+    return streams
+
+
+STREAMS = _real_streams()
+
+
+def check_decode(data):
+    try:
+        decoded = decode_blocks(data)
+    except StegosealError:
+        return
+    assert encode_blocks(decoded.coeffs) == data[:decoded.consumed]
+
+
+@FUZZ
+@given(st.data())
+def test_decode_blocks_on_mutated_streams(data):
+    stream = bytearray(data.draw(st.sampled_from(STREAMS)))
+    for bit in data.draw(st.lists(st.integers(0, 8 * len(stream) - 1), max_size=4)):
+        stream[bit // 8] ^= 0x80 >> (bit % 8)
+    cut = data.draw(st.integers(0, len(stream)))
+    check_decode(bytes(stream[:cut]) + data.draw(st.binary(max_size=8)))
+
+
+@FUZZ
+@given(st.integers(1, 8), st.binary(max_size=400))
+def test_decode_blocks_on_random_bodies(tiles, body):
+    check_decode(bytes([BLOCK_MAGIC]) + tiles.to_bytes(2, "big") + body)
+
+
+FILL = np.random.default_rng(61).integers(0, 256, 64 * 64, dtype=np.uint8).tobytes()
+
+
+@settings(FUZZ, max_examples=150)
+@given(st.binary(max_size=1600), st.sampled_from([OVERWRITE, LSB1]), st.booleans(),
+       st.booleans())
+def test_verify_never_raises_on_random_covers(head, mode, header, keyed):
+    pixels = bytearray(head + FILL[len(head):])
+    if header:      # a header with the expected tile count, so the decoder runs
+        if mode == OVERWRITE:
+            pixels[:3] = bytes([BLOCK_MAGIC, 0, 6])
+        else:
+            bits = np.unpackbits(np.frombuffer(bytes([BLOCK_MAGIC, 0, 6]), np.uint8))
+            pixels[:24] = bytes((p & 0xFE) | b for p, b in zip(pixels[:24], bits))
+    config = SealConfig(caesar_key=16, embed_mode=mode) if keyed else SealConfig(embed_mode=mode)
+    report = verify(GrayImage(64, 64, np.frombuffer(bytes(pixels), np.uint8)), config)
+    assert report.verdict in (VERIFIED, TAMPERED, UNDECODABLE)
+
+
+SEALED = {mode: seal("I'm so proud to be Egyptian", SealConfig(caesar_key=16, embed_mode=mode),
+                     GrayImage(64, 64, np.arange(64 * 64, dtype=np.uint8)))
+          for mode in (OVERWRITE, LSB1)}
+
+
+@settings(FUZZ, max_examples=150)
+@given(st.sampled_from([OVERWRITE, LSB1]), st.lists(st.integers(0, 8 * 2400 - 1), max_size=8))
+def test_verify_never_raises_on_flipped_seals(mode, bits):
+    pixels = bytearray(np.asarray(SEALED[mode].pixels).tobytes())
+    for bit in bits:
+        pixels[bit // 8] ^= 1 << (bit % 8)
+    image = GrayImage(64, 64, np.frombuffer(bytes(pixels), np.uint8))
+    report = verify(image, SealConfig(caesar_key=16, embed_mode=mode))
+    assert report.verdict in (VERIFIED, TAMPERED, UNDECODABLE)
+    if report.verdict == VERIFIED:
+        assert report.recovered_message == "I'm so proud to be Egyptian"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import string
 
@@ -48,6 +49,36 @@ def test_seal_is_deterministic(cover):
     a = seal(PAPER_MESSAGE, paper_config(), cover)
     b = seal(PAPER_MESSAGE, paper_config(), cover)
     assert a == b
+
+
+# Streams that seal writes, pinned by length and SHA-256: the paper example
+# and three messages drawn from random.Random(2110), both ciphers and both
+# digests. A change to the cipher, the packing, the transform or the coder
+# that alters a single bit shows here.
+PINNED_STREAMS = [
+    ("I'm so proud to be Egyptian", SealConfig(caesar_key=16), 229,
+     "1e770df8506c516c561edc3d4d987aeddc5e2fdc53e16c6bf51213e20b3803ec"),
+    ("oD. v2vaoV'Tpx1d. ,Twh-eK6D,Y?bS3M6x.OQt",
+     SealConfig(caesar_key=9, digest_algorithm="sha512"), 226,
+     "f293334b69c4424c860d4800875733fde967f9ebcaf3044b9969eb6ba636d494"),
+    ("f3M?k0FCf14vazy6hK'yp9OSCiM5cOoynm'HjcRaPP??G1L24h?7.Q4'xmo?Up?x0OJhexzXeOe",
+     SealConfig(cipher="hill", hill_key=[[6, 24, 1], [13, 16, 10], [20, 17, 15]]), 221,
+     "eb4c572483f451009afe90723325d510f36bd1859a160b56109f4e70db4d0cc1"),
+    ("H5U0QfVxNhwr'jR62y!zY9JzLuemn,0UevU62p4A2QJ29P84rmenjK9a2xyE4Kzm0'0Cu4,"
+     "y-XJWO00MS1bwm-W4Tm8cxLdB-4.f2uTXH,bARN",
+     SealConfig(cipher="hill", hill_key=[[3, 10, 20], [20, 9, 17], [9, 4, 17]],
+                digest_algorithm="sha512"), 271,
+     "02bf0e457a2fa461236196ce91e56cd9974ac28817b547878d5c172c2203e16f"),
+]
+
+
+@pytest.mark.parametrize("message,config,length,sha256", PINNED_STREAMS)
+def test_sealed_stream_bytes_are_pinned(message, config, length, sha256):
+    sealed = seal(message, config, GrayImage(64, 64, np.zeros(64 * 64, np.uint8)))
+    assert stream_length(sealed) == length
+    stream = extract(sealed, length, OVERWRITE)
+    assert hashlib.sha256(stream).hexdigest() == sha256
+    assert verify(sealed, config).verdict == VERIFIED
 
 
 def test_seal_rejects_empty_message(cover):

@@ -226,6 +226,44 @@ def test_int_dct2_inverts_exactly():
     assert np.array_equal(int_dct2(int_idct2(coeffs)), coeffs)
 
 
+def int_dct2_by_matrices(tiles):
+    """int_dct2 with each layer's shears as 8x9 integer matrices acting on
+    [x; 1], the ninth column adding the rounding half."""
+    rotations = (((0, 7, -4), (1, 6, -4), (2, 5, -4), (3, 4, -4)),
+                 ((0, 3, -4), (1, 2, -4), (7, 4, -5), (6, 5, -7)),
+                 ((0, 1, -4), (3, 2, -2), (7, 5, 4), (6, 4, 4)),
+                 ((7, 6, -4),))
+    shears = []
+    for layer in rotations:
+        first = np.zeros((8, 9), np.int64)
+        second = np.zeros((8, 9), np.int64)
+        for i, j, k in layer:
+            t = k * math.pi / 16
+            first[i, j] = round((math.cos(t) - 1) / math.sin(t) * (1 << 14))
+            second[j, i] = round(math.sin(t) * (1 << 14))
+            first[i, 8] = second[j, 8] = 1 << 13
+        shears += [first, second, first]
+    source = [0, 7, 3, 4, 1, 5, 2, 6]
+    sign = np.array((1, -1, -1, 1, -1, -1, 1, -1))[:, None]
+
+    def lift(x):
+        x = np.vstack([x, np.ones((1, x.shape[1]), np.int64)])
+        for shear in shears:
+            x[:8] += (shear @ x) >> 14
+        return x[source] * sign
+
+    n = len(tiles)
+    c = lift(tiles.transpose(1, 0, 2).reshape(8, -1).astype(np.int64)).reshape(8, n, 8)
+    c = lift(c.transpose(2, 1, 0).reshape(8, -1)).reshape(8, n, 8)
+    return c.transpose(1, 2, 0)
+
+
+def test_int_dct2_matches_the_matrix_form():
+    rng = np.random.default_rng(22)
+    for tiles in (byte_tiles(23), rng.integers(-2 ** 43, 2 ** 43, (300, 8, 8))):
+        assert np.array_equal(int_dct2(tiles), int_dct2_by_matrices(tiles))
+
+
 def test_int_dct2_stays_within_rounding_of_dct2():
     worst = max(np.abs(int_dct2(t) - dct2(t)).max() for t in byte_tiles(20))
     assert worst < 7
