@@ -1,4 +1,4 @@
-"""Zig-zag coefficient ordering and the two Huffman-coded wire formats.
+"""Zig-zag coefficient ordering and the Huffman-coded block stream.
 
 The block stream is what the sealing pipeline embeds. It codes a stack
 of 8x8 integer coefficient tiles the way baseline JPEG codes its blocks
@@ -52,36 +52,18 @@ drawn from letters, digits and " .,!?'\"-:;()", a Caesar key drawn from
 0-25, and SHA-256 for even i, SHA-512 for odd i. No fixed example
 message is among them. tests/test_entropy.py repeats the derivation and
 checks that it gives this table.
-
-The general stream carries its own table and codes any sequence of
-non-negative integer symbols:
-
-    magic byte 0x48
-    table entry count, 2 bytes big-endian (>= 1)
-    per entry: symbol as unsigned LEB128 varint, then code length in 1 byte,
-               entries sorted by (length, symbol), symbols unique
-    symbol count, 4 bytes big-endian
-    payload: the concatenated codewords MSB-first, zero-padded to a byte
-
-Codes are canonical: only lengths travel, and codewords are reassigned
-from lengths with symbols sorted by (length, symbol). Parsing is strict.
-A header whose varints are non-minimal, whose entries are out of order or
-duplicated, or whose lengths violate Kraft equality is rejected, so any
-given symbol sequence has exactly one valid serialized stream.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import (BadLength, BadShape, CorruptHeader, DanglingBits,
                      EmptyAlphabet, TruncatedStream, UnknownSymbol)
 
-MAGIC = 0x48
 BLOCK_MAGIC = 0x4A
 
 # Standard JPEG zig-zag traversal of an 8x8 block, as flat row-major indices.
@@ -114,20 +96,6 @@ def zigzag_unscan(seq) -> np.ndarray:
     return out
 
 
-def signed_to_symbol(values):
-    """Fold signed integers onto non-negative ones: 0,-1,1,-2,2 -> 0,1,2,3,4."""
-    v = np.asarray(values, dtype=np.int64)
-    out = np.where(v >= 0, 2 * v, -2 * v - 1)
-    return int(out) if np.isscalar(values) or out.ndim == 0 else out
-
-
-def symbol_to_signed(symbols):
-    """Inverse of signed_to_symbol."""
-    s = np.asarray(symbols, dtype=np.int64)
-    out = np.where(s % 2 == 0, s // 2, -(s + 1) // 2)
-    return int(out) if np.isscalar(symbols) or out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class HuffmanTable:
     """Prefix-free map from integer symbols to bit-string codewords."""
@@ -137,9 +105,6 @@ class HuffmanTable:
     @property
     def lengths(self) -> dict:
         return {sym: len(code) for sym, code in self.codes.items()}
-
-    def kraft_sum(self) -> Fraction:
-        return sum((Fraction(1, 2 ** len(c)) for c in self.codes.values()), Fraction(0))
 
     @classmethod
     def from_lengths(cls, lengths: dict) -> "HuffmanTable":
@@ -186,203 +151,6 @@ def build_table(frequencies: dict) -> HuffmanTable:
         heapq.heappush(heap, (w1 + w2, min(m1, m2), order, merged))
         order += 1
     return HuffmanTable.from_lengths(depths)
-
-
-@dataclass(frozen=True)
-class EncodedStream:
-    """A Huffman-coded symbol sequence plus the table that decodes it."""
-
-    table: HuffmanTable
-    symbol_count: int
-    payload: bytes
-    bit_length: int
-
-    def to_bytes(self) -> bytes:
-        """Serialize to the wire format described in the module docstring."""
-        entries = sorted(self.table.lengths.items(), key=lambda kv: (kv[1], kv[0]))
-        if not 1 <= len(entries) <= 0xFFFF:
-            raise ValueError(f"table must have 1..65535 entries, has {len(entries)}")
-        if not 0 <= self.symbol_count <= 0xFFFFFFFF:
-            raise ValueError(f"symbol count {self.symbol_count} out of range")
-        out = bytearray([MAGIC])
-        out += len(entries).to_bytes(2, "big")
-        for sym, length in entries:
-            if sym < 0:
-                raise ValueError(f"wire symbols must be non-negative, got {sym}")
-            out += _varint_encode(sym)
-            out.append(length)
-        out += self.symbol_count.to_bytes(4, "big")
-        out += self.payload
-        return bytes(out)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "EncodedStream":
-        """Parse a stream that occupies the whole buffer.
-
-        Trailing bytes are not tolerated here; decode() reports them as
-        DanglingBits. Use decode_prefix() for buffers with a garbage tail.
-        """
-        table, count, header_len = _parse_header(data)
-        payload = bytes(data[header_len:])
-        return cls(table, count, payload, 8 * len(payload))
-
-
-def encode(symbols, table: HuffmanTable) -> EncodedStream:
-    """Concatenate the codewords for `symbols` under `table`."""
-    codes = table.codes
-    parts = []
-    n = 0
-    for sym in symbols:
-        sym = int(sym)
-        code = codes.get(sym)
-        if code is None:
-            raise UnknownSymbol(f"symbol {sym} has no codeword")
-        parts.append(code)
-        n += 1
-    bits = "".join(parts)
-    padded = bits + "0" * (-len(bits) % 8)
-    payload = int(padded, 2).to_bytes(len(padded) // 8, "big") if padded else b""
-    return EncodedStream(table, n, payload, len(bits))
-
-
-def decode(stream: EncodedStream):
-    """Recover the symbol sequence; strict about trailing bits and bytes."""
-    symbols, pos = _walk(stream.payload, stream.bit_length,
-                         stream.table, stream.symbol_count)
-    leftover = stream.bit_length - pos
-    if leftover >= 8:
-        raise DanglingBits(f"{leftover} bits remain after {stream.symbol_count} symbols")
-    if leftover and _bits_nonzero(stream.payload, pos, stream.bit_length):
-        raise DanglingBits("padding bits after the last codeword are not zero")
-    return symbols
-
-
-def decode_bytes(data: bytes):
-    """Strict wire decode of a complete buffer."""
-    return decode(EncodedStream.from_bytes(data))
-
-
-def decode_prefix(data: bytes):
-    """Decode a stream of either format at the start of `data`, ignoring
-    what follows.
-
-    Returns (symbols, table, consumed) where consumed is the byte length of
-    the stream and every symbol has a code in table. Padding bits inside
-    the last consumed byte must be zero.
-    """
-    if data[:1] == bytes([BLOCK_MAGIC]):
-        decoded = decode_blocks(data)
-        return decoded.symbols, BLOCK_TABLE, decoded.consumed
-    table, count, header_len = _parse_header(data)
-    payload = data[header_len:]
-    symbols, pos = _walk(payload, 8 * len(payload), table, count)
-    consumed_payload = (pos + 7) // 8
-    if _bits_nonzero(payload, pos, 8 * consumed_payload):
-        raise DanglingBits("padding bits after the last codeword are not zero")
-    return symbols, table, header_len + consumed_payload
-
-
-def _varint_encode(value: int) -> bytes:
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
-
-
-def _varint_decode(data: bytes, pos: int) -> tuple[int, int]:
-    value = 0
-    shift = 0
-    start = pos
-    while True:
-        if pos >= len(data):
-            raise CorruptHeader("varint runs past the end of the header")
-        byte = data[pos]
-        pos += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            if byte == 0 and pos - start > 1:
-                raise CorruptHeader("varint is not minimally encoded")
-            return value, pos
-        shift += 7
-        if shift > 63:
-            raise CorruptHeader("varint is too long")
-
-
-def _parse_header(data: bytes):
-    if len(data) < 1 or data[0] != MAGIC:
-        raise CorruptHeader("missing stream magic byte")
-    if len(data) < 3:
-        raise CorruptHeader("header is shorter than the entry count field")
-    n_entries = int.from_bytes(data[1:3], "big")
-    if n_entries == 0:
-        raise CorruptHeader("table with zero entries")
-    pos = 3
-    lengths = {}
-    prev = None
-    for _ in range(n_entries):
-        sym, pos = _varint_decode(data, pos)
-        if pos >= len(data):
-            raise CorruptHeader("entry is missing its length byte")
-        length = data[pos]
-        pos += 1
-        if not 1 <= length <= 64:
-            raise CorruptHeader(f"code length {length} out of range")
-        if sym in lengths:
-            raise CorruptHeader(f"symbol {sym} listed twice")
-        if prev is not None and (length, sym) <= prev:
-            raise CorruptHeader("table entries are not in canonical order")
-        prev = (length, sym)
-        lengths[sym] = length
-    if len(lengths) == 1:
-        if next(iter(lengths.values())) != 1:
-            raise CorruptHeader("single-symbol table must use code length 1")
-    else:
-        max_len = max(lengths.values())
-        if sum(1 << (max_len - l) for l in lengths.values()) != 1 << max_len:
-            raise CorruptHeader("code lengths violate Kraft equality")
-    if pos + 4 > len(data):
-        raise CorruptHeader("header is missing the symbol count")
-    count = int.from_bytes(data[pos:pos + 4], "big")
-    return HuffmanTable.from_lengths(lengths), count, pos + 4
-
-
-def _walk(payload: bytes, bit_length: int, table: HuffmanTable, count: int):
-    """Decode `count` symbols from the bit stream; returns (symbols, bits used)."""
-    # keys carry a leading marker bit so codes of different lengths cannot clash
-    marked = {(1 << len(code)) | int(code, 2): sym for sym, code in table.codes.items()}
-    if len(marked) != len(table.codes):
-        raise CorruptHeader("table contains duplicate codewords")
-    max_len = max((len(c) for c in table.codes.values()), default=0)
-    limit = 1 << (max_len + 1)
-    out = []
-    append = out.append
-    acc = 1
-    pos = 0
-    while len(out) < count:
-        if pos >= bit_length:
-            raise TruncatedStream(
-                f"bits ran out after {len(out)} of {count} symbols")
-        acc = (acc << 1) | ((payload[pos >> 3] >> (7 - (pos & 7))) & 1)
-        pos += 1
-        sym = marked.get(acc)
-        if sym is not None:
-            append(sym)
-            acc = 1
-        elif acc >= limit:
-            raise TruncatedStream("bit pattern matches no codeword")
-    return out, pos
-
-
-def _bits_nonzero(payload: bytes, start: int, end: int) -> bool:
-    for pos in range(start, end):
-        if (payload[pos >> 3] >> (7 - (pos & 7))) & 1:
-            return True
-    return False
 
 
 # --- block stream ------------------------------------------------------------
@@ -660,3 +428,13 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
     coeffs = np.array(zz, dtype=np.int64).reshape(count, 64)[:, _UNZIGZAG]
     return DecodedBlocks(coeffs.reshape(count, 8, 8), symbols, pos,
                          BLOCK_HEADER_BYTES + (pos + 7) // 8)
+
+
+def decode_prefix(data: bytes):
+    """Decode the block stream at the start of `data`, ignoring what follows.
+
+    Returns (symbols, BLOCK_TABLE, consumed), where consumed is the byte
+    length of the stream; raises as decode_blocks does.
+    """
+    decoded = decode_blocks(data)
+    return decoded.symbols, BLOCK_TABLE, decoded.consumed

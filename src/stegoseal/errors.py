@@ -65,15 +65,15 @@ class UnknownSymbol(StegosealError):
 
 
 class CorruptHeader(StegosealError):
-    """Encoded stream header cannot be parsed or is not canonical."""
+    """Block stream header is wrong, or a symbol breaks the canonical form."""
 
 
 class TruncatedStream(StegosealError):
-    """Payload bits end before the declared symbol count is reached."""
+    """Block stream bits end inside a code or an amplitude, before its last tile."""
 
 
 class DanglingBits(StegosealError):
-    """Bits or bytes remain after the declared symbol count was decoded."""
+    """Padding bits after the last tile of a block stream are not zero."""
 
 
 # --- PGM images ------------------------------------------------------------

@@ -84,8 +84,6 @@ class SealConfig:
         if self.row_length < 1 or (ROWS * self.row_length) % 64 != 0:
             raise ValueError(
                 f"row length {self.row_length} does not tile into 8x8 blocks")
-        if self.caesar_key is not None and self.hill_key is not None:
-            raise ValueError("provide a key for one cipher only")
         if self.cipher == CAESAR:
             if self.hill_key is not None:
                 raise ValueError("hill key given but cipher is caesar")

@@ -1,14 +1,9 @@
-"""8x8 DCT-II: the orthonormal float transform with its scaled quantizer,
-and the integer lifting transform that the sealing pipeline uses.
+"""8x8 DCT-II: the integer lifting transform that the sealing pipeline
+uses, and the orthonormal float transform it is checked against.
 
 dct2 and idct2 are the orthonormal 2D DCT-II and its inverse in float.
-Quantization divides each coefficient by q[u][v] after multiplying by an
-integer scale S and rounds half away from zero; dequantization multiplies
-back. With the default all-ones matrix the step is a pure precision
-choice: the per-coefficient error is at most 1/(2S), and the worst-case
-pixel error after the inverse transform is bounded by kappa/(2S) with
-kappa = (max_x sum_u |C[u,x]|)^2 = 6.98. Any S >= 7 therefore guarantees
-that rounding the reconstruction recovers every 8-bit tile exactly.
+The pipeline does not call them; they are the float reference that the
+tests hold int_dct2 to.
 
 int_dct2 and int_idct2 map integer tiles to integer coefficients and
 back exactly, with no scale. The 1D 8-point DCT-II matrix is factored
@@ -49,14 +44,12 @@ into the other slice; the inverse subtracts the same increments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadShape
 
 BLOCK = 8
-DEFAULT_SCALE = 7
 
 
 def _basis() -> np.ndarray:
@@ -192,47 +185,3 @@ def int_idct2(coeffs) -> np.ndarray:
     x = _unlift(x.transpose(2, 1, 0).reshape(BLOCK, -1)).reshape(BLOCK, n, BLOCK)  # (x, tile, y)
     return x.transpose(1, 0, 2).reshape(c.shape)
 
-
-def round_half_away(x) -> np.ndarray:
-    """Round to nearest integer with ties going away from zero."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
-@dataclass(frozen=True)
-class QuantMatrix:
-    """Per-coefficient divisors plus the integer pre-scale S."""
-
-    values: np.ndarray = field(default_factory=lambda: np.ones((BLOCK, BLOCK), np.int64))
-    scale: int = DEFAULT_SCALE
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.int64)
-        if vals.shape != (BLOCK, BLOCK):
-            raise BadShape(f"quant matrix must be 8x8, got {vals.shape}")
-        if (vals < 1).any():
-            raise ValueError("quant matrix entries must be >= 1")
-        if int(self.scale) < 1:
-            raise ValueError("quant scale must be >= 1")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "scale", int(self.scale))
-
-    @classmethod
-    def identity(cls, scale: int = DEFAULT_SCALE) -> "QuantMatrix":
-        return cls(np.ones((BLOCK, BLOCK), np.int64), scale)
-
-
-def quantize(coeffs, quant: QuantMatrix | None = None) -> np.ndarray:
-    """Map coefficients to integers: round(S * c / q), half away from zero."""
-    q = quant if quant is not None else QuantMatrix.identity()
-    c = _as_block(coeffs, "coeffs")
-    return round_half_away(q.scale * c / q.values).astype(np.int64)
-
-
-def dequantize(quantized, quant: QuantMatrix | None = None) -> np.ndarray:
-    """Invert quantize up to rounding: d * q / S."""
-    q = quant if quant is not None else QuantMatrix.identity()
-    d = np.asarray(quantized, dtype=np.int64)
-    if d.shape != (BLOCK, BLOCK):
-        raise BadShape(f"quantized block must be 8x8, got {d.shape}")
-    return d * q.values / q.scale

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,3 +16,8 @@ def cover():
 def make_cover(seed, width=256, height=256):
     rng = np.random.default_rng(seed)
     return GrayImage(width, height, rng.integers(0, 256, width * height, dtype=np.uint8))
+
+
+def kraft_sum(table):
+    """Sum of 2**-length over the codewords of a HuffmanTable, exactly."""
+    return sum((Fraction(1, 2 ** len(c)) for c in table.codes.values()), Fraction(0))

@@ -10,17 +10,17 @@ import pytest
 
 from stegoseal.cipher import caesar_encrypt
 from stegoseal.digest import hash_message
-from stegoseal.entropy import (BLOCK_MAGIC, BLOCK_TABLE, DC_SYMBOL, EOB, MAGIC,
-                               ZIGZAG_ORDER, ZRL, EncodedStream, HuffmanTable,
-                               block_stream_bound, build_table, decode,
-                               decode_blocks, decode_bytes, decode_prefix,
-                               encode, encode_blocks, signed_to_symbol,
-                               symbol_to_signed, zigzag_scan, zigzag_unscan)
+from stegoseal.entropy import (BLOCK_MAGIC, BLOCK_TABLE, DC_SYMBOL, EOB,
+                               ZIGZAG_ORDER, ZRL, block_stream_bound,
+                               build_table, decode_blocks, decode_prefix,
+                               encode_blocks, zigzag_scan, zigzag_unscan)
 from stegoseal.errors import (BadLength, BadShape, CorruptHeader,
                               DanglingBits, EmptyAlphabet, StegosealError,
                               TruncatedStream, UnknownSymbol)
 from stegoseal.payload import pack, to_tiles
 from stegoseal.transform import int_dct2
+
+from conftest import kraft_sum
 
 
 def diagonal_walk_oracle():
@@ -80,17 +80,6 @@ def test_zigzag_errors():
         zigzag_unscan(np.zeros(63))
 
 
-# --- signed <-> symbol mapping -------------------------------------------
-
-
-def test_signed_symbol_mapping():
-    assert [signed_to_symbol(v) for v in (0, -1, 1, -2, 2)] == [0, 1, 2, 3, 4]
-    for v in range(-300, 301):
-        assert symbol_to_signed(signed_to_symbol(v)) == v
-    arr = np.arange(-50, 51)
-    assert np.array_equal(symbol_to_signed(signed_to_symbol(arr)), arr)
-
-
 # --- table construction ---------------------------------------------------
 
 
@@ -131,7 +120,7 @@ def test_prefix_free_and_kraft_equality():
         codes = sorted(table.codes.values())
         for a, b in zip(codes, codes[1:]):
             assert not b.startswith(a)
-        assert table.kraft_sum() == Fraction(1)
+        assert kraft_sum(table) == Fraction(1)
 
 
 def test_optimality_vs_exhaustive_enumeration():
@@ -162,149 +151,6 @@ def test_canonical_code_assignment():
     # equal lengths get codes in ascending symbol order
     table = build_table({10: 1, 20: 1, 30: 1, 40: 1})
     assert table.codes == {10: "00", 20: "01", 30: "10", 40: "11"}
-
-
-# --- encode / decode -------------------------------------------------------
-
-
-def test_encode_payload_bits():
-    table = build_table({ord("a"): 3, ord("b"): 1})
-    stream = encode([ord(c) for c in "aaab"], table)
-    assert stream.bit_length == 4  # three 1-bit codes plus one 1-bit code
-    table3 = build_table({ord("a"): 3, ord("b"): 1, ord("c"): 1})
-    stream3 = encode([ord(c) for c in "aaab"], table3)
-    assert stream3.bit_length == 3 * 1 + 2
-
-
-def test_encode_empty_sequence():
-    table = build_table({1: 1, 2: 1})
-    stream = encode([], table)
-    assert stream.bit_length == 0
-    assert stream.payload == b""
-    assert decode(stream) == []
-    assert decode_bytes(stream.to_bytes()) == []
-
-
-def test_encode_unknown_symbol():
-    table = build_table({1: 1, 2: 1})
-    with pytest.raises(UnknownSymbol):
-        encode([1, 3], table)
-
-
-def test_round_trip_random_sequences():
-    rng = random.Random(33)
-    for _ in range(300):
-        n = rng.randint(1, 4096)
-        seq = [rng.randrange(256) for _ in range(n)]
-        table = build_table(Counter(seq))
-        stream = encode(seq, table)
-        assert decode(stream) == seq
-        assert decode_bytes(stream.to_bytes()) == seq
-
-
-def test_round_trip_single_symbol_runs():
-    seq = [42] * 100
-    table = build_table(Counter(seq))
-    stream = encode(seq, table)
-    assert stream.bit_length == 100
-    assert decode_bytes(stream.to_bytes()) == seq
-
-
-def test_wire_format_layout():
-    table = build_table({0: 2, 1: 1, 2: 1})
-    stream = encode([0, 1, 2, 0], table)
-    data = stream.to_bytes()
-    assert data[0] == MAGIC == 0x48
-    assert int.from_bytes(data[1:3], "big") == 3
-    # canonical entry order: (len 1, sym 0), (len 2, sym 1), (len 2, sym 2)
-    assert list(data[3:9]) == [0, 1, 1, 2, 2, 2]
-    assert int.from_bytes(data[9:13], "big") == 4
-    # payload bits: 0 10 11 0 -> 01011 0 padded to 01011000
-    assert data[13:] == bytes([0b01011000])
-
-
-def test_from_bytes_round_trip():
-    rng = random.Random(34)
-    seq = [rng.randrange(1000) for _ in range(500)]
-    stream = encode(seq, build_table(Counter(seq)))
-    parsed = EncodedStream.from_bytes(stream.to_bytes())
-    assert parsed.symbol_count == 500
-    assert parsed.table.codes == stream.table.codes
-    assert decode(parsed) == seq
-
-
-def test_truncated_stream():
-    seq = list(range(20)) * 3
-    stream = encode(seq, build_table(Counter(seq)))
-    data = stream.to_bytes()
-    with pytest.raises(TruncatedStream):
-        decode_bytes(data[:-1])
-
-
-def test_dangling_bytes():
-    seq = [1, 2, 3, 1, 1]
-    stream = encode(seq, build_table(Counter(seq)))
-    with pytest.raises(DanglingBits):
-        decode_bytes(stream.to_bytes() + b"\xff")
-
-
-def test_nonzero_padding_rejected():
-    seq = [1, 1, 2]
-    stream = encode(seq, build_table(Counter(seq)))
-    data = bytearray(stream.to_bytes())
-    assert stream.bit_length % 8 != 0
-    data[-1] |= 1  # light up a padding bit
-    with pytest.raises(DanglingBits):
-        decode_bytes(bytes(data))
-
-
-def test_corrupt_magic():
-    seq = [1, 1, 2]
-    data = bytearray(encode(seq, build_table(Counter(seq))).to_bytes())
-    data[0] ^= 0xFF
-    with pytest.raises(CorruptHeader):
-        decode_bytes(bytes(data))
-
-
-def test_corrupt_kraft():
-    seq = [1, 1, 2, 3]
-    data = bytearray(encode(seq, build_table(Counter(seq))).to_bytes())
-    # entry lengths live at fixed offsets: magic(1) count(2) then (sym, len)*
-    data[4] += 1  # lengthen the first code without touching the others
-    with pytest.raises(CorruptHeader):
-        decode_bytes(bytes(data))
-
-
-def test_decode_prefix_ignores_trailing_garbage():
-    rng = random.Random(35)
-    seq = [rng.randrange(64) for _ in range(200)]
-    stream = encode(seq, build_table(Counter(seq)))
-    data = stream.to_bytes()
-    symbols, table, consumed = decode_prefix(data + b"garbage garbage")
-    assert symbols == seq
-    assert consumed == len(data)
-    assert table.codes == stream.table.codes
-
-
-def test_decode_prefix_still_checks_padding():
-    seq = [1, 1, 2]
-    stream = encode(seq, build_table(Counter(seq)))
-    data = bytearray(stream.to_bytes() + b"tail")
-    data[len(stream.to_bytes()) - 1] |= 1
-    with pytest.raises(DanglingBits):
-        decode_prefix(bytes(data))
-
-
-def test_compresses_the_skewed_default_payload():
-    """A zero-heavy 384-byte block (the shape the sealing pipeline packs)
-    must come out smaller than its raw size, header included."""
-    block = bytearray(384)
-    block[0:27] = b"Y'c ie fhekt je ru Uwofjyqd"
-    block[128:130] = b"16"
-    block[256:384] = b"0123456789abcdef" * 8
-    seq = list(block)
-    stream = encode(seq, build_table(Counter(seq)))
-    assert len(stream.to_bytes()) < 384
 
 
 # --- block stream ------------------------------------------------------------
@@ -374,7 +220,7 @@ def test_block_stream_rejects_non_canonical_forms():
         "AC symbol for DC": block_stream(1, CODES[0x01], "1", CODES[EOB]),
         "DC symbol for AC": block_stream(1, dc0, CODES[DC_SYMBOL + 1], "1", CODES[EOB]),
         "zero tiles": block_stream(0),
-        "general stream magic": bytes([MAGIC]) + block_stream(1, dc0, CODES[EOB])[1:],
+        "general stream magic": bytes([0x48]) + block_stream(1, dc0, CODES[EOB])[1:],
     }
     for name, data in bad.items():
         with pytest.raises(CorruptHeader):
@@ -440,6 +286,13 @@ def test_decode_prefix_reads_block_streams():
     assert symbols == decode_blocks(data).symbols
 
 
+def test_decode_prefix_rejects_the_retired_general_stream():
+    """A well-formed stream of the old self-describing format (magic 0x48,
+    a one-entry table {0: "0"} and one symbol) is not a block stream."""
+    with pytest.raises(CorruptHeader):
+        decode_prefix(bytes.fromhex("48 0001 00 01 00000001 00"))
+
+
 def test_block_table_codes_every_8bit_tile():
     """The table holds every symbol int_dct2 of a byte tile can need."""
     from test_transform import byte_tiles
@@ -449,7 +302,7 @@ def test_block_table_codes_every_8bit_tile():
     assert sorted(BLOCK_TABLE.codes) == sorted(
         [DC_SYMBOL + c for c in range(12)] + [EOB, ZRL]
         + [(run << 4) | size for run in range(16) for size in range(1, 12)])
-    assert BLOCK_TABLE.kraft_sum() == Fraction(1)
+    assert kraft_sum(BLOCK_TABLE) == Fraction(1)
     with pytest.raises(UnknownSymbol):
         encode_blocks(np.full((1, 8, 8), 4096))
 

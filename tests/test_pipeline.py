@@ -1,6 +1,7 @@
 import hashlib
 import random
 import string
+import time
 
 import numpy as np
 import pytest
@@ -307,6 +308,26 @@ def test_verify_forged_stream_header_is_undecodable(cover):
     forged[9:17] = 0          # 64 zero bits decode to 64 copies of symbol 5
     img = GrayImage(cover.width, cover.height, forged)
     assert verify(img, SealConfig()).verdict == UNDECODABLE
+
+
+def test_verify_time_does_not_follow_the_cover():
+    """Forged headers on an all-zero 2048x2048 cover, where a decoder
+    that reads until the bits run out would walk the whole capacity, are
+    rejected in well under 50 ms each, in both modes."""
+    zero = GrayImage(2048, 2048, np.zeros(2048 * 2048, np.uint8))
+    headers = {
+        "general stream of 2**32 - 1 symbols": bytes.fromhex("48 0001 00 01 FFFFFFFF"),
+        "65535 tiles": bytes.fromhex("4A FFFF"),
+        "6 tiles of random bits": bytes.fromhex("4A 0006") + np.random.default_rng(62).bytes(2048),
+    }
+    for mode in (OVERWRITE, LSB1):
+        for name, header in headers.items():
+            image = embed(zero, header, mode)
+            start = time.perf_counter()
+            report = verify(image, SealConfig(embed_mode=mode))
+            elapsed = time.perf_counter() - start
+            assert report.verdict != VERIFIED, (mode, name)
+            assert elapsed < 0.05, (mode, name, elapsed)
 
 
 # --- tamper --------------------------------------------------------------

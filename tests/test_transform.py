@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from stegoseal.errors import BadShape
-from stegoseal.transform import (DEFAULT_SCALE, QuantMatrix, dct2, dequantize,
-                                 idct2, int_dct2, int_idct2, quantize,
-                                 round_half_away)
+from stegoseal.transform import dct2, idct2, int_dct2, int_idct2
 
 
 def dct2_by_summation(tile):
@@ -95,48 +93,6 @@ def test_bad_shapes():
         dct2(np.zeros((4, 8)))
     with pytest.raises(BadShape):
         idct2(np.zeros((8, 9)))
-    with pytest.raises(BadShape):
-        quantize(np.zeros((7, 8)))
-    with pytest.raises(BadShape):
-        dequantize(np.zeros((4, 4), int))
-
-
-def test_round_half_away_from_zero():
-    vals = np.array([0.5, 1.5, -0.5, -1.5, 2.4, -2.4, 0.0])
-    assert np.array_equal(round_half_away(vals), [1, 2, -1, -2, 2, -2, 0])
-
-
-def test_identity_quantizer_passes_integers_through():
-    quant = QuantMatrix(np.ones((8, 8), int), scale=1)
-    coeffs = np.arange(64).reshape(8, 8).astype(float) - 30
-    assert np.array_equal(quantize(coeffs, quant), coeffs.astype(int))
-
-
-def test_exact_division():
-    quant = QuantMatrix(np.full((8, 8), 16, int), scale=1)
-    coeffs = np.zeros((8, 8))
-    coeffs[0, 0] = 1024.0
-    assert quantize(coeffs, quant)[0, 0] == 64
-
-
-def test_quantize_dequantize_error_bound():
-    rng = np.random.default_rng(15)
-    for _ in range(100):
-        q = rng.integers(1, 40, (8, 8))
-        s = int(rng.integers(1, 40))
-        quant = QuantMatrix(q, s)
-        coeffs = rng.uniform(-2000, 2000, (8, 8))
-        back = dequantize(quantize(coeffs, quant), quant)
-        assert (np.abs(back - coeffs) <= q / (2 * s) + 1e-12).all()
-
-
-def lossless_round_trip(tiles, scale):
-    quant = QuantMatrix.identity(scale)
-    for tile in tiles:
-        rec = round_half_away(idct2(dequantize(quantize(dct2(tile), quant), quant)))
-        if not np.array_equal(rec, tile):
-            return False
-    return True
 
 
 def adversarial_tiles():
@@ -153,43 +109,6 @@ def adversarial_tiles():
             spike[i, j] = 255
             tiles.append(spike)
     return tiles
-
-
-def test_default_scale_is_lossless():
-    rng = np.random.default_rng(16)
-    tiles = list(rng.integers(0, 256, (2000, 8, 8))) + adversarial_tiles()
-    assert lossless_round_trip(tiles, DEFAULT_SCALE)
-
-
-def test_scale_32_is_also_lossless():
-    rng = np.random.default_rng(17)
-    tiles = list(rng.integers(0, 256, (500, 8, 8))) + adversarial_tiles()
-    assert lossless_round_trip(tiles, 32)
-
-
-def test_default_scale_has_worst_case_guarantee():
-    """kappa/(2S) < 1/2 must hold for the frozen default scale.
-
-    kappa bounds the pixel-domain error of a +-1/(2S) coefficient
-    perturbation, so this inequality makes byte recovery exact for every
-    possible tile, not just the sampled ones.
-    """
-    basis = np.array([[(math.sqrt(1 / 8) if u == 0 else math.sqrt(2 / 8))
-                       * math.cos((2 * x + 1) * u * math.pi / 16)
-                       for x in range(8)] for u in range(8)])
-    kappa = np.abs(basis).sum(axis=0).max() ** 2
-    assert kappa / (2 * DEFAULT_SCALE) < 0.5
-    # and the next smaller integer scale has no such guarantee
-    assert kappa / (2 * (DEFAULT_SCALE - 1)) >= 0.5
-
-
-def test_quant_matrix_validation():
-    with pytest.raises(ValueError):
-        QuantMatrix(np.zeros((8, 8), int), 1)
-    with pytest.raises(ValueError):
-        QuantMatrix(np.ones((8, 8), int), 0)
-    with pytest.raises(BadShape):
-        QuantMatrix(np.ones((4, 4), int), 1)
 
 
 # --- integer lifting DCT -----------------------------------------------------
