@@ -336,3 +336,174 @@ def test_block_table_matches_its_derivation():
         block = pack(caesar_encrypt(message, key), str(key), digest)
         counts.update(decode_blocks(encode_blocks(int_dct2(to_tiles(block)))).symbols)
     assert build_table(counts).lengths == BLOCK_TABLE.lengths
+
+
+# --- block stream: header, amplitude and padding details ---------------------
+
+
+def amplitude_bits(value):
+    """The amplitude bits the module docstring prescribes for `value`: the
+    low category bits of value, or of value - 1 when it is negative."""
+    size = abs(value).bit_length()
+    if not size:
+        return ""
+    return format((value if value > 0 else value - 1) & ((1 << size) - 1), f"0{size}b")
+
+
+def symbol_size(symbol):
+    return symbol - DC_SYMBOL if symbol >= DC_SYMBOL else symbol & 15
+
+
+@pytest.mark.parametrize("coeffs, error", [
+    (np.zeros((0, 8, 8), np.int64), BadShape),
+    (np.zeros((8, 8), np.int64), BadShape),
+    (np.zeros((1, 8, 9), np.int64), BadShape),
+    (np.broadcast_to(np.zeros((1, 8, 8), np.int64), (0x10000, 8, 8)), BadShape),
+    (np.zeros((1, 8, 8)), TypeError),
+], ids=["no tiles", "one 2d tile", "wide tile", "65536 tiles", "float"])
+def test_encode_blocks_rejects_bad_input(coeffs, error):
+    with pytest.raises(error):
+        encode_blocks(coeffs)
+
+
+@pytest.mark.parametrize("data", [b"", bytes([BLOCK_MAGIC]), bytes([BLOCK_MAGIC, 0])],
+                         ids=["empty", "magic only", "half a tile count"])
+def test_decode_blocks_rejects_short_headers(data):
+    with pytest.raises(CorruptHeader, match="missing block stream header"):
+        decode_blocks(data)
+
+
+def test_decode_blocks_rejects_every_other_magic():
+    valid = block_stream(1, CODES[DC_SYMBOL], CODES[EOB])
+    assert decode_blocks(valid).consumed == len(valid)
+    for magic in range(256):
+        if magic != BLOCK_MAGIC:
+            with pytest.raises(CorruptHeader, match="missing block stream header"):
+                decode_blocks(bytes([magic]) + valid[1:])
+
+
+@pytest.mark.parametrize("dcs", [(2048,), (-2048,), (2047, -2047), (-2047, 2047)],
+                         ids=["2048", "-2048", "down 4094", "up 4094"])
+def test_encode_blocks_rejects_dc_differences_past_the_table(dcs):
+    """DC categories stop at 11, which bounds the difference between
+    neighbouring tiles, not only each DC value."""
+    tiles = np.zeros((len(dcs), 8, 8), np.int64)
+    tiles[:, 0, 0] = dcs
+    for tile in tiles:
+        if abs(tile[0, 0]) < 2048:
+            assert decode_blocks(encode_blocks(tile[None])).coeffs[0, 0, 0] == tile[0, 0]
+    with pytest.raises(UnknownSymbol, match=f"{DC_SYMBOL + 12:#x}"):
+        encode_blocks(tiles)
+
+
+def test_dc_amplitude_bits_follow_the_category_rule():
+    for value in range(-2047, 2048):
+        tile = np.zeros((1, 8, 8), np.int64)
+        tile[0, 0, 0] = value
+        size = abs(value).bit_length()
+        data = encode_blocks(tile)
+        assert data == block_stream(1, CODES[DC_SYMBOL + size], amplitude_bits(value),
+                                    CODES[EOB])
+        assert decode_blocks(data).coeffs[0, 0, 0] == value
+
+
+def test_every_ac_symbol_codes_its_extreme_amplitudes():
+    """Each (run, size) symbol of the table, with the smallest and largest
+    magnitude of its category, codes as its codeword plus the amplitude
+    bits; this reaches every code longer than the decoder's window."""
+    for run in range(16):
+        for size in range(1, 12):
+            for value in (1 << (size - 1), (1 << size) - 1,
+                          -(1 << (size - 1)), 1 - (1 << size)):
+                flat = np.zeros(64, np.int64)
+                flat[run + 1] = value
+                tiles = zigzag_unscan(flat)[None]
+                data = encode_blocks(tiles)
+                assert data == block_stream(1, CODES[DC_SYMBOL], CODES[(run << 4) | size],
+                                            amplitude_bits(value), CODES[EOB])
+                decoded = decode_blocks(data)
+                assert decoded.symbols == [DC_SYMBOL, (run << 4) | size, EOB]
+                assert np.array_equal(decoded.coeffs, tiles)
+
+
+def test_equal_dc_tiles_code_zero_differences():
+    tiles = np.zeros((50, 8, 8), np.int64)
+    tiles[:, 0, 0] = 42
+    data = encode_blocks(tiles)
+    rest = [CODES[DC_SYMBOL] + CODES[EOB]] * 49
+    assert data == block_stream(50, CODES[DC_SYMBOL + 6], amplitude_bits(42), CODES[EOB], *rest)
+    decoded = decode_blocks(data)
+    assert decoded.symbols == [DC_SYMBOL + 6, EOB] + [DC_SYMBOL, EOB] * 49
+    assert np.array_equal(decoded.coeffs, tiles)
+
+
+def test_payload_bits_count_codes_and_amplitudes():
+    rng = np.random.default_rng(45)
+    for _ in range(50):
+        data = encode_blocks(random_coefficient_tiles(rng, int(rng.integers(1, 5))))
+        decoded = decode_blocks(data)
+        assert decoded.payload_bits == sum(len(CODES[s]) + symbol_size(s)
+                                           for s in decoded.symbols)
+        assert decoded.consumed == len(data) == 3 + (decoded.payload_bits + 7) // 8
+
+
+def test_every_padding_bit_is_checked():
+    """Lighting any one padding bit fails the stream; bytes after the
+    padding are not read."""
+    rng = np.random.default_rng(46)
+    widths = set()
+    for _ in range(60):
+        data = encode_blocks(random_coefficient_tiles(rng, 1))
+        decoded = decode_blocks(data + b"\xff")
+        assert decoded.consumed == len(data)
+        pad = -decoded.payload_bits % 8
+        widths.add(pad)
+        for bit in range(pad):
+            flipped = bytearray(data)
+            flipped[-1] |= 1 << bit
+            with pytest.raises(DanglingBits):
+                decode_blocks(bytes(flipped))
+    assert widths == set(range(8))
+
+
+def test_decode_prefix_still_checks_padding():
+    data = bytearray(block_stream(1, CODES[DC_SYMBOL], CODES[EOB]))
+    assert (len(CODES[DC_SYMBOL]) + len(CODES[EOB])) % 8
+    assert decode_prefix(bytes(data) + b"tail")[2] == len(data)
+    data[-1] |= 1
+    with pytest.raises(DanglingBits):
+        decode_prefix(bytes(data) + b"tail")
+
+
+def test_decode_prefix_raises_as_decode_blocks_does():
+    rng = np.random.default_rng(47)
+    data = encode_blocks(random_coefficient_tiles(rng, 3))
+    with pytest.raises(TruncatedStream):
+        decode_prefix(data[:-1])
+    with pytest.raises(CorruptHeader):
+        decode_prefix(data[:2])
+    with pytest.raises(CorruptHeader, match="zero tiles"):
+        decode_prefix(block_stream(0) + data)
+
+
+def test_concatenated_streams_are_self_delimiting():
+    rng = np.random.default_rng(48)
+    first = encode_blocks(random_coefficient_tiles(rng, 4))
+    second = encode_blocks(random_coefficient_tiles(rng, 2))
+    symbols, _, consumed = decode_prefix(first + second)
+    assert consumed == len(first)
+    assert symbols == decode_blocks(first).symbols
+    assert decode_prefix((first + second)[consumed:])[0] == decode_blocks(second).symbols
+
+
+def test_skewed_payload_block_compresses():
+    """A zero-heavy 384-byte block, the shape the sealing pipeline packs,
+    comes out smaller than its raw size, header included."""
+    block = bytearray(384)
+    block[0:27] = b"Y'c ie fhekt je ru Uwofjyqd"
+    block[128:130] = b"16"
+    block[256:384] = b"0123456789abcdef" * 8
+    tiles = np.frombuffer(bytes(block), np.uint8).reshape(6, 8, 8)
+    data = encode_blocks(int_dct2(tiles))
+    assert len(data) < 384
+    assert np.array_equal(decode_blocks(data).coeffs, int_dct2(tiles))

@@ -8,13 +8,14 @@ import pytest
 
 from stegoseal.cipher import caesar_encrypt, hill_encrypt
 from stegoseal.digest import hash_message
-from stegoseal.entropy import encode_blocks
+from stegoseal.entropy import block_stream_bound, encode_blocks
 from stegoseal.errors import (CapacityExceeded, EmptyMessage, OutOfRange,
                               RowOverflow)
 from stegoseal.payload import PayloadBlock, pack, to_tiles
 from stegoseal.pgm import GrayImage
 from stegoseal.pipeline import (TAMPERED, UNDECODABLE, VERIFIED, SealConfig,
-                                parse_key_text, seal, tamper, verify)
+                                parse_key_text, read_stream, seal, stream_bound,
+                                tamper, verify)
 from stegoseal.stego import LSB1, OVERWRITE, capacity, embed, extract
 from stegoseal.transform import int_dct2
 
@@ -124,6 +125,30 @@ def test_config_validation():
     from stegoseal.errors import NotInvertible
     with pytest.raises(NotInvertible):
         SealConfig(cipher="hill", hill_key=2 * np.eye(3, dtype=int)).validate()
+
+
+@pytest.mark.parametrize("config, message", [
+    (SealConfig(caesar_key=3, hill_key=np.eye(3, dtype=int)), "hill key given but cipher is caesar"),
+    (SealConfig(cipher="hill", caesar_key=3, hill_key=np.eye(3, dtype=int)),
+     "caesar key given but cipher is hill"),
+], ids=["caesar", "hill"])
+def test_config_rejects_the_other_ciphers_key(config, message):
+    with pytest.raises(ValueError, match=message):
+        config.validate()
+    with pytest.raises(ValueError, match=message):
+        seal("HELLO", config, make_cover(7))
+
+
+def test_stream_bound_follows_the_row_length():
+    """Seal under any row length writes a stream of the block's tile count
+    that fits in stream_bound(config) bytes."""
+    for row_length in (64, 128, 256):
+        config = SealConfig(caesar_key=5, digest_algorithm="sha256", row_length=row_length)
+        tiles = 3 * row_length // 64
+        assert stream_bound(config) == block_stream_bound(tiles)
+        stream = read_stream(seal("Seal me", config, make_cover(row_length)), config)
+        assert len(stream.coeffs) == tiles
+        assert stream.consumed <= stream_bound(config)
 
 
 # --- verify --------------------------------------------------------------

@@ -211,3 +211,20 @@ def test_int_dct2_rejects_bad_input():
         int_idct2(np.zeros((6, 8, 9), int))
     with pytest.raises(TypeError):
         int_dct2(np.zeros((8, 8)))
+
+
+def test_int_dct2_constant_tiles_are_dc_only():
+    """Rounding leaves no AC energy in a flat 8-bit tile. The DC stays
+    within 7 of dct2's 8 * value and reaches 7 on the tile of ones."""
+    for value in range(256):
+        coeffs = int_dct2(np.full((8, 8), value))
+        assert not coeffs.ravel()[1:].any()
+        assert abs(coeffs[0, 0] - 8 * value) <= 7
+    assert int_dct2(np.ones((8, 8), np.int64))[0, 0] == 1
+
+
+def test_int_idct2_rejects_float_coefficients():
+    with pytest.raises(TypeError):
+        int_idct2(np.zeros((8, 8)))
+    with pytest.raises(BadShape):
+        int_idct2(np.zeros((8, 4), int))
