@@ -17,16 +17,36 @@ read the PGM header and only the first min(width * height, 11 856)
 pixels, the head; the pixel byte count is checked against the file size,
 so a truncated or over-long file is rejected without reading its pixels.
 seal seals the same head, reads the remaining pixels as one buffer, and
-writes the canonical header, the sealed head and that buffer; it reads
-all of --in before it opens --out, so both may name the same file.
-tamper reads and writes whole files.
+writes the canonical header, the sealed head and that buffer. tamper reads
+and writes whole files.
+
+How seal and tamper write --out: both read all of --in first, so --in may
+name the same file as --out. The output goes to a new file in the
+directory --out resolves to, so a symlinked --out stays a link and its
+target is replaced. Once that file is whole, the old --out is renamed
+aside, the new file is renamed into place and the old one is unlinked; a
+failed write or rename removes the new file and leaves --out as it was.
+--out is never truncated and rewritten, so it never holds a mix of old and
+new pixels. The replaced --out keeps its permission bits; a new one gets
+0o666 less the umask. An --out the user may not write is left alone, as
+before; writing also needs write permission on the directory, and the new
+file belongs to the user who runs the command. Between the two renames
+--out does not exist: a crash there leaves the whole new output and the
+whole old one in two hidden files next to it (.stegoseal-*.tmp and
+.stegoseal-*.old). Hard links to the old --out keep the old content.
+Nothing is synced to disk, as before. An --out that exists and is not a
+regular file (a FIFO, a device) holds no old pixels to tear and is
+written in place, and a directory exits 66.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -157,9 +177,50 @@ def _read_head(path: str) -> GrayImage:
     return GrayImage(len(pixels), 1, pixels)
 
 
-def _write_image(path: str, image) -> None:
+def _replace_file(path: str, chunks) -> None:
+    """Write the chunks as the whole new content of path (see the module
+    docstring): into a new file, renamed into place once it is whole.
+
+    A rename over an existing file makes ext4 flush the new file first,
+    and so does closing a file opened with truncation: each cost 6-7 ms on
+    a 4 MB output on a 2-core ext4 VM, against about 2.5 ms with the old
+    file renamed aside first.
+    """
     with _file_errors("write", path):
-        Path(path).write_bytes(write_pgm(image))
+        real = os.path.realpath(path)
+        try:
+            old = os.stat(real)
+        except FileNotFoundError:
+            old = None
+        if old is not None and not stat.S_ISREG(old.st_mode):
+            with open(path, "wb") as f:  # a directory raises IsADirectoryError
+                for chunk in chunks:
+                    f.write(chunk)
+            return
+        if old is not None and not os.access(real, os.W_OK):  # as truncating it would fail
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        base = os.path.join(os.path.dirname(real), f".stegoseal-{os.urandom(8).hex()}")
+        tmp, aside = base + ".tmp", base + ".old"
+        try:
+            with open(tmp, "xb") as f:
+                for chunk in chunks:
+                    f.write(chunk)
+                if old is not None:
+                    os.fchmod(f.fileno(), old.st_mode & 0o777)
+            if old is None:
+                os.rename(tmp, real)
+                return
+            os.rename(real, aside)
+            try:
+                os.rename(tmp, real)
+            except OSError:
+                os.rename(aside, real)
+                raise
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+        os.unlink(aside)
 
 
 def _parse_key(text: str, cipher: str):
@@ -192,10 +253,7 @@ def _cmd_seal(args) -> int:
     else:
         config.hill_key = key
     sealed = pipeline.seal(args.message, config, cover)
-    with _file_errors("write", args.output), open(args.output, "wb") as f:
-        f.write(header(width, height))
-        f.write(sealed.tobytes())
-        f.write(rest)
+    _replace_file(args.output, (header(width, height), sealed.tobytes(), rest))
     changed = int(np.count_nonzero(sealed.pixels != cover.pixels))
     print(f"wrote={args.output}")
     print(f"mode={args.mode}")
@@ -240,7 +298,7 @@ def _cmd_verify(args) -> int:
 def _cmd_tamper(args) -> int:
     image = _read_image(args.input)
     flipped = pipeline.tamper(image, args.pixel, args.bit)
-    _write_image(args.output, flipped)
+    _replace_file(args.output, (write_pgm(flipped),))
     print(f"wrote={args.output}")
     print(f"pixel={args.pixel}")
     print(f"bit={args.bit}")

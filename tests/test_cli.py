@@ -1,6 +1,9 @@
+import errno
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from time import perf_counter
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 import stegoseal
-from stegoseal import pipeline
+from stegoseal import cli, pipeline
 from stegoseal.cli import main
 from stegoseal.entropy import BLOCK_TABLE, encode_blocks
 from stegoseal.pgm import GrayImage, read_pgm, write_pgm
@@ -293,3 +296,178 @@ def test_verify_memory_is_bounded_by_the_stream(tmp_path, capsys, mode):
     assert code == 0
     assert parse_kv(capsys.readouterr().out)["mode"] == mode
     assert peak < 1_000_000
+
+
+# --- how seal and tamper write --out ---------------------------------------
+
+
+def write_argv(command, cover_file, out):
+    if command == "seal":
+        return ["seal", "--in", str(cover_file), "--out", str(out),
+                "--message", PAPER_MESSAGE, "--key", "16"]
+    return ["tamper", "--in", str(cover_file), "--out", str(out),
+            "--pixel", "3", "--bit", "0"]
+
+
+def sealed_bytes(cover_file):
+    config = pipeline.SealConfig(caesar_key=16)
+    return write_pgm(pipeline.seal(PAPER_MESSAGE, config, read_pgm(cover_file.read_bytes())))
+
+
+class FailingWrite:
+    """A file whose write number `fail_at` raises ENOSPC."""
+
+    def __init__(self, f, fail_at):
+        self.f, self.fail_at, self.writes = f, fail_at, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.f.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+
+class OsWith:
+    """The os module with some functions replaced."""
+
+    def __init__(self, **replaced):
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+
+def old_output(tmp_path, existing):
+    out = tmp_path / "out" / "stego.pgm"
+    out.parent.mkdir()
+    if existing:
+        out.write_bytes(b"P5\n2 1\n255\nAB")
+    return out
+
+
+def assert_untouched(out, existing):
+    if existing:
+        assert out.read_bytes() == b"P5\n2 1\n255\nAB"
+    assert sorted(p.name for p in out.parent.iterdir()) == ([out.name] if existing else [])
+
+
+@pytest.mark.parametrize("existing", [True, False])
+@pytest.mark.parametrize("command, fail_at", [("seal", 2), ("tamper", 1)])
+def test_failed_write_leaves_out_as_it_was(cover_file, tmp_path, capsys, monkeypatch,
+                                           existing, command, fail_at):
+    out = old_output(tmp_path, existing)
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        f = open(file, mode, *args, **kwargs)
+        return f if "r" in mode else FailingWrite(f, fail_at)
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    assert main(write_argv(command, cover_file, out)) == 66
+    assert "No space left on device" in capsys.readouterr().err
+    assert_untouched(out, existing)
+
+
+@pytest.mark.parametrize("existing, fail_at", [(True, 1), (True, 2), (False, 1)])
+@pytest.mark.parametrize("command", ["seal", "tamper"])
+def test_failed_rename_leaves_out_as_it_was(cover_file, tmp_path, capsys, monkeypatch,
+                                            existing, fail_at, command):
+    out = old_output(tmp_path, existing)
+    renames = []
+
+    def failing_rename(src, dst):
+        renames.append((src, dst))
+        if len(renames) == fail_at:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        os.rename(src, dst)
+
+    monkeypatch.setattr(cli, "os", OsWith(rename=failing_rename))
+    assert main(write_argv(command, cover_file, out)) == 66
+    assert_untouched(out, existing)
+
+
+def test_read_only_out_is_not_replaced(cover_file, tmp_path, capsys, monkeypatch):
+    out = old_output(tmp_path, existing=True)
+    out.chmod(0o444)
+    if os.geteuid() == 0:  # root may write any file: answer access() as for other users
+        monkeypatch.setattr(cli, "os", OsWith(access=lambda path, mode: False))
+    assert main(write_argv("seal", cover_file, out)) == 66
+    assert "Permission denied" in capsys.readouterr().err
+    assert_untouched(out, existing=True)
+
+
+def test_replaced_out_keeps_its_permission_bits(cover_file, tmp_path, capsys):
+    out = tmp_path / "stego.pgm"
+    out.write_bytes(b"old")
+    out.chmod(0o640)
+    assert main(write_argv("seal", cover_file, out)) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert out.read_bytes() == sealed_bytes(cover_file)
+
+
+def test_new_out_follows_the_umask(cover_file, tmp_path, capsys):
+    out = tmp_path / "stego.pgm"
+    previous = os.umask(0o027)
+    try:
+        assert main(write_argv("seal", cover_file, out)) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+
+
+def test_symlinked_out_stays_a_link(cover_file, tmp_path, capsys):
+    target = tmp_path / "store" / "stego.pgm"
+    target.parent.mkdir()
+    target.write_bytes(b"old")
+    link = tmp_path / "link.pgm"
+    link.symlink_to(target)
+    assert main(write_argv("seal", cover_file, link)) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == sealed_bytes(cover_file)
+    assert sorted(p.name for p in target.parent.iterdir()) == ["stego.pgm"]
+
+
+def test_directory_out_is_a_file_error(cover_file, tmp_path, capsys):
+    out = tmp_path / "a_directory"
+    out.mkdir()
+    (out / "kept").write_bytes(b"x")
+    assert main(write_argv("seal", cover_file, out)) == 66
+    assert out.is_dir()
+    assert [p.name for p in out.iterdir()] == ["kept"]
+
+
+def test_fifo_out_is_written_in_place(cover_file, tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        code = main(write_argv("seal", cover_file, fifo))
+        reader.join(timeout=10)
+    finally:
+        if reader.is_alive():  # seal never opened the FIFO: unblock the reader
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+    assert code == 0
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert received == [sealed_bytes(cover_file)]
+
+
+def test_resealing_out_writes_a_new_file(cover_file, tmp_path, capsys):
+    out = tmp_path / "stego.pgm"
+    assert main(write_argv("seal", cover_file, out)) == 0
+    first = out.stat().st_ino
+    assert main(write_argv("seal", cover_file, out)) == 0
+    assert out.stat().st_ino != first
+    assert out.read_bytes() == sealed_bytes(cover_file)
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from stegoseal.cipher import caesar_encrypt, hill_encrypt
+from stegoseal.cipher import caesar_encrypt, hill_encrypt, normalize_letters
 from stegoseal.digest import hash_message
 from stegoseal.entropy import block_stream_bound, encode_blocks
 from stegoseal.errors import (CapacityExceeded, EmptyMessage, OutOfRange,
@@ -277,6 +277,34 @@ def test_verify_rejects_blocks_seal_would_not_write(cover):
     assert report.recovered_message == "ATTACKATDAWN"
     caesar = pack(caesar_encrypt(PAPER_MESSAGE, 16), "16\t", hash_message(PAPER_MESSAGE).hex)
     assert verify(embed_block(caesar, cover)).verdict == TAMPERED
+
+
+SEALED_FORM = "block differs from the one seal writes for its message"
+
+
+@pytest.mark.parametrize("key_row, verdict", [
+    ("16", VERIFIED),
+    (" 16", TAMPERED), ("16 ", TAMPERED), ("+16", TAMPERED),
+    ("1_6", TAMPERED), ("016", TAMPERED), ("\u0661\u0666", TAMPERED),
+])
+def test_caesar_key_row_has_one_valid_form(cover, key_row, verdict):
+    """Every spelling int() accepts for key 16, but only seal's verifies."""
+    block = pack(caesar_encrypt(PAPER_MESSAGE, 16), key_row, hash_message(PAPER_MESSAGE).hex)
+    report = verify(embed_block(block, cover))
+    assert report.verdict == verdict
+    assert report.reason == ("" if verdict == VERIFIED else SEALED_FORM)
+
+
+@pytest.mark.parametrize("key_row, verdict", [
+    ("3,3,0,2,5,0,0,0,1", VERIFIED),
+    ("03,3,0,2,5,0,0,0,1", TAMPERED), (" 3,3,0,2,5,0,0,0,1", TAMPERED),
+    ("3,3,0,2,5,0,0,0,+1", TAMPERED), ("3,3,0,2,5,0,0,0,27", UNDECODABLE),
+])
+def test_hill_key_row_has_one_valid_form(cover, key_row, verdict):
+    message = normalize_letters(PAPER_MESSAGE)
+    key = [[3, 3, 0], [2, 5, 0], [0, 0, 1]]
+    block = pack(hill_encrypt(message, key), key_row, hash_message(message).hex)
+    assert verify(embed_block(block, cover)).verdict == verdict
 
 
 def test_verify_lsb1_locality(cover):
