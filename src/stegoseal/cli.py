@@ -8,7 +8,8 @@ stable contract:
     2   verify/inspect: verdict UNDECODABLE / no embedded stream found
     64  usage error (unknown or missing flags)
     65  malformed input data (bad PGM, message too long, bad key, ...)
-    66  file cannot be read or written
+    66  file cannot be read or written, or standard output was closed
+        before the report was written (seal's --out is whole then)
 
 What each command reads: a stream starts at the first pixel in raster
 order and takes at most pipeline.stream_bound bytes, which lsb1 mode
@@ -330,7 +331,20 @@ def _cmd_inspect(args) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script. Its report is flushed here, so that a reader
+    that closed standard output early (`stegoseal verify ... | head -c0`)
+    turns into exit code 66 and one line on stderr, not a traceback and
+    exit code 1, which would read as TAMPERED."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: let that go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with contextlib.suppress(OSError):
+            print("error: cannot write standard output", file=sys.stderr)
+        code = EX_NOINPUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

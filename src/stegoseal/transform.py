@@ -26,22 +26,43 @@ p = (cos t - 1)/sin t and s = sin t, where r rounds the product of an
 integer and a multiplier held to 14 fractional bits. Each shear adds to
 one entry a function of another, so the inverse subtracts the same
 amounts in reverse order, and int_idct2(int_dct2(t)) == t for every
-integer tile whose intermediate products fit in int64 (entries below
-2**44 in magnitude). The rotations are orthonormal, so there is no gain:
-the coefficients differ from dct2's by rounding only. On 8-bit tiles
-that is under 5 for 200 000 random ones and up to 7 for some flat ones
-(the tile of ones has DC 1 against dct2's 8); tests/test_transform.py
-holds its random and adversarial tiles under 7 and all 256 flat tiles
-at 7 or less.
+integer tile with entries below 2**46 in magnitude (see below). The
+rotations are orthonormal, so there is no gain: the coefficients differ
+from dct2's by rounding only. On 8-bit tiles that is under 5 for
+200 000 random ones and up to 7 for some flat ones (the tile of ones has
+DC 1 against dct2's 8); tests/test_transform.py holds its random and
+adversarial tiles under 7 and all 256 flat tiles at 7 or less.
 
 Both 2D transforms run the 1D transform down the columns, then along the
 rows, as dct2 = C @ tile @ C.T does, on all the columns of a tile stack
-at once, shape (8, 8 * tiles). Each layer first gathers the 8 rows into
-its own order, in which the first entries of its rotations are rows 0-3
-and the second entries rows 4-7, pair by pair (layer 4 uses rows 2 and 3
-of layer 3's order). A shear is then a multiply by the per-pair
-multipliers, an add of half of 2**14, a shift right by 14 and an add
-into the other slice; the inverse subtracts the same increments.
+at once: a (9, 8 * tiles) array, the 8 entries of each column over a row
+of ones. Each shear step is one 9x9 integer matrix M on [x; 1] that
+shears all the disjoint pairs of its layer at once, and the step is
+x <- floor(M @ [x; 1] / 2**14). M holds 2**14 times the identity, the
+multiplier p or s in each sheared row, and the rounding offset in that
+row's ninth column: 2**13 forward, and 2**13 - 1 in the inverse, which
+negates the multipliers and runs the steps in reverse order. Since
+-floor((a + 2**13) / 2**14) == floor((-a + 2**13 - 1) / 2**14) for every
+integer a, floor serves both directions. A 1D pass is 12 such products,
+and a signed-permutation product puts X_u in place (the inverse starts
+with the inverse permutation).
+
+The products run in one of two arithmetics, chosen by the magnitude of
+the input alone. When every entry is below 2**31 in magnitude, the
+matrices divided by 2**14 run in float64 through BLAS. Their entries are
+multiples of 2**-14, so every product, partial sum and pre-floor value is
+one too. The largest pre-floor magnitude is 7.9999 times the largest
+entry in int_dct2 and 7.07 times in int_idct2, measured on the tiles
+that maximise each intermediate; that is below 2**34 here, and a
+multiple of 2**-14 below 2**39 fits in float64's 53 bits. So every
+operation is exact, in any summation order and with or without fused
+multiply-add, and floor gives the integer result. Seal and verify always
+take this form: they see byte tiles, and a decoded DC stays below 2**27
+even at 65 535 tiles. Larger entries run the same integer matrices in
+int64 as (M @ [x; 1]) >> 14, whose largest pre-shift value is 2**14 times
+the pre-floor bound. That stays below 2**63 for entries below 2**46: the
+int64 form equals Python integer arithmetic on the maximising tiles at
+2**46 - 1 and overflows at 2**47 - 1.
 """
 
 from __future__ import annotations
@@ -93,67 +114,75 @@ _ROTATIONS = (
     ((7, 6, -4),),
 )
 _BITS = 14
-
-# Per layer (layers 3 and 4 share one), the order it holds the 8 entries
-# in, and the (first, second) row slices of its rotations in that order.
-_LAYOUTS = (
-    ((0, 1, 2, 3, 7, 6, 5, 4), ((slice(0, 4), slice(4, 8)),)),
-    ((0, 1, 7, 6, 3, 2, 4, 5), ((slice(0, 4), slice(4, 8)),)),
-    ((0, 3, 7, 6, 1, 2, 5, 4), ((slice(0, 4), slice(4, 8)), (slice(2, 3), slice(3, 4)))),
-)
 _SOURCE = (0, 7, 3, 4, 1, 5, 2, 6)
-_SIGN = np.array((1, -1, -1, 1, -1, -1, 1, -1))[:, None]
-_HALF = np.int64(1 << (_BITS - 1))
+_SIGN = (1, -1, -1, 1, -1, -1, 1, -1)
+# Tiles whose entries are all below this in magnitude run in float64.
+_FLOAT_LIMIT = 1 << 31
 
 
-def _layers() -> tuple:
-    """Per layout: the gather from the previous order, its inverse, and
-    per group (first rows, second rows, p, s) with p and s the shear
-    multipliers of its rotations as (k, 1) columns."""
-    angle = {(i, j): k for layer in _ROTATIONS for i, j, k in layer}
-    out = []
-    held = np.arange(BLOCK)
-    for order, slices in _LAYOUTS:
-        order = np.array(order)
-        gather = np.argsort(held)[order]
-        groups = []
-        for first, second in slices:
-            t = [angle[i, j] * math.pi / 16 for i, j in zip(order[first], order[second])]
-            p = [round((math.cos(a) - 1) / math.sin(a) * (1 << _BITS)) for a in t]
-            s = [round(math.sin(a) * (1 << _BITS)) for a in t]
-            groups.append((first, second, np.array(p)[:, None], np.array(s)[:, None]))
-        out.append((gather, np.argsort(gather), tuple(groups)))
-        held = order
-    return tuple(out), np.argsort(held)[list(_SOURCE)]
+def _shears(sign: int, half: int) -> list:
+    """The 12 shear steps, three per layer, as 9x9 integer matrices on
+    [x; 1]: 2**14 times the identity, plus sign times the multiplier and
+    half in the ninth column in each row a step shears."""
+    steps = []
+    for layer in _ROTATIONS:
+        first = np.diag(np.full(BLOCK + 1, 1 << _BITS, np.int64))
+        second = first.copy()
+        for i, j, k in layer:
+            t = k * math.pi / 16
+            first[i, j] = sign * round((math.cos(t) - 1) / math.sin(t) * (1 << _BITS))
+            second[j, i] = sign * round(math.sin(t) * (1 << _BITS))
+            first[i, BLOCK] = second[j, BLOCK] = half
+        steps += [first, second, first]
+    return steps
 
 
-_LAYERS, _OUT = _layers()
-_UNOUT = np.argsort(_OUT)
+_FORWARD = _shears(1, 1 << (_BITS - 1))
+_INVERSE = _shears(-1, (1 << (_BITS - 1)) - 1)[::-1]
+# After the last step X_u is held at _SOURCE[u], negated where _SIGN is -1:
+# X = _OUT @ [x; 1] and [x; 1] = _UNOUT @ [X; 1].
+_OUT = np.zeros((BLOCK, BLOCK + 1), np.int64)
+_OUT[range(BLOCK), _SOURCE] = _SIGN
+_UNOUT = np.zeros((BLOCK + 1, BLOCK + 1), np.int64)
+_UNOUT[_SOURCE, range(BLOCK)] = _SIGN
+_UNOUT[BLOCK, BLOCK] = 1
+# Each arithmetic as (dtype, forward steps, inverse steps, the 8x9 output
+# permutation, its 9x9 inverse).
+_INT64 = (np.int64, tuple(_FORWARD), tuple(_INVERSE), _OUT, _UNOUT)
+_FLOAT64 = (np.float64, tuple(m / (1 << _BITS) for m in _FORWARD),
+            tuple(m / (1 << _BITS) for m in _INVERSE), _OUT.astype(np.float64),
+            _UNOUT.astype(np.float64))
 
 
-def _lift(x: np.ndarray) -> np.ndarray:
-    """Forward 1D transform of each column of x, shape (8, n)."""
-    for gather, _, groups in _LAYERS:
-        x = x[gather]
-        for first, second, p, s in groups:
-            a, b = x[first], x[second]
-            a += (b * p + _HALF) >> _BITS
-            b += (a * s + _HALF) >> _BITS
-            a += (b * p + _HALF) >> _BITS
-    return x[_OUT] * _SIGN
+def _arithmetic(a: np.ndarray) -> tuple:
+    """float64 when every entry of a is below 2**31 in magnitude, else int64."""
+    info = np.iinfo(a.dtype)
+    if (-_FLOAT_LIMIT < info.min and info.max < _FLOAT_LIMIT or not a.size
+            or -_FLOAT_LIMIT < a.min() and a.max() < _FLOAT_LIMIT):
+        return _FLOAT64
+    return _INT64
 
 
-def _unlift(y: np.ndarray) -> np.ndarray:
-    """Exact inverse of _lift on each column of y, shape (8, n): the same
-    increments subtracted in reverse order."""
-    x = (y * _SIGN)[_UNOUT]
-    for _, ungather, groups in reversed(_LAYERS):
-        for first, second, p, s in reversed(groups):
-            a, b = x[first], x[second]
-            a -= (b * p + _HALF) >> _BITS
-            b -= (a * s + _HALF) >> _BITS
-            a -= (b * p + _HALF) >> _BITS
-        x = x[ungather]
+def _with_ones(rows: np.ndarray, dtype) -> np.ndarray:
+    """rows, shape (8, n, 8), as a (9, 8n) array of dtype whose last row is
+    ones."""
+    x = np.empty((BLOCK + 1,) + rows.shape[1:], dtype)
+    x[:BLOCK] = rows
+    x[BLOCK] = 1
+    return x.reshape(BLOCK + 1, -1)
+
+
+def _pass(x: np.ndarray, steps) -> np.ndarray:
+    """The shear steps on each column of x, shape (9, n), whose last row is
+    ones: each is a matrix product rounded down, by floor in float64 and by
+    a shift right by 14 bits in int64."""
+    floating = x.dtype == np.float64
+    for m in steps:
+        x = np.dot(m, x)
+        if floating:
+            np.floor(x, out=x)
+        else:
+            x >>= _BITS
     return x
 
 
@@ -173,18 +202,19 @@ def int_dct2(tiles) -> np.ndarray:
     """
     t = _as_tiles(tiles, "tiles")
     n = t.size // (BLOCK * BLOCK)
-    x = t.reshape(n, BLOCK, BLOCK).transpose(1, 0, 2).reshape(BLOCK, -1)         # (x, tile, y)
-    c = _lift(x.astype(np.int64, copy=False)).reshape(BLOCK, n, BLOCK)           # (u, tile, y)
-    c = _lift(c.transpose(2, 1, 0).reshape(BLOCK, -1)).reshape(BLOCK, n, BLOCK)  # (v, tile, u)
-    return c.transpose(1, 2, 0).reshape(t.shape)
+    dtype, forward, _, out, _ = _arithmetic(t)
+    x = _with_ones(t.reshape(n, BLOCK, BLOCK).transpose(1, 0, 2), dtype)        # (x, tile, y)
+    c = np.dot(out, _pass(x, forward)).reshape(BLOCK, n, BLOCK)                  # (u, tile, y)
+    c = np.dot(out, _pass(_with_ones(c.transpose(2, 1, 0), dtype), forward))   # (v, tile, u)
+    return c.reshape(BLOCK, n, BLOCK).transpose(1, 2, 0).astype(np.int64, order="C").reshape(t.shape)
 
 
 def int_idct2(coeffs) -> np.ndarray:
     """Exact inverse of int_dct2: int_idct2(int_dct2(t)) == t."""
     c = _as_tiles(coeffs, "coeffs")
     n = c.size // (BLOCK * BLOCK)
-    y = c.reshape(n, BLOCK, BLOCK).transpose(2, 0, 1).reshape(BLOCK, -1)           # (v, tile, u)
-    x = _unlift(y.astype(np.int64, copy=False)).reshape(BLOCK, n, BLOCK)           # (y, tile, u)
-    x = _unlift(x.transpose(2, 1, 0).reshape(BLOCK, -1)).reshape(BLOCK, n, BLOCK)  # (x, tile, y)
-    return x.transpose(1, 0, 2).reshape(c.shape)
-
+    dtype, _, inverse, _, unout = _arithmetic(c)
+    y = _with_ones(c.reshape(n, BLOCK, BLOCK).transpose(2, 0, 1), dtype)                # (v, tile, u)
+    x = _pass(np.dot(unout, y), inverse)[:BLOCK].reshape(BLOCK, n, BLOCK)                # (y, tile, u)
+    x = _pass(np.dot(unout, _with_ones(x.transpose(2, 1, 0), dtype)), inverse)[:BLOCK]  # (x, tile, y)
+    return x.reshape(BLOCK, n, BLOCK).transpose(1, 0, 2).astype(np.int64, order="C").reshape(c.shape)

@@ -471,3 +471,32 @@ def test_resealing_out_writes_a_new_file(cover_file, tmp_path, capsys):
     assert out.stat().st_ino != first
     assert out.read_bytes() == sealed_bytes(cover_file)
     assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
+
+@pytest.mark.parametrize("command", ["seal", "verify"])
+def test_closed_stdout_exits_66(cover_file, tmp_path, command):
+    """A reader that has gone (`... | head -c0`) is a write error, not a
+    traceback and exit code 1, which would read as TAMPERED."""
+    stego = tmp_path / "stego.pgm"
+    src = str(Path(stegoseal.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    seal = [sys.executable, "-m", "stegoseal", "seal", "--in", str(cover_file),
+            "--out", str(stego), "--message", "closed stdout", "--key", "5"]
+    if command == "verify":
+        assert subprocess.run(seal, capture_output=True, env=env).returncode == 0
+    argv = seal if command == "seal" else [sys.executable, "-m", "stegoseal", "verify",
+                                           "--in", str(stego)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                             env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert run.returncode == 66, run.stderr
+    assert run.stderr == "error: cannot write standard output\n"
+    report = subprocess.run([sys.executable, "-m", "stegoseal", "verify", "--in", str(stego)],
+                            capture_output=True, text=True, env=env)
+    assert report.returncode == 0
+    assert "verdict=VERIFIED" in report.stdout

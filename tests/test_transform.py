@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from stegoseal import transform
 from stegoseal.errors import BadShape
 from stegoseal.transform import dct2, idct2, int_dct2, int_idct2
 
@@ -228,3 +230,145 @@ def test_int_idct2_rejects_float_coefficients():
         int_idct2(np.zeros((8, 8)))
     with pytest.raises(BadShape):
         int_idct2(np.zeros((8, 4), int))
+
+
+# --- float64 and int64 arithmetic --------------------------------------------
+
+# int_dct2 and int_idct2 pick their arithmetic by input magnitude alone; the
+# fixture below pins one of the two so that each runs on the same tiles.
+CHOOSE_ARITHMETIC = transform._arithmetic
+
+
+@pytest.fixture(params=["float64", "int64"])
+def arithmetic(request, monkeypatch):
+    form = transform._FLOAT64 if request.param == "float64" else transform._INT64
+    monkeypatch.setattr(transform, "_arithmetic", lambda a: form)
+    return request.param
+
+
+ROTATIONS = (((0, 7, -4), (1, 6, -4), (2, 5, -4), (3, 4, -4)),
+             ((0, 3, -4), (1, 2, -4), (7, 4, -5), (6, 5, -7)),
+             ((0, 1, -4), (3, 2, -2), (7, 5, 4), (6, 4, 4)),
+             ((7, 6, -4),))
+
+
+def reference_shears():
+    """The 12 shear steps of int_dct2_by_matrices as 8x9 increment matrices."""
+    shears = []
+    for layer in ROTATIONS:
+        first = np.zeros((8, 9), np.int64)
+        second = np.zeros((8, 9), np.int64)
+        for i, j, k in layer:
+            t = k * math.pi / 16
+            first[i, j] = round((math.cos(t) - 1) / math.sin(t) * (1 << 14))
+            second[j, i] = round(math.sin(t) * (1 << 14))
+            first[i, 8] = second[j, 8] = 1 << 13
+        shears += [first, second, first]
+    return shears
+
+
+def int_idct2_by_matrices(coeffs):
+    """The inverse of int_dct2_by_matrices: undo the output order and signs,
+    then subtract the same increments in reverse order."""
+    shears = reference_shears()
+    source = [0, 7, 3, 4, 1, 5, 2, 6]
+    sign = np.array((1, -1, -1, 1, -1, -1, 1, -1))[:, None]
+
+    def unlift(y):
+        x = np.ones((9, y.shape[1]), np.int64)
+        x[source] = y * sign
+        for shear in reversed(shears):
+            x[:8] -= (shear @ x) >> 14
+        return x[:8]
+
+    n = len(coeffs)
+    x = unlift(coeffs.transpose(2, 0, 1).reshape(8, -1).astype(np.int64)).reshape(8, n, 8)
+    x = unlift(x.transpose(2, 1, 0).reshape(8, -1)).reshape(8, n, 8)
+    return x.transpose(1, 0, 2)
+
+
+def assert_matches_references(tiles):
+    """int_dct2 and int_idct2 equal the reference forms on tiles, both ways."""
+    tiles = np.asarray(tiles)
+    coeffs = int_dct2(tiles)
+    assert coeffs.dtype == np.int64 and coeffs.shape == tiles.shape
+    assert np.array_equal(coeffs, int_dct2_by_matrices(tiles))
+    assert np.array_equal(int_idct2(coeffs), tiles)
+    back = int_idct2(tiles)
+    assert back.dtype == np.int64 and back.shape == tiles.shape
+    assert np.array_equal(back, int_idct2_by_matrices(tiles))
+    assert np.array_equal(int_dct2(back), tiles)
+
+
+def test_reference_inverse_inverts_the_reference():
+    tiles = byte_tiles(24)
+    assert np.array_equal(int_idct2_by_matrices(int_dct2_by_matrices(tiles)), tiles)
+
+
+def test_arithmetics_agree_on_byte_tiles(arithmetic):
+    assert_matches_references(byte_tiles(25))
+
+
+def test_arithmetics_agree_on_coefficient_tiles(arithmetic):
+    rng = np.random.default_rng(26)
+    assert_matches_references(rng.integers(-2 ** 15, 2 ** 15 + 1, (20000, 8, 8)))
+
+
+def test_arithmetics_agree_below_2_31(arithmetic):
+    """Entries of magnitude 2**31 - 1, the largest that take float64."""
+    rng = np.random.default_rng(27)
+    big = 2 ** 31 - 1
+    tiles = np.concatenate([rng.choice([-big, big], (500, 8, 8)),
+                            rng.integers(-big, big + 1, (500, 8, 8)),
+                            np.full((2, 8, 8), big) * np.array([1, -1])[:, None, None],
+                            np.array(extreme_tiles()) // 255 * big])
+    assert CHOOSE_ARITHMETIC(tiles) is transform._FLOAT64
+    assert_matches_references(tiles)
+
+
+def test_arithmetics_agree_at_2_31(arithmetic):
+    """A single entry of magnitude 2**31 sends the whole stack to int64."""
+    rng = np.random.default_rng(28)
+    for value in (2 ** 31, -2 ** 31):
+        tiles = rng.integers(-2 ** 20, 2 ** 20, (200, 8, 8))
+        tiles[rng.integers(200), rng.integers(8), rng.integers(8)] = value
+        assert CHOOSE_ARITHMETIC(tiles) is transform._INT64
+        assert_matches_references(tiles)
+
+
+def test_arithmetics_agree_on_impulses(arithmetic):
+    """One nonzero entry at each of the 64 positions, over values whose
+    products with the multipliers land exactly on a rounding half."""
+    values = np.concatenate([np.arange(-32, 33),
+                             np.outer([1, -1, 3, -3, 5, -5], 2 ** np.arange(8, 16)).ravel()])
+    tiles = np.zeros((len(values), 64, 64), np.int64)
+    tiles[:, range(64), range(64)] = values[:, None]
+    assert_matches_references(tiles.reshape(-1, 8, 8))
+
+
+def test_arithmetics_agree_on_an_empty_stack(arithmetic):
+    for dtype in (np.uint8, np.int64):
+        empty = np.zeros((0, 8, 8), dtype)
+        for fn in (int_dct2, int_idct2):
+            out = fn(empty)
+            assert out.shape == (0, 8, 8) and out.dtype == np.int64
+
+
+def test_arithmetic_follows_magnitude_only():
+    assert CHOOSE_ARITHMETIC(np.zeros((0, 8, 8), np.int64)) is transform._FLOAT64
+    for dtype in (np.uint8, np.int8, np.uint16, np.int16, np.int32, np.int64, np.uint64):
+        assert CHOOSE_ARITHMETIC(np.zeros((8, 8), dtype)) is transform._FLOAT64
+    assert CHOOSE_ARITHMETIC(np.full((8, 8), 2 ** 31 - 1)) is transform._FLOAT64
+    assert CHOOSE_ARITHMETIC(np.full((8, 8), 1 - 2 ** 31)) is transform._FLOAT64
+    assert CHOOSE_ARITHMETIC(np.full((8, 8), 2 ** 31, np.uint64)) is transform._INT64
+    assert CHOOSE_ARITHMETIC(np.full((8, 8), -2 ** 31, np.int32)) is transform._INT64
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_round_trips_start_no_threads():
+    """numpy's BLAS starts its threads on import; the transform adds none."""
+    before = len(os.listdir("/proc/self/task"))
+    tiles = np.random.default_rng(29).integers(0, 256, (6, 8, 8), dtype=np.uint8)
+    for _ in range(1000):
+        assert np.array_equal(int_idct2(int_dct2(tiles)), tiles)
+    assert len(os.listdir("/proc/self/task")) == before
