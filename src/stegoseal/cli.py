@@ -6,8 +6,9 @@ stable contract:
     0   success (for verify: verdict VERIFIED)
     1   verify: verdict TAMPERED
     2   verify/inspect: verdict UNDECODABLE / no embedded stream found
-    64  usage error (unknown or missing flags)
-    65  malformed input data (bad PGM, message too long, bad key, ...)
+    64  usage error (unknown or missing flags, or a --key that
+        pipeline.parse_key_text rejects or --cipher does not match)
+    65  malformed input data (bad PGM, message too long, singular Hill key, ...)
     66  file cannot be read or written, or standard output was closed
         before the report was written (seal's --out is whole then)
 
@@ -55,7 +56,7 @@ import numpy as np
 
 from . import pipeline, stego
 from .entropy import BLOCK_HEADER_BYTES, BLOCK_TABLE
-from .errors import StegosealError
+from .errors import MalformedBlock, StegosealError
 from .pgm import GrayImage, header, read_pgm, read_pgm_head, write_pgm
 
 EX_OK = 0
@@ -224,21 +225,21 @@ def _replace_file(path: str, chunks) -> None:
         os.unlink(aside)
 
 
-def _parse_key(text: str, cipher: str):
-    """Turn the --key flag into config fields for the given cipher."""
-    if cipher == pipeline.HILL:
-        parts = text.split(",")
-        if len(parts) != 9:
-            raise _UsageError("hill key needs 9 comma-separated integers")
+def _config(key_text: str | None, **fields) -> pipeline.SealConfig:
+    """A SealConfig with the cipher and key of --key, if given; a key that
+    pipeline.parse_key_text rejects is a usage error."""
+    config = pipeline.SealConfig(**fields)
+    if key_text is not None:
         try:
-            vals = [int(p) for p in parts]
-        except ValueError:
-            raise _UsageError(f"hill key entries must be integers: {text!r}") from None
-        return np.array(vals).reshape(3, 3)
-    try:
-        return int(text)
-    except ValueError:
-        raise _UsageError(f"caesar key must be an integer: {text!r}") from None
+            config.cipher, key = pipeline.parse_key_text(key_text)
+        except MalformedBlock:
+            raise _UsageError(f"--key {key_text!r} is neither a caesar shift 0-25 "
+                              "nor 9 comma-separated hill entries 0-25") from None
+        if config.cipher == pipeline.CAESAR:
+            config.caesar_key = key
+        else:
+            config.hill_key = key
+    return config
 
 
 def _cmd_seal(args) -> int:
@@ -246,13 +247,9 @@ def _cmd_seal(args) -> int:
         width, height, pixels = read_pgm_head(f, _HEAD_PIXELS)
         rest = f.read(width * height - len(pixels))  # before --out, which may be --in
     cover = GrayImage(len(pixels), 1, pixels)
-    config = pipeline.SealConfig(cipher=args.cipher, digest_algorithm=args.digest,
-                                 embed_mode=args.mode)
-    key = _parse_key(args.key, args.cipher)
-    if args.cipher == pipeline.CAESAR:
-        config.caesar_key = key
-    else:
-        config.hill_key = key
+    config = _config(args.key, digest_algorithm=args.digest, embed_mode=args.mode)
+    if config.cipher != args.cipher:
+        raise _UsageError(f"--key is a {config.cipher} key but --cipher is {args.cipher}")
     sealed = pipeline.seal(args.message, config, cover)
     _replace_file(args.output, (header(width, height), sealed.tobytes(), rest))
     changed = int(np.count_nonzero(sealed.pixels != cover.pixels))
@@ -264,31 +261,9 @@ def _cmd_seal(args) -> int:
 
 def _cmd_verify(args) -> int:
     image = _read_head(args.input)
-    expected_key = None
-    if args.key is not None:
-        cipher = pipeline.HILL if "," in args.key else pipeline.CAESAR
-        expected_key = (cipher, _parse_key(args.key, cipher))
-
-    # the embed mode is not stored out of band, so try both
-    report = None
-    mode_used = stego.OVERWRITE
-    for mode in stego.MODES:
-        config = pipeline.SealConfig(embed_mode=mode)
-        if expected_key is not None:
-            config.cipher = expected_key[0]
-            if expected_key[0] == pipeline.CAESAR:
-                config.caesar_key = expected_key[1]
-            else:
-                config.hill_key = expected_key[1]
-        candidate = pipeline.verify(image, config)
-        if report is None or candidate.verdict != pipeline.UNDECODABLE:
-            report = candidate
-            mode_used = mode
-        if candidate.verdict != pipeline.UNDECODABLE:
-            break
-
+    report = pipeline.verify(image, _config(args.key, embed_mode=None))
     print(f"verdict={report.verdict}")
-    print(f"mode={mode_used}")
+    print(f"mode={report.mode}")
     print(f"message={report.recovered_message}")
     print(f"embedded_digest={report.embedded_digest}")
     print(f"recomputed_digest={report.recomputed_digest}")
@@ -308,26 +283,24 @@ def _cmd_tamper(args) -> int:
 
 def _cmd_inspect(args) -> int:
     image = _read_head(args.input)
-    for mode in stego.MODES:
-        try:
-            decoded = pipeline.read_stream(image, pipeline.SealConfig(embed_mode=mode))
-        except StegosealError:
-            continue
-        elements = decoded.coeffs.size
-        consumed = decoded.consumed
-        print(f"mode={mode}")
-        print(f"elements={elements}")
-        print(f"compressed_elements={consumed}")
-        print(f"ratio={elements / consumed:.4f}")
-        print(f"table_entries={len(BLOCK_TABLE.codes)}")
-        print(f"header_bytes={BLOCK_HEADER_BYTES}")
-        print(f"payload_bits={decoded.payload_bits}")
-        print(f"stream_bytes={consumed}")
-        pixels = consumed if mode == stego.OVERWRITE else 8 * consumed
-        print(f"embedded_pixels={pixels}")
-        return EX_OK
-    print("error=no embedded stream found")
-    return EX_UNDECODABLE
+    try:
+        mode, decoded = pipeline.read_stream(image, pipeline.SealConfig(embed_mode=None))
+    except StegosealError:
+        print("error=no embedded stream found")
+        return EX_UNDECODABLE
+    elements = decoded.coeffs.size
+    consumed = decoded.consumed
+    print(f"mode={mode}")
+    print(f"elements={elements}")
+    print(f"compressed_elements={consumed}")
+    print(f"ratio={elements / consumed:.4f}")
+    print(f"table_entries={len(BLOCK_TABLE.codes)}")
+    print(f"header_bytes={BLOCK_HEADER_BYTES}")
+    print(f"payload_bits={decoded.payload_bits}")
+    print(f"stream_bytes={consumed}")
+    pixels = consumed if mode == stego.OVERWRITE else 8 * consumed
+    print(f"embedded_pixels={pixels}")
+    return EX_OK
 
 
 def entry() -> None:

@@ -30,6 +30,11 @@ This mirrors the scheme's design and is an integrity mechanism only, not
 confidentiality. When a key is supplied for verification it is checked
 against the embedded one as an extra tamper signal.
 
+Verify needs no embed mode either: with embed_mode=None it takes the first
+of stego.MODES whose stream decodes and names it in report.mode (the first
+mode when none does). At the default row length at most one can: overwrite
+puts 0x00 in pixel 1, and lsb1 makes pixel 1 odd. Seal needs a mode.
+
 With the Hill cipher the protected message is its normalized form
 (uppercase letters only); 'X' padding added for the 3-letter blocks is
 stripped on verification by trying each possible pad count against the
@@ -38,6 +43,7 @@ embedded digest.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,14 +78,14 @@ class SealConfig:
     hill_key: object = None
     digest_algorithm: str = _digest.DEFAULT_ALGORITHM
     row_length: int = DEFAULT_ROW_LENGTH
-    embed_mode: str = OVERWRITE
+    embed_mode: str | None = OVERWRITE  # None: verify detects the mode
 
-    def validate(self, require_key: bool = False) -> None:
+    def validate(self, sealing: bool = False) -> None:
         if self.cipher not in CIPHERS:
             raise ValueError(f"unknown cipher {self.cipher!r}")
         if self.digest_algorithm not in _digest.ALGORITHMS:
             raise ValueError(f"unknown digest algorithm {self.digest_algorithm!r}")
-        if self.embed_mode not in MODES:
+        if self.embed_mode not in MODES and (sealing or self.embed_mode is not None):
             raise ValueError(f"unknown embed mode {self.embed_mode!r}")
         if self.row_length < 1 or (ROWS * self.row_length) % 64 != 0:
             raise ValueError(
@@ -87,14 +93,16 @@ class SealConfig:
         if self.cipher == CAESAR:
             if self.hill_key is not None:
                 raise ValueError("hill key given but cipher is caesar")
-            if self.caesar_key is not None and not 0 <= self.caesar_key <= 25:
-                raise ValueError(f"caesar key must be in [0, 25], got {self.caesar_key}")
-            if require_key and self.caesar_key is None:
+            if self.caesar_key is not None and not (
+                    hasattr(type(self.caesar_key), "__index__")  # what operator.index takes
+                    and 0 <= operator.index(self.caesar_key) <= 25):
+                raise ValueError(f"caesar key must be an integer in [0, 25], got {self.caesar_key!r}")
+            if sealing and self.caesar_key is None:
                 raise ValueError("sealing with the caesar cipher needs caesar_key")
         else:
             if self.caesar_key is not None:
                 raise ValueError("caesar key given but cipher is hill")
-            if require_key and self.hill_key is None:
+            if sealing and self.hill_key is None:
                 raise ValueError("sealing with the hill cipher needs hill_key")
             if self.hill_key is not None:
                 hill_key_inverse(self.hill_key)  # raises NotInvertible early
@@ -107,10 +115,11 @@ class VerificationReport:
     embedded_digest: str = ""
     recomputed_digest: str = ""
     reason: str = ""
+    mode: str = OVERWRITE
 
 
 def parse_key_text(text: str):
-    """Parse payload row 1 back into ("caesar", shift) or ("hill", matrix)."""
+    """Parse payload row 1 or a --key into ("caesar", shift) or ("hill", matrix)."""
     if "," in text:
         parts = text.split(",")
         if len(parts) != 9:
@@ -131,15 +140,18 @@ def parse_key_text(text: str):
     return CAESAR, shift
 
 
+def _key_text(kind: str, key) -> str:
+    """Payload row 1 as seal writes it for `key`, the one form verify accepts."""
+    if kind == CAESAR:
+        return str(operator.index(key))
+    return ",".join(str(v) for v in (np.asarray(key, dtype=np.int64) % 26).ravel())
+
+
 def _pack_block(protected: str, kind: str, key, digest_hex: str,
                 row_length: int) -> PayloadBlock:
     """The block seal writes for the protected message under `key`."""
-    if kind == CAESAR:
-        ciphertext, key_text = caesar_encrypt(protected, key), str(key)
-    else:
-        ciphertext = hill_encrypt(protected, key)
-        key_text = ",".join(str(v) for v in (np.asarray(key, dtype=np.int64) % 26).ravel())
-    return pack(ciphertext, key_text, digest_hex, row_length)
+    encrypt = caesar_encrypt if kind == CAESAR else hill_encrypt
+    return pack(encrypt(protected, key), _key_text(kind, key), digest_hex, row_length)
 
 
 def _is_sealed_form(block: PayloadBlock, message: str, kind: str, key,
@@ -168,7 +180,7 @@ def seal(message: str, config: SealConfig, cover: GrayImage) -> GrayImage:
     """Seal `message` into `cover`; the result verifies under the same config."""
     if not message:
         raise EmptyMessage("refusing to seal an empty message")
-    config.validate(require_key=True)
+    config.validate(sealing=True)
     if config.cipher == CAESAR:
         protected, key = message, config.caesar_key
     else:
@@ -198,31 +210,41 @@ def _tile_count(config: SealConfig) -> int:
     return ROWS * config.row_length // 64
 
 
-def read_stream(stego: GrayImage, config: SealConfig) -> DecodedBlocks:
-    """Decode the block stream embedded in `config.embed_mode`.
+def read_stream(stego: GrayImage, config: SealConfig) -> tuple[str, DecodedBlocks]:
+    """Decode the block stream as (mode, stream), from `config.embed_mode`
+    or, when that is None, from the first of MODES that holds one.
 
-    Reads at most stream_bound(config) bytes and rejects a header that
-    declares another tile count than the config's block has. Raises a
-    StegosealError when no such stream decodes.
+    Reads at most stream_bound(config) bytes a mode and rejects a header
+    that declares another tile count than the config's block has. Raises
+    the first mode's StegosealError when no such stream decodes.
     """
-    length = min(capacity(stego, config.embed_mode), stream_bound(config))
-    data = extract(stego, length, config.embed_mode)
-    return decode_blocks(data, _tile_count(config))
+    first_error = None
+    for mode in MODES if config.embed_mode is None else (config.embed_mode,):
+        length = min(capacity(stego, mode), stream_bound(config))
+        try:
+            return mode, decode_blocks(extract(stego, length, mode), _tile_count(config))
+        except StegosealError as exc:
+            first_error = first_error or exc
+    try:
+        raise first_error
+    finally:
+        del first_error  # its traceback holds this frame, which holds the image
 
 
 def verify(stego: GrayImage, config: SealConfig | None = None) -> VerificationReport:
     """Extract, decode and check a sealed image. Never raises on bad data."""
     config = config if config is not None else SealConfig()
-    config.validate(require_key=False)
+    config.validate()
+    mode = config.embed_mode or MODES[0]
     try:
-        decoded = read_stream(stego, config)
+        mode, decoded = read_stream(stego, config)
         block = _recover_block(decoded.coeffs, config.row_length)
         ciphertext, key_text, embedded_digest = unpack(block)
         kind, key = parse_key_text(key_text)
         message, recomputed = _decrypt_and_hash(ciphertext, kind, key, embedded_digest)
     except StegosealError as exc:
-        return VerificationReport(UNDECODABLE,
-                                  reason=f"{type(exc).__name__}: {exc}")
+        return VerificationReport(UNDECODABLE, reason=f"{type(exc).__name__}: {exc}",
+                                  mode=mode)
 
     problems = []
     if recomputed != embedded_digest:
@@ -233,7 +255,7 @@ def verify(stego: GrayImage, config: SealConfig | None = None) -> VerificationRe
         problems.append("embedded key differs from the expected key")
     verdict = VERIFIED if not problems else TAMPERED
     return VerificationReport(verdict, message, embedded_digest, recomputed,
-                              "; ".join(problems))
+                              "; ".join(problems), mode)
 
 
 def tamper(image: GrayImage, pixel_index: int, bit: int) -> GrayImage:
@@ -275,9 +297,6 @@ def _decrypt_and_hash(ciphertext: str, kind: str, key, embedded_digest: str):
 
 
 def _expected_key_matches(config: SealConfig, kind: str, key) -> bool:
-    if config.caesar_key is not None:
-        return kind == CAESAR and key == config.caesar_key
-    if config.hill_key is not None:
-        expected = np.asarray(config.hill_key, dtype=np.int64) % 26
-        return kind == HILL and np.array_equal(key, expected)
-    return True
+    expected = config.caesar_key if config.cipher == CAESAR else config.hill_key
+    return expected is None or (
+        (config.cipher, _key_text(config.cipher, expected)) == (kind, _key_text(kind, key)))

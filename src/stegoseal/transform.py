@@ -26,7 +26,8 @@ p = (cos t - 1)/sin t and s = sin t, where r rounds the product of an
 integer and a multiplier held to 14 fractional bits. Each shear adds to
 one entry a function of another, so the inverse subtracts the same
 amounts in reverse order, and int_idct2(int_dct2(t)) == t for every
-integer tile with entries below 2**46 in magnitude (see below). The
+integer tile whose entries and coefficients are below 2**46 in magnitude;
+both transforms reject larger entries (see below). The
 rotations are orthonormal, so there is no gain: the coefficients differ
 from dct2's by rounding only. On 8-bit tiles that is under 5 for
 200 000 random ones and up to 7 for some flat ones (the tile of ones has
@@ -62,7 +63,8 @@ even at 65 535 tiles. Larger entries run the same integer matrices in
 int64 as (M @ [x; 1]) >> 14, whose largest pre-shift value is 2**14 times
 the pre-floor bound. That stays below 2**63 for entries below 2**46: the
 int64 form equals Python integer arithmetic on the maximising tiles at
-2**46 - 1 and overflows at 2**47 - 1.
+2**46 - 1 and overflows at 2**47 - 1, so both transforms raise OutOfRange
+on an entry of magnitude 2**46 or more.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ import math
 
 import numpy as np
 
-from .errors import BadShape
+from .errors import BadShape, OutOfRange
 
 BLOCK = 8
 
@@ -118,6 +120,8 @@ _SOURCE = (0, 7, 3, 4, 1, 5, 2, 6)
 _SIGN = (1, -1, -1, 1, -1, -1, 1, -1)
 # Tiles whose entries are all below this in magnitude run in float64.
 _FLOAT_LIMIT = 1 << 31
+# Entries of this magnitude and more overflow int64 (see above).
+_INT_LIMIT = 1 << 46
 
 
 def _shears(sign: int, half: int) -> list:
@@ -155,11 +159,13 @@ _FLOAT64 = (np.float64, tuple(m / (1 << _BITS) for m in _FORWARD),
 
 
 def _arithmetic(a: np.ndarray) -> tuple:
-    """float64 when every entry of a is below 2**31 in magnitude, else int64."""
+    """float64 when every entry of a is below 2**31 in magnitude, int64 below 2**46."""
     info = np.iinfo(a.dtype)
     if (-_FLOAT_LIMIT < info.min and info.max < _FLOAT_LIMIT or not a.size
             or -_FLOAT_LIMIT < a.min() and a.max() < _FLOAT_LIMIT):
         return _FLOAT64
+    if not (-_INT_LIMIT < a.min() and a.max() < _INT_LIMIT):
+        raise OutOfRange("entries must be below 2**46 in magnitude")
     return _INT64
 
 

@@ -500,3 +500,49 @@ def test_closed_stdout_exits_66(cover_file, tmp_path, command):
                             capture_output=True, text=True, env=env)
     assert report.returncode == 0
     assert "verdict=VERIFIED" in report.stdout
+
+
+def test_verify_and_inspect_report_the_same_mode(tmp_path, capsys):
+    """An lsb1 stream that decodes to no valid block: both commands name
+    lsb1, and verify gives the error of the block, not of an overwrite read."""
+    stream = encode_blocks(np.zeros((6, 8, 8), dtype=np.int64))
+    image = tmp_path / "zeros.pgm"
+    image.write_bytes(write_pgm(embed(make_cover(0x2E0), stream, "lsb1")))
+    assert main(["verify", "--in", str(image)]) == 2
+    verified = parse_kv(capsys.readouterr().out)
+    assert main(["inspect", "--in", str(image)]) == 0
+    inspected = parse_kv(capsys.readouterr().out)
+    assert verified["mode"] == inspected["mode"] == "lsb1"
+    assert verified["verdict"] == "UNDECODABLE"
+    assert verified["reason"].startswith("MalformedBlock: ")
+
+
+HILL_KEY = "6,24,1,13,16,10,20,17,15"
+
+
+@pytest.mark.parametrize("command, flags, code", [
+    ("seal", ["--key", "ten"], 64),
+    ("seal", ["--key", "1,2,3", "--cipher", "hill"], 64),
+    ("seal", ["--key", "16", "--cipher", "hill"], 64),
+    ("seal", ["--key", HILL_KEY], 64),
+    ("seal", ["--key", "30"], 64),
+    ("seal", ["--key", "-1"], 64),
+    ("seal", ["--key", "27,3,0,2,5,0,0,0,1", "--cipher", "hill"], 64),
+    ("seal", ["--key", "2,0,0,0,2,0,0,0,2", "--cipher", "hill"], 65),
+    ("seal", ["--key", "16"], 0),
+    ("seal", ["--key", HILL_KEY, "--cipher", "hill"], 0),
+    ("verify", ["--key", "ten"], 64),
+    ("verify", ["--key", "30"], 64),
+    ("verify", ["--key", "27,3,0,2,5,0,0,0,1"], 64),
+    ("verify", ["--key", "2,0,0,0,2,0,0,0,2"], 65),
+    ("verify", ["--key", "16"], 2),
+])
+def test_key_exit_codes(cover_file, tmp_path, capsys, command, flags, code):
+    """Every --key goes through pipeline.parse_key_text: a key it rejects,
+    or one of another cipher than --cipher, is a usage error, and a Hill
+    key with no inverse is a data error."""
+    argv = [command, "--in", str(cover_file)] + flags
+    if command == "seal":
+        argv += ["--out", str(tmp_path / "out.pgm"), "--message", "m"]
+    assert main(argv) == code
+    assert (tmp_path / "out.pgm").exists() == (command == "seal" and code == 0)

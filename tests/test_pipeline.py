@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import random
 import string
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -139,6 +141,22 @@ def test_config_rejects_the_other_ciphers_key(config, message):
         seal("HELLO", config, make_cover(7))
 
 
+@pytest.mark.parametrize("key", [3.7, 16.0, "16"])
+def test_caesar_key_must_be_an_integer(cover, key):
+    """A key that is not an integer would be written as the key row "3.7"
+    or "16.0", which verify cannot read back."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        SealConfig(caesar_key=key).validate()
+    with pytest.raises(ValueError, match="must be an integer"):
+        seal(PAPER_MESSAGE, SealConfig(caesar_key=key), cover)
+
+
+def test_numpy_integer_caesar_key_seals_as_an_int(cover):
+    sealed = seal(PAPER_MESSAGE, SealConfig(caesar_key=np.int64(16)), cover)
+    assert sealed == seal(PAPER_MESSAGE, paper_config(), cover)
+    assert verify(sealed, SealConfig(caesar_key=np.int64(16))).verdict == VERIFIED
+
+
 def test_stream_bound_follows_the_row_length():
     """Seal under any row length writes a stream of the block's tile count
     that fits in stream_bound(config) bytes."""
@@ -146,7 +164,7 @@ def test_stream_bound_follows_the_row_length():
         config = SealConfig(caesar_key=5, digest_algorithm="sha256", row_length=row_length)
         tiles = 3 * row_length // 64
         assert stream_bound(config) == block_stream_bound(tiles)
-        stream = read_stream(seal("Seal me", config, make_cover(row_length)), config)
+        _, stream = read_stream(seal("Seal me", config, make_cover(row_length)), config)
         assert len(stream.coeffs) == tiles
         assert stream.consumed <= stream_bound(config)
 
@@ -331,6 +349,65 @@ def test_verify_lsb1_flips_inside_region(cover):
     for _ in range(60):
         report = verify(tamper(sealed, rng.randrange(8 * n), 0), config)
         assert report.verdict in (TAMPERED, UNDECODABLE)
+
+
+# --- embed mode detection ----------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", [OVERWRITE, LSB1])
+def test_verify_detects_the_embed_mode(cover, mode):
+    sealed = seal(PAPER_MESSAGE, paper_config(embed_mode=mode), cover)
+    report = verify(sealed, SealConfig(embed_mode=None))
+    assert (report.verdict, report.mode) == (VERIFIED, mode)
+    assert read_stream(sealed, SealConfig(embed_mode=None))[0] == mode
+    assert verify(sealed, paper_config(embed_mode=mode)).mode == mode
+
+
+def test_seal_needs_an_embed_mode(cover):
+    with pytest.raises(ValueError, match="embed mode"):
+        seal(PAPER_MESSAGE, paper_config(embed_mode=None), cover)
+    with pytest.raises(ValueError, match="embed mode"):
+        paper_config(embed_mode=None).validate(sealing=True)
+    paper_config(embed_mode=None).validate()
+
+
+def test_undetected_mode_reports_the_first_modes_error(cover):
+    """With no stream in any mode, verify reports what the first mode's read
+    raised, even when a later mode got further."""
+    # a 3-tile lsb1 stream: overwrite finds no header, lsb1 the wrong tile count
+    config = paper_config(row_length=64, digest_algorithm="sha256", embed_mode=LSB1)
+    sealed = seal(PAPER_MESSAGE, config, cover)
+    reasons = {mode: verify(sealed, SealConfig(embed_mode=mode)).reason for mode in (OVERWRITE, LSB1)}
+    assert "expected 6" in reasons[LSB1] and "expected 6" not in reasons[OVERWRITE]
+    report = verify(sealed, SealConfig(embed_mode=None))
+    assert (report.verdict, report.mode, report.reason) == (UNDECODABLE, OVERWRITE,
+                                                            reasons[OVERWRITE])
+
+
+def test_the_two_stream_headers_exclude_each_other(cover):
+    """Overwrite puts 0x00 in pixel 1 and lsb1 makes it odd, so no image
+    holds a stream in both modes and detection cannot pick the wrong one."""
+    stream = encode_blocks(np.zeros((6, 8, 8), np.int64))
+    assert stream[1] == 0
+    assert np.unpackbits(np.frombuffer(stream[:1], np.uint8))[1] == 1
+    for mode, other in ((OVERWRITE, LSB1), (LSB1, OVERWRITE)):
+        sealed = seal(PAPER_MESSAGE, paper_config(embed_mode=mode), cover)
+        assert verify(sealed, paper_config(embed_mode=other)).verdict == UNDECODABLE
+
+
+@pytest.mark.parametrize("mode", [OVERWRITE, None])
+def test_rejected_image_is_freed_when_verify_returns(mode):
+    """No reference cycle keeps the image alive until the next cyclic
+    collection: an error kept across modes holds the reading frame."""
+    image = GrayImage(64, 64, np.zeros(64 * 64, dtype=np.uint8))
+    freed = weakref.ref(image)
+    gc.disable()
+    try:
+        assert verify(image, SealConfig(embed_mode=mode)).verdict == UNDECODABLE
+        del image
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_verify_never_raises_on_noise():

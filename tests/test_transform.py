@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stegoseal import transform
-from stegoseal.errors import BadShape
+from stegoseal.errors import BadShape, OutOfRange
 from stegoseal.transform import dct2, idct2, int_dct2, int_idct2
 
 
@@ -362,6 +362,25 @@ def test_arithmetic_follows_magnitude_only():
     assert CHOOSE_ARITHMETIC(np.full((8, 8), 1 - 2 ** 31)) is transform._FLOAT64
     assert CHOOSE_ARITHMETIC(np.full((8, 8), 2 ** 31, np.uint64)) is transform._INT64
     assert CHOOSE_ARITHMETIC(np.full((8, 8), -2 ** 31, np.int32)) is transform._INT64
+
+
+def test_int64_takes_entries_below_2_46_only():
+    """Entries of magnitude 2**46 - 1 still match the references, and a flat
+    tile's DC stays within the 14-bit multipliers' precision of dct2's; from
+    2**46 on, where int64 would wrap, both transforms raise."""
+    extreme = np.array(extreme_tiles()) // 255 * (2 ** 46 - 1)
+    tiles = np.concatenate([extreme, -extreme])
+    assert CHOOSE_ARITHMETIC(tiles) is transform._INT64
+    assert np.array_equal(int_dct2(tiles), int_dct2_by_matrices(tiles))
+    assert np.array_equal(int_idct2(tiles), int_idct2_by_matrices(tiles))
+    for flat in (extreme[0], -extreme[0]):
+        assert int_dct2(flat)[0, 0] == pytest.approx(dct2(flat)[0, 0], rel=1e-4)
+    for value in (2 ** 46, -2 ** 46):
+        tile = np.zeros((8, 8), np.int64)
+        tile[3, 5] = value
+        for fn in (int_dct2, int_idct2):
+            with pytest.raises(OutOfRange, match="2\\*\\*46"):
+                fn(tile)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
