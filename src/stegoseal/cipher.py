@@ -6,6 +6,7 @@ messages round-trip exactly and tampering shows up in the digest check.
 
 from __future__ import annotations
 
+import operator
 import string
 from math import gcd
 
@@ -19,9 +20,10 @@ HILL_PAD = "X"
 
 
 def _check_shift(shift: int) -> int:
-    if not 0 <= int(shift) < ALPHABET_SIZE:
-        raise ValueError(f"caesar shift must be in [0, 25], got {shift}")
-    return int(shift)
+    if not (hasattr(type(shift), "__index__")  # what operator.index takes
+            and 0 <= operator.index(shift) < ALPHABET_SIZE):
+        raise ValueError(f"caesar shift must be an integer in [0, 25], got {shift!r}")
+    return operator.index(shift)
 
 
 # str.translate tables for each shift; they map the ASCII letters only
@@ -63,13 +65,6 @@ def _as_key(key) -> np.ndarray:
     return k % ALPHABET_SIZE
 
 
-def _det3(k: np.ndarray) -> int:
-    a, b, c = int(k[0, 0]), int(k[0, 1]), int(k[0, 2])
-    d, e, f = int(k[1, 0]), int(k[1, 1]), int(k[1, 2])
-    g, h, i = int(k[2, 0]), int(k[2, 1]), int(k[2, 2])
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def _adjugate3(k: np.ndarray) -> np.ndarray:
     a, b, c = int(k[0, 0]), int(k[0, 1]), int(k[0, 2])
     d, e, f = int(k[1, 0]), int(k[1, 1]), int(k[1, 2])
@@ -89,11 +84,12 @@ def hill_key_inverse(key) -> np.ndarray:
     Raises NotInvertible when gcd(det mod 26, 26) != 1.
     """
     k = _as_key(key)
-    det = _det3(k) % ALPHABET_SIZE
+    adj = _adjugate3(k)
+    det = int(k[0] @ adj[:, 0]) % ALPHABET_SIZE   # cofactor expansion along row 0
     if gcd(det, ALPHABET_SIZE) != 1:
         raise NotInvertible(f"det = {det} shares a factor with 26")
     det_inv = pow(det, -1, ALPHABET_SIZE)
-    return (det_inv * _adjugate3(k)) % ALPHABET_SIZE
+    return (det_inv * adj) % ALPHABET_SIZE
 
 
 def hill_encrypt(plaintext: str, key) -> str:

@@ -112,7 +112,8 @@ class CapacityExceeded(StegosealError):
 # --- pipeline --------------------------------------------------------------
 
 class OutOfRange(StegosealError):
-    """Pixel index or bit position outside the image."""
+    """Pixel index or bit position outside the image, or a transform entry
+    of magnitude 2**31 or more."""
 
 
 class EmptyMessage(StegosealError):

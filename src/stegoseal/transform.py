@@ -26,13 +26,16 @@ p = (cos t - 1)/sin t and s = sin t, where r rounds the product of an
 integer and a multiplier held to 14 fractional bits. Each shear adds to
 one entry a function of another, so the inverse subtracts the same
 amounts in reverse order, and int_idct2(int_dct2(t)) == t for every
-integer tile whose entries and coefficients are below 2**46 in magnitude;
-both transforms reject larger entries (see below). The
-rotations are orthonormal, so there is no gain: the coefficients differ
-from dct2's by rounding only. On 8-bit tiles that is under 5 for
-200 000 random ones and up to 7 for some flat ones (the tile of ones has
-DC 1 against dct2's 8); tests/test_transform.py holds its random and
-adversarial tiles under 7 and all 256 flat tiles at 7 or less.
+integer tile whose entries and coefficients are below 2**31 in magnitude;
+both transforms reject larger entries (see below). The rotations are
+orthonormal, so there is no gain. On 8-bit tiles the coefficients differ
+from dct2's by rounding: under 5 for 200 000 random tiles and up to 7
+for some flat ones (the tile of ones has DC 1 against dct2's 8);
+tests/test_transform.py holds its random and adversarial tiles under 7
+and all 256 flat tiles at 7 or less. Beyond 8-bit tiles the gap grows
+with the entries, because the multipliers are held to 14 bits: the flat
+tile of 2**31 - 1 has DC 17 178 993 790 against dct2's 17 179 869 176, a
+relative gap of -5.1e-5.
 
 Both 2D transforms run the 1D transform down the columns, then along the
 rows, as dct2 = C @ tile @ C.T does, on all the columns of a tile stack
@@ -48,23 +51,18 @@ integer a, floor serves both directions. A 1D pass is 12 such products,
 and a signed-permutation product puts X_u in place (the inverse starts
 with the inverse permutation).
 
-The products run in one of two arithmetics, chosen by the magnitude of
-the input alone. When every entry is below 2**31 in magnitude, the
-matrices divided by 2**14 run in float64 through BLAS. Their entries are
-multiples of 2**-14, so every product, partial sum and pre-floor value is
-one too. The largest pre-floor magnitude is 7.9999 times the largest
-entry in int_dct2 and 7.07 times in int_idct2, measured on the tiles
-that maximise each intermediate; that is below 2**34 here, and a
-multiple of 2**-14 below 2**39 fits in float64's 53 bits. So every
-operation is exact, in any summation order and with or without fused
-multiply-add, and floor gives the integer result. Seal and verify always
-take this form: they see byte tiles, and a decoded DC stays below 2**27
-even at 65 535 tiles. Larger entries run the same integer matrices in
-int64 as (M @ [x; 1]) >> 14, whose largest pre-shift value is 2**14 times
-the pre-floor bound. That stays below 2**63 for entries below 2**46: the
-int64 form equals Python integer arithmetic on the maximising tiles at
-2**46 - 1 and overflows at 2**47 - 1, so both transforms raise OutOfRange
-on an entry of magnitude 2**46 or more.
+The products run in float64 through BLAS, on the matrices divided by
+2**14. Their entries are multiples of 2**-14, so every product, partial
+sum and pre-floor value is one too. The largest pre-floor magnitude is
+7.9999 times the largest entry in int_dct2 and 7.07 times in int_idct2,
+measured on the tiles that maximise each intermediate; for entries below
+2**31 that is below 2**34, and a multiple of 2**-14 below 2**39 fits in
+float64's 53 bits. So every operation is exact, in any summation order
+and with or without fused multiply-add, and floor gives the integer
+result. Both transforms raise OutOfRange on an entry of magnitude 2**31
+or more. The pipeline stays far inside that: seal passes byte tiles, and
+the decoder caps an AC value at 2047 and a DC difference at 2047, so a
+decoded DC stays below 2047 * 65 535 < 2**27 even at 65 535 tiles.
 """
 
 from __future__ import annotations
@@ -118,16 +116,14 @@ _ROTATIONS = (
 _BITS = 14
 _SOURCE = (0, 7, 3, 4, 1, 5, 2, 6)
 _SIGN = (1, -1, -1, 1, -1, -1, 1, -1)
-# Tiles whose entries are all below this in magnitude run in float64.
-_FLOAT_LIMIT = 1 << 31
-# Entries of this magnitude and more overflow int64 (see above).
-_INT_LIMIT = 1 << 46
+# Entries must be below this in magnitude (see above).
+_LIMIT = 1 << 31
 
 
-def _shears(sign: int, half: int) -> list:
-    """The 12 shear steps, three per layer, as 9x9 integer matrices on
-    [x; 1]: 2**14 times the identity, plus sign times the multiplier and
-    half in the ninth column in each row a step shears."""
+def _shears(sign: int, half: int) -> tuple:
+    """The 12 shear steps, three per layer, as 9x9 matrices on [x; 1]
+    divided by 2**14: 2**14 times the identity, plus sign times the
+    multiplier and half in the ninth column in each row a step shears."""
     steps = []
     for layer in _ROTATIONS:
         first = np.diag(np.full(BLOCK + 1, 1 << _BITS, np.int64))
@@ -138,41 +134,24 @@ def _shears(sign: int, half: int) -> list:
             second[j, i] = sign * round(math.sin(t) * (1 << _BITS))
             first[i, BLOCK] = second[j, BLOCK] = half
         steps += [first, second, first]
-    return steps
+    return tuple(m / (1 << _BITS) for m in steps)
 
 
 _FORWARD = _shears(1, 1 << (_BITS - 1))
 _INVERSE = _shears(-1, (1 << (_BITS - 1)) - 1)[::-1]
 # After the last step X_u is held at _SOURCE[u], negated where _SIGN is -1:
 # X = _OUT @ [x; 1] and [x; 1] = _UNOUT @ [X; 1].
-_OUT = np.zeros((BLOCK, BLOCK + 1), np.int64)
+_OUT = np.zeros((BLOCK, BLOCK + 1))
 _OUT[range(BLOCK), _SOURCE] = _SIGN
-_UNOUT = np.zeros((BLOCK + 1, BLOCK + 1), np.int64)
+_UNOUT = np.zeros((BLOCK + 1, BLOCK + 1))
 _UNOUT[_SOURCE, range(BLOCK)] = _SIGN
 _UNOUT[BLOCK, BLOCK] = 1
-# Each arithmetic as (dtype, forward steps, inverse steps, the 8x9 output
-# permutation, its 9x9 inverse).
-_INT64 = (np.int64, tuple(_FORWARD), tuple(_INVERSE), _OUT, _UNOUT)
-_FLOAT64 = (np.float64, tuple(m / (1 << _BITS) for m in _FORWARD),
-            tuple(m / (1 << _BITS) for m in _INVERSE), _OUT.astype(np.float64),
-            _UNOUT.astype(np.float64))
 
 
-def _arithmetic(a: np.ndarray) -> tuple:
-    """float64 when every entry of a is below 2**31 in magnitude, int64 below 2**46."""
-    info = np.iinfo(a.dtype)
-    if (-_FLOAT_LIMIT < info.min and info.max < _FLOAT_LIMIT or not a.size
-            or -_FLOAT_LIMIT < a.min() and a.max() < _FLOAT_LIMIT):
-        return _FLOAT64
-    if not (-_INT_LIMIT < a.min() and a.max() < _INT_LIMIT):
-        raise OutOfRange("entries must be below 2**46 in magnitude")
-    return _INT64
-
-
-def _with_ones(rows: np.ndarray, dtype) -> np.ndarray:
-    """rows, shape (8, n, 8), as a (9, 8n) array of dtype whose last row is
+def _with_ones(rows: np.ndarray) -> np.ndarray:
+    """rows, shape (8, n, 8), as a (9, 8n) float64 array whose last row is
     ones."""
-    x = np.empty((BLOCK + 1,) + rows.shape[1:], dtype)
+    x = np.empty((BLOCK + 1,) + rows.shape[1:])
     x[:BLOCK] = rows
     x[BLOCK] = 1
     return x.reshape(BLOCK + 1, -1)
@@ -180,15 +159,10 @@ def _with_ones(rows: np.ndarray, dtype) -> np.ndarray:
 
 def _pass(x: np.ndarray, steps) -> np.ndarray:
     """The shear steps on each column of x, shape (9, n), whose last row is
-    ones: each is a matrix product rounded down, by floor in float64 and by
-    a shift right by 14 bits in int64."""
-    floating = x.dtype == np.float64
+    ones: each is a matrix product rounded down."""
     for m in steps:
         x = np.dot(m, x)
-        if floating:
-            np.floor(x, out=x)
-        else:
-            x >>= _BITS
+        np.floor(x, out=x)
     return x
 
 
@@ -198,6 +172,10 @@ def _as_tiles(m, name: str) -> np.ndarray:
         raise BadShape(f"{name} must be 8x8 or a stack of 8x8, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise TypeError(f"{name} must hold integers, got {arr.dtype}")
+    info = np.iinfo(arr.dtype)
+    if not (-_LIMIT < info.min and info.max < _LIMIT or not arr.size
+            or -_LIMIT < arr.min() and arr.max() < _LIMIT):
+        raise OutOfRange(f"{name} entries must be below 2**31 in magnitude")
     return arr
 
 
@@ -208,10 +186,9 @@ def int_dct2(tiles) -> np.ndarray:
     """
     t = _as_tiles(tiles, "tiles")
     n = t.size // (BLOCK * BLOCK)
-    dtype, forward, _, out, _ = _arithmetic(t)
-    x = _with_ones(t.reshape(n, BLOCK, BLOCK).transpose(1, 0, 2), dtype)        # (x, tile, y)
-    c = np.dot(out, _pass(x, forward)).reshape(BLOCK, n, BLOCK)                  # (u, tile, y)
-    c = np.dot(out, _pass(_with_ones(c.transpose(2, 1, 0), dtype), forward))   # (v, tile, u)
+    x = _with_ones(t.reshape(n, BLOCK, BLOCK).transpose(1, 0, 2))          # (x, tile, y)
+    c = np.dot(_OUT, _pass(x, _FORWARD)).reshape(BLOCK, n, BLOCK)           # (u, tile, y)
+    c = np.dot(_OUT, _pass(_with_ones(c.transpose(2, 1, 0)), _FORWARD))    # (v, tile, u)
     return c.reshape(BLOCK, n, BLOCK).transpose(1, 2, 0).astype(np.int64, order="C").reshape(t.shape)
 
 
@@ -219,8 +196,7 @@ def int_idct2(coeffs) -> np.ndarray:
     """Exact inverse of int_dct2: int_idct2(int_dct2(t)) == t."""
     c = _as_tiles(coeffs, "coeffs")
     n = c.size // (BLOCK * BLOCK)
-    dtype, _, inverse, _, unout = _arithmetic(c)
-    y = _with_ones(c.reshape(n, BLOCK, BLOCK).transpose(2, 0, 1), dtype)                # (v, tile, u)
-    x = _pass(np.dot(unout, y), inverse)[:BLOCK].reshape(BLOCK, n, BLOCK)                # (y, tile, u)
-    x = _pass(np.dot(unout, _with_ones(x.transpose(2, 1, 0), dtype)), inverse)[:BLOCK]  # (x, tile, y)
+    y = _with_ones(c.reshape(n, BLOCK, BLOCK).transpose(2, 0, 1))                   # (v, tile, u)
+    x = _pass(np.dot(_UNOUT, y), _INVERSE)[:BLOCK].reshape(BLOCK, n, BLOCK)         # (y, tile, u)
+    x = _pass(np.dot(_UNOUT, _with_ones(x.transpose(2, 1, 0))), _INVERSE)[:BLOCK]  # (x, tile, y)
     return x.reshape(BLOCK, n, BLOCK).transpose(1, 0, 2).astype(np.int64, order="C").reshape(c.shape)

@@ -104,6 +104,13 @@ def test_caesar_rejects_bad_shift():
         caesar_encrypt("abc", 26)
     with pytest.raises(ValueError):
         caesar_decrypt("abc", -1)
+    # int() would truncate these to shifts 3 and 16
+    for shift in (3.7, 16.0):
+        for fn in (caesar_encrypt, caesar_decrypt):
+            with pytest.raises(ValueError, match="must be an integer"):
+                fn("abc", shift)
+    assert caesar_encrypt("abc", np.int64(16)) == "qrs"
+    assert caesar_decrypt("qrs", np.int64(16)) == "abc"
 
 
 # --- hill key inverse ---------------------------------------------------

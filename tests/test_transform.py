@@ -4,7 +4,6 @@ import os
 import numpy as np
 import pytest
 
-from stegoseal import transform
 from stegoseal.errors import BadShape, OutOfRange
 from stegoseal.transform import dct2, idct2, int_dct2, int_idct2
 
@@ -140,7 +139,8 @@ def test_int_dct2_inverts_exactly():
     tiles = byte_tiles(18)
     assert np.array_equal(int_idct2(int_dct2(tiles)), tiles)
     rng = np.random.default_rng(19)
-    wide = rng.integers(-2 ** 43, 2 ** 43, (500, 8, 8))
+    # below 2**28 the coefficients stay below int_idct2's limit of 2**31
+    wide = rng.integers(-2 ** 28, 2 ** 28, (500, 8, 8))
     assert np.array_equal(int_idct2(int_dct2(wide)), wide)
     # a bijection on integer tiles: every coefficient tile has one preimage
     coeffs = rng.integers(-5000, 5000, (500, 8, 8))
@@ -181,7 +181,7 @@ def int_dct2_by_matrices(tiles):
 
 def test_int_dct2_matches_the_matrix_form():
     rng = np.random.default_rng(22)
-    for tiles in (byte_tiles(23), rng.integers(-2 ** 43, 2 ** 43, (300, 8, 8))):
+    for tiles in (byte_tiles(23), rng.integers(1 - 2 ** 31, 2 ** 31, (300, 8, 8))):
         assert np.array_equal(int_dct2(tiles), int_dct2_by_matrices(tiles))
 
 
@@ -232,18 +232,7 @@ def test_int_idct2_rejects_float_coefficients():
         int_idct2(np.zeros((8, 4), int))
 
 
-# --- float64 and int64 arithmetic --------------------------------------------
-
-# int_dct2 and int_idct2 pick their arithmetic by input magnitude alone; the
-# fixture below pins one of the two so that each runs on the same tiles.
-CHOOSE_ARITHMETIC = transform._arithmetic
-
-
-@pytest.fixture(params=["float64", "int64"])
-def arithmetic(request, monkeypatch):
-    form = transform._FLOAT64 if request.param == "float64" else transform._INT64
-    monkeypatch.setattr(transform, "_arithmetic", lambda a: form)
-    return request.param
+# --- reference forms and the 2**31 domain -------------------------------------
 
 
 ROTATIONS = (((0, 7, -4), (1, 6, -4), (2, 5, -4), (3, 4, -4)),
@@ -287,17 +276,27 @@ def int_idct2_by_matrices(coeffs):
     return x.transpose(1, 0, 2)
 
 
+def assert_round_trip(out, inverse, tiles):
+    """inverse(out) == tiles on the tiles whose out entries are below 2**31 in
+    magnitude; inverse rejects the others."""
+    fits = (np.abs(out) < 2 ** 31).all(axis=(-2, -1))
+    assert np.array_equal(inverse(out[fits]), tiles[fits])
+    if not fits.all():
+        with pytest.raises(OutOfRange):
+            inverse(out[~fits])
+
+
 def assert_matches_references(tiles):
     """int_dct2 and int_idct2 equal the reference forms on tiles, both ways."""
     tiles = np.asarray(tiles)
     coeffs = int_dct2(tiles)
     assert coeffs.dtype == np.int64 and coeffs.shape == tiles.shape
     assert np.array_equal(coeffs, int_dct2_by_matrices(tiles))
-    assert np.array_equal(int_idct2(coeffs), tiles)
+    assert_round_trip(coeffs, int_idct2, tiles)
     back = int_idct2(tiles)
     assert back.dtype == np.int64 and back.shape == tiles.shape
     assert np.array_equal(back, int_idct2_by_matrices(tiles))
-    assert np.array_equal(int_dct2(back), tiles)
+    assert_round_trip(back, int_dct2, tiles)
 
 
 def test_reference_inverse_inverts_the_reference():
@@ -305,38 +304,38 @@ def test_reference_inverse_inverts_the_reference():
     assert np.array_equal(int_idct2_by_matrices(int_dct2_by_matrices(tiles)), tiles)
 
 
-def test_arithmetics_agree_on_byte_tiles(arithmetic):
+def test_matches_references_on_byte_tiles():
     assert_matches_references(byte_tiles(25))
 
 
-def test_arithmetics_agree_on_coefficient_tiles(arithmetic):
+def test_matches_references_on_coefficient_tiles():
     rng = np.random.default_rng(26)
     assert_matches_references(rng.integers(-2 ** 15, 2 ** 15 + 1, (20000, 8, 8)))
 
 
-def test_arithmetics_agree_below_2_31(arithmetic):
-    """Entries of magnitude 2**31 - 1, the largest that take float64."""
+def test_matches_references_below_2_31():
+    """Entries of magnitude 2**31 - 1, the largest both transforms take."""
     rng = np.random.default_rng(27)
     big = 2 ** 31 - 1
     tiles = np.concatenate([rng.choice([-big, big], (500, 8, 8)),
                             rng.integers(-big, big + 1, (500, 8, 8)),
                             np.full((2, 8, 8), big) * np.array([1, -1])[:, None, None],
                             np.array(extreme_tiles()) // 255 * big])
-    assert CHOOSE_ARITHMETIC(tiles) is transform._FLOAT64
     assert_matches_references(tiles)
 
 
-def test_arithmetics_agree_at_2_31(arithmetic):
-    """A single entry of magnitude 2**31 sends the whole stack to int64."""
+def test_entries_of_2_31_raise():
+    """A single entry of magnitude 2**31 makes both transforms reject the stack."""
     rng = np.random.default_rng(28)
     for value in (2 ** 31, -2 ** 31):
         tiles = rng.integers(-2 ** 20, 2 ** 20, (200, 8, 8))
         tiles[rng.integers(200), rng.integers(8), rng.integers(8)] = value
-        assert CHOOSE_ARITHMETIC(tiles) is transform._INT64
-        assert_matches_references(tiles)
+        for fn in (int_dct2, int_idct2):
+            with pytest.raises(OutOfRange, match="2\\*\\*31"):
+                fn(tiles)
 
 
-def test_arithmetics_agree_on_impulses(arithmetic):
+def test_matches_references_on_impulses():
     """One nonzero entry at each of the 64 positions, over values whose
     products with the multipliers land exactly on a rounding half."""
     values = np.concatenate([np.arange(-32, 33),
@@ -346,7 +345,7 @@ def test_arithmetics_agree_on_impulses(arithmetic):
     assert_matches_references(tiles.reshape(-1, 8, 8))
 
 
-def test_arithmetics_agree_on_an_empty_stack(arithmetic):
+def test_empty_stack():
     for dtype in (np.uint8, np.int64):
         empty = np.zeros((0, 8, 8), dtype)
         for fn in (int_dct2, int_idct2):
@@ -354,33 +353,38 @@ def test_arithmetics_agree_on_an_empty_stack(arithmetic):
             assert out.shape == (0, 8, 8) and out.dtype == np.int64
 
 
-def test_arithmetic_follows_magnitude_only():
-    assert CHOOSE_ARITHMETIC(np.zeros((0, 8, 8), np.int64)) is transform._FLOAT64
+def test_range_check_follows_magnitude_only():
+    """Both transforms take any integer dtype whose entries are below 2**31
+    in magnitude, and reject an entry of 2**31 whatever its dtype. At
+    2**31 - 1 a flat tile's DC stays within the 14-bit multipliers'
+    precision of dct2's."""
     for dtype in (np.uint8, np.int8, np.uint16, np.int16, np.int32, np.int64, np.uint64):
-        assert CHOOSE_ARITHMETIC(np.zeros((8, 8), dtype)) is transform._FLOAT64
-    assert CHOOSE_ARITHMETIC(np.full((8, 8), 2 ** 31 - 1)) is transform._FLOAT64
-    assert CHOOSE_ARITHMETIC(np.full((8, 8), 1 - 2 ** 31)) is transform._FLOAT64
-    assert CHOOSE_ARITHMETIC(np.full((8, 8), 2 ** 31, np.uint64)) is transform._INT64
-    assert CHOOSE_ARITHMETIC(np.full((8, 8), -2 ** 31, np.int32)) is transform._INT64
-
-
-def test_int64_takes_entries_below_2_46_only():
-    """Entries of magnitude 2**46 - 1 still match the references, and a flat
-    tile's DC stays within the 14-bit multipliers' precision of dct2's; from
-    2**46 on, where int64 would wrap, both transforms raise."""
-    extreme = np.array(extreme_tiles()) // 255 * (2 ** 46 - 1)
-    tiles = np.concatenate([extreme, -extreme])
-    assert CHOOSE_ARITHMETIC(tiles) is transform._INT64
-    assert np.array_equal(int_dct2(tiles), int_dct2_by_matrices(tiles))
-    assert np.array_equal(int_idct2(tiles), int_idct2_by_matrices(tiles))
-    for flat in (extreme[0], -extreme[0]):
-        assert int_dct2(flat)[0, 0] == pytest.approx(dct2(flat)[0, 0], rel=1e-4)
-    for value in (2 ** 46, -2 ** 46):
-        tile = np.zeros((8, 8), np.int64)
-        tile[3, 5] = value
         for fn in (int_dct2, int_idct2):
-            with pytest.raises(OutOfRange, match="2\\*\\*46"):
+            assert not fn(np.zeros((8, 8), dtype)).any()
+    for flat in (np.full((8, 8), 2 ** 31 - 1), np.full((8, 8), 1 - 2 ** 31)):
+        assert int_dct2(flat)[0, 0] == pytest.approx(dct2(flat)[0, 0], rel=1e-4)
+        assert int_idct2(flat).shape == (8, 8)
+    for tile in (np.full((8, 8), 2 ** 31, np.uint64), np.full((8, 8), -2 ** 31, np.int32)):
+        for fn in (int_dct2, int_idct2):
+            with pytest.raises(OutOfRange):
                 fn(tile)
+
+
+def test_decoded_coefficients_fit_the_domain():
+    """The largest coefficients decode_blocks can return, a DC of
+    2047 * 65535 (DC differences of 2047 over 65535 tiles) and ACs of 2047,
+    pass through int_idct2, and int_dct2 maps them back exactly. Each tile
+    carries the signs of one pixel's basis function, so it drives that
+    pixel to its extreme."""
+    basis = np.array([[(math.sqrt(1 / 8) if u == 0 else math.sqrt(2 / 8))
+                       * math.cos((2 * x + 1) * u * math.pi / 16)
+                       for x in range(8)] for u in range(8)])
+    signs = np.sign(np.einsum("ux,vy->xyuv", basis, basis)).reshape(64, 8, 8).astype(np.int64)
+    coeffs = np.concatenate([signs, -signs]) * 2047
+    coeffs[:, 0, 0] *= 65535
+    tiles = int_idct2(coeffs)
+    assert np.abs(tiles).max() < 2 ** 31
+    assert np.array_equal(int_dct2(tiles), coeffs)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
