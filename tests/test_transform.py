@@ -286,17 +286,25 @@ def assert_round_trip(out, inverse, tiles):
             inverse(out[~fits])
 
 
-def assert_matches_references(tiles):
-    """int_dct2 and int_idct2 equal the reference forms on tiles, both ways."""
+# Each reference test runs once per direction: (transform, its reference form,
+# its inverse).
+DIRECTIONS = pytest.mark.parametrize(
+    "direction", [(int_dct2, int_dct2_by_matrices, int_idct2),
+                  (int_idct2, int_idct2_by_matrices, int_dct2)],
+    ids=["int_dct2", "int_idct2"])
+EACH_TRANSFORM = pytest.mark.parametrize("fn", [int_dct2, int_idct2],
+                                         ids=["int_dct2", "int_idct2"])
+
+
+def assert_matches_references(tiles, direction):
+    """The transform equals its reference form on tiles, and its inverse
+    maps the result back."""
+    transform, reference, inverse = direction
     tiles = np.asarray(tiles)
-    coeffs = int_dct2(tiles)
-    assert coeffs.dtype == np.int64 and coeffs.shape == tiles.shape
-    assert np.array_equal(coeffs, int_dct2_by_matrices(tiles))
-    assert_round_trip(coeffs, int_idct2, tiles)
-    back = int_idct2(tiles)
-    assert back.dtype == np.int64 and back.shape == tiles.shape
-    assert np.array_equal(back, int_idct2_by_matrices(tiles))
-    assert_round_trip(back, int_dct2, tiles)
+    out = transform(tiles)
+    assert out.dtype == np.int64 and out.shape == tiles.shape
+    assert np.array_equal(out, reference(tiles))
+    assert_round_trip(out, inverse, tiles)
 
 
 def test_reference_inverse_inverts_the_reference():
@@ -304,16 +312,20 @@ def test_reference_inverse_inverts_the_reference():
     assert np.array_equal(int_idct2_by_matrices(int_dct2_by_matrices(tiles)), tiles)
 
 
-def test_matches_references_on_byte_tiles():
-    assert_matches_references(byte_tiles(25))
+@DIRECTIONS
+def test_matches_references_on_byte_tiles(direction):
+    assert_matches_references(byte_tiles(25), direction)
 
 
-def test_matches_references_on_coefficient_tiles():
+@DIRECTIONS
+def test_matches_references_on_coefficient_tiles(direction):
     rng = np.random.default_rng(26)
-    assert_matches_references(rng.integers(-2 ** 15, 2 ** 15 + 1, (20000, 8, 8)))
+    tiles = rng.integers(-2 ** 15, 2 ** 15 + 1, (20000, 8, 8))
+    assert_matches_references(tiles, direction)
 
 
-def test_matches_references_below_2_31():
+@DIRECTIONS
+def test_matches_references_below_2_31(direction):
     """Entries of magnitude 2**31 - 1, the largest both transforms take."""
     rng = np.random.default_rng(27)
     big = 2 ** 31 - 1
@@ -321,36 +333,36 @@ def test_matches_references_below_2_31():
                             rng.integers(-big, big + 1, (500, 8, 8)),
                             np.full((2, 8, 8), big) * np.array([1, -1])[:, None, None],
                             np.array(extreme_tiles()) // 255 * big])
-    assert_matches_references(tiles)
+    assert_matches_references(tiles, direction)
 
 
-def test_entries_of_2_31_raise():
-    """A single entry of magnitude 2**31 makes both transforms reject the stack."""
+@EACH_TRANSFORM
+def test_entries_of_2_31_raise(fn):
+    """A single entry of magnitude 2**31 makes the transform reject the stack."""
     rng = np.random.default_rng(28)
     for value in (2 ** 31, -2 ** 31):
         tiles = rng.integers(-2 ** 20, 2 ** 20, (200, 8, 8))
         tiles[rng.integers(200), rng.integers(8), rng.integers(8)] = value
-        for fn in (int_dct2, int_idct2):
-            with pytest.raises(OutOfRange, match="2\\*\\*31"):
-                fn(tiles)
+        with pytest.raises(OutOfRange, match="2\\*\\*31"):
+            fn(tiles)
 
 
-def test_matches_references_on_impulses():
+@DIRECTIONS
+def test_matches_references_on_impulses(direction):
     """One nonzero entry at each of the 64 positions, over values whose
     products with the multipliers land exactly on a rounding half."""
     values = np.concatenate([np.arange(-32, 33),
                              np.outer([1, -1, 3, -3, 5, -5], 2 ** np.arange(8, 16)).ravel()])
     tiles = np.zeros((len(values), 64, 64), np.int64)
     tiles[:, range(64), range(64)] = values[:, None]
-    assert_matches_references(tiles.reshape(-1, 8, 8))
+    assert_matches_references(tiles.reshape(-1, 8, 8), direction)
 
 
-def test_empty_stack():
+@EACH_TRANSFORM
+def test_empty_stack(fn):
     for dtype in (np.uint8, np.int64):
-        empty = np.zeros((0, 8, 8), dtype)
-        for fn in (int_dct2, int_idct2):
-            out = fn(empty)
-            assert out.shape == (0, 8, 8) and out.dtype == np.int64
+        out = fn(np.zeros((0, 8, 8), dtype))
+        assert out.shape == (0, 8, 8) and out.dtype == np.int64
 
 
 def test_range_check_follows_magnitude_only():
