@@ -20,10 +20,10 @@ HILL_PAD = "X"
 
 
 def _check_shift(shift: int) -> int:
-    if not (hasattr(type(shift), "__index__")  # what operator.index takes
-            and 0 <= operator.index(shift) < ALPHABET_SIZE):
+    value = operator.index(shift) if hasattr(type(shift), "__index__") else None
+    if value is None or not 0 <= value < ALPHABET_SIZE:
         raise ValueError(f"caesar shift must be an integer in [0, 25], got {shift!r}")
-    return operator.index(shift)
+    return value
 
 
 # str.translate tables for each shift; they map the ASCII letters only

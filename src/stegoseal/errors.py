@@ -113,7 +113,7 @@ class CapacityExceeded(StegosealError):
 
 class OutOfRange(StegosealError):
     """Pixel index or bit position outside the image, or a transform entry
-    of magnitude 2**31 or more."""
+    of magnitude 2**35 or more."""
 
 
 class EmptyMessage(StegosealError):

@@ -43,14 +43,14 @@ embedded digest.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import digest as _digest
-from .cipher import (caesar_decrypt, caesar_encrypt, hill_decrypt,
-                     hill_encrypt, hill_key_inverse, normalize_letters)
+from .cipher import (_check_shift, caesar_decrypt, caesar_encrypt,
+                     hill_decrypt, hill_encrypt, hill_key_inverse,
+                     normalize_letters)
 from .entropy import (DecodedBlocks, block_stream_bound, decode_blocks,
                       encode_blocks)
 from .errors import EmptyMessage, MalformedBlock, OutOfRange, StegosealError
@@ -93,10 +93,8 @@ class SealConfig:
         if self.cipher == CAESAR:
             if self.hill_key is not None:
                 raise ValueError("hill key given but cipher is caesar")
-            if self.caesar_key is not None and not (
-                    hasattr(type(self.caesar_key), "__index__")  # what operator.index takes
-                    and 0 <= operator.index(self.caesar_key) <= 25):
-                raise ValueError(f"caesar key must be an integer in [0, 25], got {self.caesar_key!r}")
+            if self.caesar_key is not None:
+                _check_shift(self.caesar_key)
             if sealing and self.caesar_key is None:
                 raise ValueError("sealing with the caesar cipher needs caesar_key")
         else:
@@ -143,7 +141,7 @@ def parse_key_text(text: str):
 def _key_text(kind: str, key) -> str:
     """Payload row 1 as seal writes it for `key`, the one form verify accepts."""
     if kind == CAESAR:
-        return str(operator.index(key))
+        return str(_check_shift(key))
     return ",".join(str(v) for v in (np.asarray(key, dtype=np.int64) % 26).ravel())
 
 

@@ -26,9 +26,9 @@ p = (cos t - 1)/sin t and s = sin t, where r rounds the product of an
 integer and a multiplier held to 14 fractional bits. Each shear adds to
 one entry a function of another, so the inverse subtracts the same
 amounts in reverse order, and int_idct2(int_dct2(t)) == t for every
-integer tile whose entries and coefficients are below 2**31 in magnitude;
-both transforms reject larger entries (see below). The rotations are
-orthonormal, so there is no gain. On 8-bit tiles the coefficients differ
+integer tile whose entries and coefficients are below 2**35 in magnitude,
+as for every tile with entries below 2**31 (see below). The rotations
+are orthonormal, so there is no gain. On 8-bit tiles the coefficients differ
 from dct2's by rounding: under 5 for 200 000 random tiles and up to 7
 for some flat ones (the tile of ones has DC 1 against dct2's 8);
 tests/test_transform.py holds its random and adversarial tiles under 7
@@ -56,11 +56,14 @@ The products run in float64 through BLAS, on the matrices divided by
 sum and pre-floor value is one too. The largest pre-floor magnitude is
 7.9999 times the largest entry in int_dct2 and 7.07 times in int_idct2,
 measured on the tiles that maximise each intermediate; for entries below
-2**31 that is below 2**34, and a multiple of 2**-14 below 2**39 fits in
-float64's 53 bits. So every operation is exact, in any summation order
-and with or without fused multiply-add, and floor gives the integer
-result. Both transforms raise OutOfRange on an entry of magnitude 2**31
-or more. The pipeline stays far inside that: seal passes byte tiles, and
+2**35 that is below 2**38, so a partial sum of a shear row, at most two
+such values and the rounding offset, stays below 2**39, and a multiple of
+2**-14 below 2**39 fits in float64's 53 bits. So every operation is exact,
+in any summation order and with or without fused multiply-add, and floor
+gives the integer result. Both transforms raise OutOfRange on an entry of
+magnitude 2**35 or more. A tile with entries below 2**31 has coefficients
+below 8 * 2**31 = 2**34, so int_idct2 takes int_dct2's output back on all
+of them. The pipeline stays far inside that: seal passes byte tiles, and
 the decoder caps an AC value at 2047 and a DC difference at 2047, so a
 decoded DC stays below 2047 * 65 535 < 2**27 even at 65 535 tiles.
 """
@@ -117,7 +120,7 @@ _BITS = 14
 _SOURCE = (0, 7, 3, 4, 1, 5, 2, 6)
 _SIGN = (1, -1, -1, 1, -1, -1, 1, -1)
 # Entries must be below this in magnitude (see above).
-_LIMIT = 1 << 31
+_LIMIT = 1 << 35
 
 
 def _shears(sign: int, half: int) -> tuple:
@@ -175,7 +178,7 @@ def _as_tiles(m, name: str) -> np.ndarray:
     info = np.iinfo(arr.dtype)
     if not (-_LIMIT < info.min and info.max < _LIMIT or not arr.size
             or -_LIMIT < arr.min() and arr.max() < _LIMIT):
-        raise OutOfRange(f"{name} entries must be below 2**31 in magnitude")
+        raise OutOfRange(f"{name} entries must be below 2**35 in magnitude")
     return arr
 
 
@@ -193,7 +196,8 @@ def int_dct2(tiles) -> np.ndarray:
 
 
 def int_idct2(coeffs) -> np.ndarray:
-    """Exact inverse of int_dct2: int_idct2(int_dct2(t)) == t."""
+    """Exact inverse of int_dct2: int_idct2(int_dct2(t)) == t whenever
+    int_dct2(t) is below 2**35 in magnitude, as for any t below 2**31."""
     c = _as_tiles(coeffs, "coeffs")
     n = c.size // (BLOCK * BLOCK)
     y = _with_ones(c.reshape(n, BLOCK, BLOCK).transpose(2, 0, 1))                   # (v, tile, u)
