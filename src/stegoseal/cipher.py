@@ -59,10 +59,16 @@ def normalize_letters(text: str) -> str:
 
 
 def _as_key(key) -> np.ndarray:
-    k = np.asarray(key, dtype=np.int64)
-    if k.shape != (HILL_BLOCK, HILL_BLOCK):
-        raise ValueError(f"hill key must be 3x3, got shape {k.shape}")
-    return k % ALPHABET_SIZE
+    """The key reduced mod 26 as an int64 3x3 array.
+
+    Only integer keys are taken: a float key would be truncated and an
+    integer past int64 would overflow, so each is a ValueError.
+    """
+    k = np.asarray(key)
+    if k.shape != (HILL_BLOCK, HILL_BLOCK) or k.dtype.kind not in "iu":
+        raise ValueError(f"hill key must be a 3x3 integer matrix, got {k.dtype} "
+                         f"of shape {k.shape}")
+    return (k % ALPHABET_SIZE).astype(np.int64)
 
 
 def _adjugate3(k: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ stable contract:
         before the report was written (seal's --out is whole then)
 
 What each command reads: a stream starts at the first pixel in raster
-order and takes at most pipeline.stream_bound bytes, which lsb1 mode
+order and takes at most pipeline.STREAM_BOUND bytes, which lsb1 mode
 spreads over 8 pixels each (11 856 pixels in all). verify and inspect
 read the PGM header and only the first min(width * height, 11 856)
 pixels, the head; the pixel byte count is checked against the file size,
@@ -76,7 +76,7 @@ _VERDICT_CODES = {
 # 8 pixels a byte, the most of either mode. embed and extract work in
 # raster order from pixel 0, so these first pixels, taken as a one-row
 # image, seal and verify exactly as the whole image does.
-_HEAD_PIXELS = 8 * pipeline.stream_bound(pipeline.SealConfig())
+_HEAD_PIXELS = 8 * pipeline.STREAM_BOUND
 
 
 class _UsageError(Exception):
@@ -284,7 +284,7 @@ def _cmd_tamper(args) -> int:
 def _cmd_inspect(args) -> int:
     image = _read_head(args.input)
     try:
-        mode, decoded = pipeline.read_stream(image, pipeline.SealConfig(embed_mode=None))
+        mode, decoded = pipeline.read_stream(image, None)
     except StegosealError:
         print("error=no embedded stream found")
         return EX_UNDECODABLE

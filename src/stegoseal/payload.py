@@ -1,110 +1,71 @@
-"""The 3-row payload block and its 8x8 tiling.
+"""The 384-byte payload block and its 8x8 tiling.
 
-A sealed message travels as a byte matrix D with three rows of equal
-length L (default 128):
+A sealed message travels as one fixed block of 3 rows of 128 bytes each,
+row after row:
 
-    row 0: ciphertext, zero-padded
-    row 1: serialized key text, zero-padded
-    row 2: digest hex text, zero-padded
+    row 0: ciphertext, NUL-padded
+    row 1: serialized key text, NUL-padded
+    row 2: digest hex text, NUL-padded
 
 Byte 0 is reserved for padding and therefore forbidden inside the row
 content, which makes stripping unambiguous.
 
-For the transform stage D is flattened row-major and cut into
-consecutive 64-byte runs, each read row-major as one 8x8 tile: tile k
-holds bytes 64k..64k+63, and byte 8r+c of a run sits at tile[r][c]. With
-the default L=128 that is 384 bytes in 6 tiles, two per row, so each row
-keeps its content in its own tiles and a row's zero padding fills whole
-tiles.
+For the transform stage the block is cut into consecutive 64-byte runs,
+each read row-major as one 8x8 tile: tile k holds bytes 64k..64k+63, and
+byte 8r+c of a run sits at tile[r][c]. That is 6 tiles, two per row, so
+each row keeps its content in its own tiles and a row's padding fills
+whole tiles.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadShape, MalformedBlock, NulInPayload, RowOverflow
 
-DEFAULT_ROW_LENGTH = 128
 ROWS = 3
-TILE = 8
+ROW_LENGTH = 128
+BLOCK_BYTES = ROWS * ROW_LENGTH
+TILES = BLOCK_BYTES // 64
 
 
-@dataclass(frozen=True, eq=False)
-class PayloadBlock:
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.uint8)
-        if rows.ndim != 2 or rows.shape[0] != ROWS or rows.shape[1] < 1:
-            raise MalformedBlock(f"expected a 3xL byte matrix, got shape {rows.shape}")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def row_length(self) -> int:
-        return self.rows.shape[1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PayloadBlock) and np.array_equal(self.rows, other.rows)
-
-
-def _row_bytes(text: str, row: int, limit: int) -> np.ndarray:
+def _row(text: str, row: int) -> bytes:
     data = text.encode("utf-8")
     if b"\x00" in data:
         raise NulInPayload(row)
-    if len(data) > limit:
-        raise RowOverflow(row, len(data), limit)
-    buf = np.zeros(limit, dtype=np.uint8)
-    buf[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-    return buf
+    if len(data) > ROW_LENGTH:
+        raise RowOverflow(row, len(data), ROW_LENGTH)
+    return data.ljust(ROW_LENGTH, b"\x00")
 
 
-def pack(ciphertext: str, key_text: str, digest_hex: str,
-         row_length: int = DEFAULT_ROW_LENGTH) -> PayloadBlock:
-    """Build the 3-row block from ciphertext, key text and digest hex."""
-    rows = np.stack([
-        _row_bytes(ciphertext, 0, row_length),
-        _row_bytes(key_text, 1, row_length),
-        _row_bytes(digest_hex, 2, row_length),
-    ])
-    return PayloadBlock(rows)
+def pack(ciphertext: str, key_text: str, digest_hex: str) -> bytes:
+    """Build the block from ciphertext, key text and digest hex."""
+    return _row(ciphertext, 0) + _row(key_text, 1) + _row(digest_hex, 2)
 
 
-def unpack(block: PayloadBlock) -> tuple[str, str, str]:
-    """Strip trailing zero padding and return (ciphertext, key, digest)."""
-    if not isinstance(block, PayloadBlock):
-        block = PayloadBlock(np.asarray(block))
-    out = []
-    for row in block.rows:
-        nz = np.nonzero(row)[0]
-        data = row[: nz[-1] + 1].tobytes() if nz.size else b""
-        try:
-            out.append(data.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise MalformedBlock(f"row is not valid UTF-8: {exc}") from None
-    return tuple(out)
+def unpack(block: bytes) -> tuple[str, str, str]:
+    """Strip trailing NUL padding and return (ciphertext, key, digest)."""
+    if len(block) != BLOCK_BYTES:
+        raise MalformedBlock(f"expected a {BLOCK_BYTES}-byte block, got {len(block)} bytes")
+    try:
+        return tuple(block[start:start + ROW_LENGTH].rstrip(b"\x00").decode("utf-8")
+                     for start in range(0, BLOCK_BYTES, ROW_LENGTH))
+    except UnicodeDecodeError as exc:
+        raise MalformedBlock(f"row is not valid UTF-8: {exc}") from None
 
 
-def to_tiles(block: PayloadBlock) -> np.ndarray:
-    """Cut the block into 8x8 tiles; returns an array of shape (n, 8, 8).
+def to_tiles(block: bytes) -> np.ndarray:
+    """Cut the block into its 6 tiles, a read-only uint8 array (6, 8, 8).
 
-    Tile k is bytes 64k..64k+63 of the row-major flattened block, so
-    flattening the tiles in order gives the block's bytes back.
+    Tile k is bytes 64k..64k+63 of the block, so flattening the tiles in
+    order gives the block's bytes back.
     """
-    total = block.rows.size
-    if total % (TILE * TILE) != 0:
-        raise BadShape(f"{total} bytes does not divide into 8x8 tiles")
-    return block.rows.reshape(total // (TILE * TILE), TILE, TILE).copy()
+    return np.frombuffer(block, np.uint8).reshape(TILES, 8, 8)
 
 
-def from_tiles(tiles, row_length: int = DEFAULT_ROW_LENGTH) -> PayloadBlock:
-    """Exact inverse of to_tiles for a given row length."""
+def from_tiles(tiles) -> bytes:
+    """Exact inverse of to_tiles for uint8 tiles."""
     arr = np.asarray(tiles)
-    if arr.ndim != 3 or arr.shape[1:] != (TILE, TILE):
-        raise BadShape(f"expected tiles of shape (n, 8, 8), got {arr.shape}")
-    if arr.shape[0] * TILE * TILE != ROWS * row_length:
-        raise BadShape(
-            f"{arr.shape[0]} tiles carry {arr.shape[0] * TILE * TILE} bytes, "
-            f"but 3x{row_length} needs {ROWS * row_length}")
-    return PayloadBlock(arr.reshape(ROWS, row_length).copy())
+    if arr.shape != (TILES, 8, 8):
+        raise BadShape(f"expected tiles of shape ({TILES}, 8, 8), got {arr.shape}")
+    return arr.astype(np.uint8, copy=False).tobytes()

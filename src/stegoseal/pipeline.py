@@ -32,8 +32,8 @@ against the embedded one as an extra tamper signal.
 
 Verify needs no embed mode either: with embed_mode=None it takes the first
 of stego.MODES whose stream decodes and names it in report.mode (the first
-mode when none does). At the default row length at most one can: overwrite
-puts 0x00 in pixel 1, and lsb1 makes pixel 1 odd. Seal needs a mode.
+mode when none does). At most one can: overwrite puts 0x00 in pixel 1,
+and lsb1 makes pixel 1 odd. Seal needs a mode.
 
 With the Hill cipher the protected message is its normalized form
 (uppercase letters only); 'X' padding added for the 3-letter blocks is
@@ -48,14 +48,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import digest as _digest
-from .cipher import (_check_shift, caesar_decrypt, caesar_encrypt,
+from .cipher import (_as_key, _check_shift, caesar_decrypt, caesar_encrypt,
                      hill_decrypt, hill_encrypt, hill_key_inverse,
                      normalize_letters)
 from .entropy import (DecodedBlocks, block_stream_bound, decode_blocks,
                       encode_blocks)
 from .errors import EmptyMessage, MalformedBlock, OutOfRange, StegosealError
-from .payload import (DEFAULT_ROW_LENGTH, ROWS, PayloadBlock, from_tiles,
-                      pack, to_tiles, unpack)
+from .payload import TILES, from_tiles, pack, to_tiles, unpack
 from .pgm import GrayImage
 from .stego import MODES, OVERWRITE, capacity, embed, extract
 from .transform import int_dct2, int_idct2
@@ -63,6 +62,12 @@ from .transform import int_dct2, int_idct2
 CAESAR = "caesar"
 HILL = "hill"
 CIPHERS = (CAESAR, HILL)
+
+# Most bytes a sealed stream can take. Seal writes the stream from the first
+# pixel in raster order, and read_stream reads no byte past this bound, so
+# both touch only the first STREAM_BOUND pixels in overwrite mode and 8 times
+# as many in lsb1 mode.
+STREAM_BOUND = block_stream_bound(TILES)
 
 VERIFIED = "VERIFIED"
 TAMPERED = "TAMPERED"
@@ -77,7 +82,6 @@ class SealConfig:
     caesar_key: int | None = None
     hill_key: object = None
     digest_algorithm: str = _digest.DEFAULT_ALGORITHM
-    row_length: int = DEFAULT_ROW_LENGTH
     embed_mode: str | None = OVERWRITE  # None: verify detects the mode
 
     def validate(self, sealing: bool = False) -> None:
@@ -87,9 +91,6 @@ class SealConfig:
             raise ValueError(f"unknown digest algorithm {self.digest_algorithm!r}")
         if self.embed_mode not in MODES and (sealing or self.embed_mode is not None):
             raise ValueError(f"unknown embed mode {self.embed_mode!r}")
-        if self.row_length < 1 or (ROWS * self.row_length) % 64 != 0:
-            raise ValueError(
-                f"row length {self.row_length} does not tile into 8x8 blocks")
         if self.cipher == CAESAR:
             if self.hill_key is not None:
                 raise ValueError("hill key given but cipher is caesar")
@@ -142,17 +143,16 @@ def _key_text(kind: str, key) -> str:
     """Payload row 1 as seal writes it for `key`, the one form verify accepts."""
     if kind == CAESAR:
         return str(_check_shift(key))
-    return ",".join(str(v) for v in (np.asarray(key, dtype=np.int64) % 26).ravel())
+    return ",".join(str(v) for v in _as_key(key).ravel())
 
 
-def _pack_block(protected: str, kind: str, key, digest_hex: str,
-                row_length: int) -> PayloadBlock:
+def _pack_block(protected: str, kind: str, key, digest_hex: str) -> bytes:
     """The block seal writes for the protected message under `key`."""
     encrypt = caesar_encrypt if kind == CAESAR else hill_encrypt
-    return pack(encrypt(protected, key), _key_text(kind, key), digest_hex, row_length)
+    return pack(encrypt(protected, key), _key_text(kind, key), digest_hex)
 
 
-def _is_sealed_form(block: PayloadBlock, message: str, kind: str, key,
+def _is_sealed_form(block: bytes, message: str, kind: str, key,
                     digest_hex: str) -> bool:
     """Whether `block` is byte for byte what seal writes for `message`.
 
@@ -161,17 +161,17 @@ def _is_sealed_form(block: PayloadBlock, message: str, kind: str, key,
     "16\\t" (a tab after the digits) that still parses as 16.
     """
     try:
-        return _pack_block(message, kind, key, digest_hex, block.row_length) == block
+        return _pack_block(message, kind, key, digest_hex) == block
     except StegosealError:
         return False
 
 
-def _recover_block(coeffs, row_length: int) -> PayloadBlock:
-    """Inverse transform: coefficient tiles back to the 3-row byte block."""
+def _recover_block(coeffs) -> bytes:
+    """Inverse transform: coefficient tiles back to the byte block."""
     tiles = int_idct2(coeffs)
     if (tiles < 0).any() or (tiles > 255).any():
         raise MalformedBlock("reconstructed bytes fall outside [0, 255]")
-    return from_tiles(tiles.astype(np.uint8), row_length)
+    return from_tiles(tiles.astype(np.uint8))
 
 
 def seal(message: str, config: SealConfig, cover: GrayImage) -> GrayImage:
@@ -184,7 +184,7 @@ def seal(message: str, config: SealConfig, cover: GrayImage) -> GrayImage:
     else:
         protected, key = normalize_letters(message), config.hill_key
     digest_hex = _digest.hash_message(protected, config.digest_algorithm).hex
-    block = _pack_block(protected, config.cipher, key, digest_hex, config.row_length)
+    block = _pack_block(protected, config.cipher, key, digest_hex)
 
     tiles = to_tiles(block)
     coeffs = int_dct2(tiles)
@@ -193,34 +193,19 @@ def seal(message: str, config: SealConfig, cover: GrayImage) -> GrayImage:
     return embed(cover, encode_blocks(coeffs), config.embed_mode)
 
 
-def stream_bound(config: SealConfig) -> int:
-    """Most bytes the stream sealed under `config` can take.
+def read_stream(stego: GrayImage, embed_mode: str | None) -> tuple[str, DecodedBlocks]:
+    """Decode the block stream as (mode, stream), from `embed_mode` or, when
+    that is None, from the first of MODES that holds one.
 
-    Seal writes the stream from the first pixel in raster order, and
-    read_stream reads no byte past this bound, so both touch only the
-    first stream_bound pixels in overwrite mode and 8 times as many in
-    lsb1 mode.
-    """
-    return block_stream_bound(_tile_count(config))
-
-
-def _tile_count(config: SealConfig) -> int:
-    return ROWS * config.row_length // 64
-
-
-def read_stream(stego: GrayImage, config: SealConfig) -> tuple[str, DecodedBlocks]:
-    """Decode the block stream as (mode, stream), from `config.embed_mode`
-    or, when that is None, from the first of MODES that holds one.
-
-    Reads at most stream_bound(config) bytes a mode and rejects a header
-    that declares another tile count than the config's block has. Raises
-    the first mode's StegosealError when no such stream decodes.
+    Reads at most STREAM_BOUND bytes a mode and rejects a header that
+    declares another tile count than the block's. Raises the first mode's
+    StegosealError when no such stream decodes.
     """
     first_error = None
-    for mode in MODES if config.embed_mode is None else (config.embed_mode,):
-        length = min(capacity(stego, mode), stream_bound(config))
+    for mode in MODES if embed_mode is None else (embed_mode,):
+        length = min(capacity(stego, mode), STREAM_BOUND)
         try:
-            return mode, decode_blocks(extract(stego, length, mode), _tile_count(config))
+            return mode, decode_blocks(extract(stego, length, mode), TILES)
         except StegosealError as exc:
             first_error = first_error or exc
     try:
@@ -235,8 +220,8 @@ def verify(stego: GrayImage, config: SealConfig | None = None) -> VerificationRe
     config.validate()
     mode = config.embed_mode or MODES[0]
     try:
-        mode, decoded = read_stream(stego, config)
-        block = _recover_block(decoded.coeffs, config.row_length)
+        mode, decoded = read_stream(stego, config.embed_mode)
+        block = _recover_block(decoded.coeffs)
         ciphertext, key_text, embedded_digest = unpack(block)
         kind, key = parse_key_text(key_text)
         message, recomputed = _decrypt_and_hash(ciphertext, kind, key, embedded_digest)

@@ -96,8 +96,8 @@ def test_04_payload_arithmetic():
     block = pack(caesar_encrypt(EXAMPLE_MESSAGE, EXAMPLE_KEY),
                  str(EXAMPLE_KEY), digest_hex)
     tiles = to_tiles(block)
-    ok = block.rows.size == 384 and tiles.shape == (6, 8, 8)
-    assert report(4, ok, f"{block.rows.size} elements in {tiles.shape[0]} 8x8 tiles")
+    ok = len(block) == 384 and tiles.shape == (6, 8, 8)
+    assert report(4, ok, f"{len(block)} elements in {tiles.shape[0]} 8x8 tiles")
 
 
 def test_05_compression_ratio_target(tmp_path, capsys):

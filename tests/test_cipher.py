@@ -154,6 +154,27 @@ def test_singular_examples():
         hill_key_inverse(2 * IDENTITY)  # det 8, shares factor 2 with 26
 
 
+@pytest.mark.parametrize("key", [
+    1.5,
+    1.9 * np.eye(3),
+    [[2**70, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    [[1, 0, 0], [0, 1, 0]],
+], ids=["scalar", "float", "past-int64", "strings", "2x3"])
+def test_hill_key_must_be_a_3x3_integer_matrix(key):
+    """1.9 * I would truncate to the identity and 2**70 overflow int64."""
+    for use in (hill_key_inverse, lambda k: hill_encrypt("ATTACK", k),
+                lambda k: hill_decrypt("ATTACK", k)):
+        with pytest.raises(ValueError, match="3x3 integer matrix"):
+            use(key)
+
+
+def test_hill_key_of_any_integer_dtype_is_reduced_mod_26():
+    key = np.array([[27, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=np.uint8)
+    assert hill_encrypt("BAT", key) == hill_encrypt("BAT", IDENTITY)
+    assert hill_encrypt("BAT", -25 * IDENTITY) == "BAT"
+
+
 # --- hill encrypt / decrypt ---------------------------------------------
 
 

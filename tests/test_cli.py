@@ -221,8 +221,14 @@ def odd_cover(path, width, height):
     return path
 
 
+def test_head_is_the_documented_size():
+    """The module docstring gives the head as 11 856 pixels."""
+    assert cli._HEAD_PIXELS == 8 * pipeline.STREAM_BOUND == 11856
+
+
 @pytest.mark.parametrize("mode", ["overwrite", "lsb1"])
-@pytest.mark.parametrize("size", [(256, 256), (100, 100)])
+@pytest.mark.parametrize("size", [(256, 256), (100, 100),
+                                  (11855, 1), (104, 114), (11857, 1)])  # around _HEAD_PIXELS
 def test_seal_output_equals_library_seal(tmp_path, capsys, mode, size):
     cover = odd_cover(tmp_path / "cover.pgm", *size)
     stego = tmp_path / "stego.pgm"

@@ -6,27 +6,26 @@ import pytest
 
 from stegoseal.errors import (BadShape, MalformedBlock, NulInPayload,
                               RowOverflow)
-from stegoseal.payload import (PayloadBlock, from_tiles, pack, to_tiles,
-                               unpack)
+from stegoseal.payload import from_tiles, pack, to_tiles, unpack
 
 
 def test_pack_has_384_elements_at_defaults():
     block = pack("x" * 28, "16", "f" * 128)
-    assert block.rows.shape == (3, 128)
-    assert block.rows.size == 384
+    assert isinstance(block, bytes)
+    assert len(block) == 384
 
 
 def test_pack_layout():
-    block = pack("AB", "16", "ff", row_length=64)
-    assert bytes(block.rows[0][:2]) == b"AB"
-    assert not block.rows[0][2:].any()
-    assert bytes(block.rows[1][:2]) == b"16"
-    assert bytes(block.rows[2][:2]) == b"ff"
+    block = pack("AB", "16", "ff")
+    assert block[:2] == b"AB"
+    assert block[2:128] == bytes(126)
+    assert block[128:130] == b"16"
+    assert block[256:258] == b"ff"
 
 
 def test_pack_empty_ciphertext():
     block = pack("", "0", "a" * 64)
-    assert not block.rows[0].any()
+    assert block[:128] == bytes(128)
     assert unpack(block) == ("", "0", "a" * 64)
 
 
@@ -66,14 +65,19 @@ def test_unpack_random_round_trip():
 
 
 def test_unpack_all_zero():
-    assert unpack(PayloadBlock(np.zeros((3, 128), np.uint8))) == ("", "", "")
+    assert unpack(bytes(384)) == ("", "", "")
 
 
-def test_two_row_matrix_is_malformed():
-    with pytest.raises(MalformedBlock):
-        PayloadBlock(np.zeros((2, 128), np.uint8))
-    with pytest.raises(MalformedBlock):
-        unpack(np.zeros((2, 128), np.uint8))
+@pytest.mark.parametrize("length", [256, 383, 385])
+def test_unpack_rejects_a_block_of_another_length(length):
+    with pytest.raises(MalformedBlock, match="384-byte"):
+        unpack(bytes(length))
+
+
+def test_unpack_rejects_a_row_that_is_not_utf8():
+    block = pack("caf\u00e9", "16", "ff")
+    with pytest.raises(MalformedBlock, match="UTF-8"):
+        unpack(block[:4] + block[5:] + b"\x00")  # the lead byte of "\u00e9" alone
 
 
 def test_to_tiles_count():
@@ -82,58 +86,46 @@ def test_to_tiles_count():
     assert tiles.shape == (6, 8, 8)
 
 
-def test_to_tiles_bad_shape():
-    block = PayloadBlock(np.zeros((3, 120), np.uint8))  # 360 bytes, not /64
-    with pytest.raises(BadShape):
-        to_tiles(block)
+def test_to_tiles_takes_only_a_whole_block():
+    with pytest.raises(ValueError):
+        to_tiles(bytes(360))
 
 
 def test_tiling_layout_is_row_major_bands():
     # fill with 0..383 so every byte's position is identifiable; tile j is
     # bytes 64j..64j+63 of the flattened block, read row-major
-    data = np.arange(384, dtype=np.uint8).reshape(3, 128)
-    tiles = to_tiles(PayloadBlock(data))
+    data = np.arange(384, dtype=np.uint8).tobytes()
+    tiles = to_tiles(data)
     assert tiles.shape == (6, 8, 8)
     for j in range(6):
         for r in range(8):
             for c in range(8):
-                row, col = divmod(64 * j + 8 * r + c, 128)
-                assert tiles[j, r, c] == data[row, col]
+                assert tiles[j, r, c] == data[64 * j + 8 * r + c]
 
 
 def test_from_tiles_inverts_to_tiles():
     rng = np.random.default_rng(3)
     for _ in range(100):
-        block = PayloadBlock(rng.integers(0, 256, (3, 128), dtype=np.uint8))
+        block = rng.integers(0, 256, 384, dtype=np.uint8).tobytes()
         assert from_tiles(to_tiles(block)) == block
 
 
-def test_round_trip_other_row_lengths():
-    rng = np.random.default_rng(4)
-    for length in (64, 128, 192, 256):
-        block = PayloadBlock(rng.integers(0, 256, (3, length), dtype=np.uint8))
-        tiles = to_tiles(block)
-        assert tiles.shape[0] * 64 == 3 * length
-        assert from_tiles(tiles, length) == block
-
-
 def test_from_tiles_all_zero():
-    # 3 tiles x 64 bytes = 3 rows of 64: the smallest conforming tile count
-    block = from_tiles(np.zeros((3, 8, 8), np.uint8), row_length=64)
-    assert block == PayloadBlock(np.zeros((3, 64), np.uint8))
+    block = from_tiles(np.zeros((6, 8, 8), np.uint8))
+    assert block == bytes(384)
     assert unpack(block) == ("", "", "")
 
 
 def test_from_tiles_wrong_count():
     with pytest.raises(BadShape):
-        from_tiles(np.zeros((5, 8, 8), np.uint8), row_length=128)
+        from_tiles(np.zeros((5, 8, 8), np.uint8))
 
 
 def test_from_tiles_wrong_tile_shape():
     with pytest.raises(BadShape):
-        from_tiles(np.zeros((6, 4, 8), np.uint8), row_length=128)
+        from_tiles(np.zeros((6, 4, 8), np.uint8))
 
 
 def test_element_count_conserved():
     block = pack("abc", "1", "d" * 64)
-    assert to_tiles(block).size == block.rows.size == 384
+    assert to_tiles(block).size == len(block) == 384

@@ -13,10 +13,10 @@ from stegoseal.digest import hash_message
 from stegoseal.entropy import block_stream_bound, encode_blocks
 from stegoseal.errors import (CapacityExceeded, EmptyMessage, OutOfRange,
                               RowOverflow)
-from stegoseal.payload import PayloadBlock, pack, to_tiles
+from stegoseal.payload import pack, to_tiles
 from stegoseal.pgm import GrayImage
-from stegoseal.pipeline import (TAMPERED, UNDECODABLE, VERIFIED, SealConfig,
-                                parse_key_text, read_stream, seal, stream_bound,
+from stegoseal.pipeline import (STREAM_BOUND, TAMPERED, UNDECODABLE, VERIFIED,
+                                SealConfig, parse_key_text, read_stream, seal,
                                 tamper, verify)
 from stegoseal.stego import LSB1, OVERWRITE, capacity, embed, extract
 from stegoseal.transform import int_dct2
@@ -122,8 +122,6 @@ def test_config_validation():
         SealConfig(caesar_key=26).validate()
     with pytest.raises(ValueError):
         SealConfig(caesar_key=3, hill_key=np.eye(3, dtype=int)).validate()
-    with pytest.raises(ValueError):
-        SealConfig(row_length=100).validate()  # 300 bytes does not tile
     from stegoseal.errors import NotInvertible
     with pytest.raises(NotInvertible):
         SealConfig(cipher="hill", hill_key=2 * np.eye(3, dtype=int)).validate()
@@ -157,16 +155,26 @@ def test_numpy_integer_caesar_key_seals_as_an_int(cover):
     assert verify(sealed, SealConfig(caesar_key=np.int64(16))).verdict == VERIFIED
 
 
-def test_stream_bound_follows_the_row_length():
-    """Seal under any row length writes a stream of the block's tile count
-    that fits in stream_bound(config) bytes."""
-    for row_length in (64, 128, 256):
-        config = SealConfig(caesar_key=5, digest_algorithm="sha256", row_length=row_length)
-        tiles = 3 * row_length // 64
-        assert stream_bound(config) == block_stream_bound(tiles)
-        _, stream = read_stream(seal("Seal me", config, make_cover(row_length)), config)
-        assert len(stream.coeffs) == tiles
-        assert stream.consumed <= stream_bound(config)
+@pytest.mark.parametrize("key", [1.9 * np.eye(3), [[2**70, 0, 0], [0, 1, 0], [0, 0, 1]]],
+                         ids=["float", "past-int64"])
+def test_hill_key_must_be_an_integer_matrix(cover, key):
+    """A float key would seal as its truncation, and a key past int64 would
+    raise OverflowError from verify."""
+    config = SealConfig(cipher="hill", hill_key=key)
+    with pytest.raises(ValueError, match="integer matrix"):
+        seal(PAPER_MESSAGE, config, cover)
+    with pytest.raises(ValueError, match="integer matrix"):
+        verify(cover, config)
+
+
+def test_stream_bound_holds_the_sealed_stream():
+    """Seal writes a stream of the block's 6 tiles that fits in STREAM_BOUND
+    bytes."""
+    assert STREAM_BOUND == block_stream_bound(6)
+    config = SealConfig(caesar_key=5, digest_algorithm="sha256")
+    _, stream = read_stream(seal("Seal me", config, make_cover(5)), config.embed_mode)
+    assert len(stream.coeffs) == 6
+    assert stream.consumed <= STREAM_BOUND
 
 
 # --- verify --------------------------------------------------------------
@@ -288,9 +296,8 @@ def test_verify_rejects_blocks_seal_would_not_write(cover):
     digest = hash_message("ATTACKATDAWN").hex
     hill_block = pack(hill_encrypt("ATTACKATDAWN", key), "6,24,1,13,16,10,20,17,15", digest)
     assert verify(embed_block(hill_block, cover)).verdict == VERIFIED
-    rows = hill_block.rows.copy()
-    rows[0, 40] = 1                       # a byte in the ciphertext padding
-    report = verify(embed_block(PayloadBlock(rows), cover))
+    padded = hill_block[:40] + b"\x01" + hill_block[41:]   # a byte in the ciphertext padding
+    report = verify(embed_block(padded, cover))
     assert report.verdict == TAMPERED
     assert report.recovered_message == "ATTACKATDAWN"
     caesar = pack(caesar_encrypt(PAPER_MESSAGE, 16), "16\t", hash_message(PAPER_MESSAGE).hex)
@@ -359,7 +366,7 @@ def test_verify_detects_the_embed_mode(cover, mode):
     sealed = seal(PAPER_MESSAGE, paper_config(embed_mode=mode), cover)
     report = verify(sealed, SealConfig(embed_mode=None))
     assert (report.verdict, report.mode) == (VERIFIED, mode)
-    assert read_stream(sealed, SealConfig(embed_mode=None))[0] == mode
+    assert read_stream(sealed, None)[0] == mode
     assert verify(sealed, paper_config(embed_mode=mode)).mode == mode
 
 
@@ -375,8 +382,7 @@ def test_undetected_mode_reports_the_first_modes_error(cover):
     """With no stream in any mode, verify reports what the first mode's read
     raised, even when a later mode got further."""
     # a 3-tile lsb1 stream: overwrite finds no header, lsb1 the wrong tile count
-    config = paper_config(row_length=64, digest_algorithm="sha256", embed_mode=LSB1)
-    sealed = seal(PAPER_MESSAGE, config, cover)
+    sealed = embed(cover, encode_blocks(np.zeros((3, 8, 8), np.int64)), LSB1)
     reasons = {mode: verify(sealed, SealConfig(embed_mode=mode)).reason for mode in (OVERWRITE, LSB1)}
     assert "expected 6" in reasons[LSB1] and "expected 6" not in reasons[OVERWRITE]
     report = verify(sealed, SealConfig(embed_mode=None))
@@ -419,10 +425,8 @@ def test_verify_never_raises_on_noise():
 
 
 def test_verify_rejects_another_tile_count(cover):
-    # 64-byte rows make a 3-tile stream; the default row length expects 6
-    config = paper_config(row_length=64, digest_algorithm="sha256")
-    sealed = seal(PAPER_MESSAGE, config, cover)
-    assert verify(sealed, config).verdict == VERIFIED
+    # a well-formed 3-tile stream, where the block's 6 tiles are expected
+    sealed = embed(cover, encode_blocks(np.zeros((3, 8, 8), np.int64)), OVERWRITE)
     report = verify(sealed, SealConfig())
     assert report.verdict == UNDECODABLE
     assert "expected 6" in report.reason
