@@ -229,6 +229,17 @@ def test_hill_bad_length():
         hill_decrypt("ABCD", IDENTITY)
 
 
+def test_hill_decrypt_of_no_letters_is_empty():
+    assert hill_decrypt("", IDENTITY) == ""
+    assert hill_decrypt("1 2-3", IDENTITY) == ""
+
+
+def test_hill_decrypt_pad_count_is_0_1_or_2():
+    ct = hill_encrypt("ATTACK", IDENTITY)
+    with pytest.raises(ValueError, match="pad_count must be 0, 1 or 2"):
+        hill_decrypt(ct, IDENTITY, 3)
+
+
 def test_hill_decrypt_identity_key_passthrough():
     assert hill_decrypt("XYZUVW", IDENTITY) == "XYZUVW"
 

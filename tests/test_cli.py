@@ -248,7 +248,27 @@ def test_seal_output_equals_library_seal(tmp_path, capsys, mode, size):
     assert cover.read_bytes() == write_pgm(sealed)
 
 
-@pytest.mark.parametrize("command", ["seal", "verify", "inspect"])
+@pytest.mark.parametrize("size", [(256, 256), (100, 100),
+                                  (11855, 1), (104, 114), (11857, 1)])  # around _HEAD_PIXELS
+def test_tamper_output_equals_library_tamper(tmp_path, capsys, size):
+    cover = odd_cover(tmp_path / "cover.pgm", *size)
+    flipped = tmp_path / "flipped.pgm"
+    original = read_pgm(cover.read_bytes())
+    count = size[0] * size[1]
+    for pixel in sorted({p for p in (0, cli._HEAD_PIXELS - 1, cli._HEAD_PIXELS, count - 1)
+                         if p < count}):
+        assert main(["tamper", "--in", str(cover), "--out", str(flipped),
+                     "--pixel", str(pixel), "--bit", "7"]) == 0
+        out = parse_kv(capsys.readouterr().out)
+        assert (out["pixel"], out["bit"]) == (str(pixel), "7")
+        assert flipped.read_bytes() == write_pgm(pipeline.tamper(original, pixel, 7))
+
+    assert main(["tamper", "--in", str(cover), "--out", str(flipped),
+                 "--pixel", str(count), "--bit", "0"]) == 65
+    assert f"outside {size[0]}x{size[1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["seal", "verify", "tamper", "inspect"])
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_wrong_pixel_count_is_data_error(cover_file, tmp_path, capsys, command, extra):
     data = cover_file.read_bytes()
@@ -257,6 +277,8 @@ def test_wrong_pixel_count_is_data_error(cover_file, tmp_path, capsys, command, 
     argv = [command, "--in", str(bad)]
     if command == "seal":
         argv += ["--out", str(tmp_path / "out.pgm"), "--message", "m", "--key", "1"]
+    if command == "tamper":
+        argv += ["--out", str(tmp_path / "out.pgm"), "--pixel", "0", "--bit", "0"]
     assert main(argv) == 65
     assert not (tmp_path / "out.pgm").exists()
 

@@ -8,7 +8,8 @@ import weakref
 import numpy as np
 import pytest
 
-from stegoseal.cipher import caesar_encrypt, hill_encrypt, normalize_letters
+from stegoseal.cipher import (caesar_decrypt, caesar_encrypt, hill_encrypt,
+                              normalize_letters)
 from stegoseal.digest import hash_message
 from stegoseal.entropy import block_stream_bound, encode_blocks
 from stegoseal.errors import (CapacityExceeded, EmptyMessage, OutOfRange,
@@ -125,6 +126,10 @@ def test_config_validation():
     from stegoseal.errors import NotInvertible
     with pytest.raises(NotInvertible):
         SealConfig(cipher="hill", hill_key=2 * np.eye(3, dtype=int)).validate()
+    with pytest.raises(ValueError, match="sealing with the hill cipher needs hill_key"):
+        SealConfig(cipher="hill").validate(sealing=True)
+    with pytest.raises(ValueError, match="unknown digest algorithm"):
+        SealConfig(digest_algorithm="md5").validate()
 
 
 @pytest.mark.parametrize("config, message", [
@@ -330,6 +335,35 @@ def test_hill_key_row_has_one_valid_form(cover, key_row, verdict):
     key = [[3, 3, 0], [2, 5, 0], [0, 0, 1]]
     block = pack(hill_encrypt(message, key), key_row, hash_message(message).hex)
     assert verify(embed_block(block, cover)).verdict == verdict
+
+
+HILL_KEY_ROW = "3,3,0,2,5,0,0,0,1"
+
+
+@pytest.mark.parametrize("ciphertext, key_row", [
+    (caesar_encrypt(PAPER_MESSAGE, 16), "16"),
+    (hill_encrypt("ATTACKATDAWN", [[3, 3, 0], [2, 5, 0], [0, 0, 1]]), HILL_KEY_ROW),
+], ids=["caesar", "hill"])
+def test_digest_row_of_no_known_length_is_a_mismatch(cover, ciphertext, key_row):
+    """A 63-character digest names no algorithm, so nothing is recomputed."""
+    block = pack(ciphertext, key_row, "a" * 63)
+    report = verify(embed_block(block, cover))
+    assert report.verdict == TAMPERED
+    assert report.reason == "digest mismatch"
+    assert report.recomputed_digest == ""
+
+
+def test_rebuild_that_raises_is_not_the_sealed_form(cover):
+    """Blocks whose message seal refuses: no letters for Hill, a NUL for Caesar."""
+    hill = pack("123", HILL_KEY_ROW, hash_message("").hex)
+    report = verify(embed_block(hill, cover))
+    assert (report.verdict, report.reason) == (TAMPERED, SEALED_FORM)
+
+    ciphertext = "a\x00b"
+    digest = hash_message(caesar_decrypt(ciphertext, 16)).hex
+    caesar = b"".join(row.encode().ljust(128, b"\x00") for row in (ciphertext, "16", digest))
+    report = verify(embed_block(caesar, cover))
+    assert (report.verdict, report.reason) == (TAMPERED, SEALED_FORM)
 
 
 def test_verify_lsb1_locality(cover):
