@@ -98,6 +98,14 @@ def hill_key_inverse(key) -> np.ndarray:
     return (det_inv * adj) % ALPHABET_SIZE
 
 
+def _hill(text: str, matrix: np.ndarray) -> str:
+    """Multiply the letters of `text`, a multiple of 3 of A-Z, as row vectors
+    by `matrix` mod 26."""
+    vals = np.frombuffer(text.encode("ascii"), dtype=np.uint8).astype(np.int64) - 65
+    out = (vals.reshape(-1, HILL_BLOCK) @ matrix) % ALPHABET_SIZE + 65
+    return out.astype(np.uint8).tobytes().decode("ascii")
+
+
 def hill_encrypt(plaintext: str, key) -> str:
     """Encrypt with the Hill cipher: C = P K mod 26 on length-3 row vectors.
 
@@ -109,11 +117,7 @@ def hill_encrypt(plaintext: str, key) -> str:
     text = normalize_letters(plaintext)
     if not text:
         raise EmptyInput("no letters to encrypt after normalization")
-    text += HILL_PAD * hill_pad_count(plaintext)
-    vals = np.frombuffer(text.encode("ascii"), dtype=np.uint8).astype(np.int64) - 65
-    rows = vals.reshape(-1, HILL_BLOCK)
-    enc = (rows @ k) % ALPHABET_SIZE
-    return "".join(chr(v + 65) for v in enc.ravel())
+    return _hill(text + HILL_PAD * hill_pad_count(plaintext), k)
 
 
 def hill_decrypt(ciphertext: str, key, pad_count: int = 0) -> str:
@@ -128,11 +132,8 @@ def hill_decrypt(ciphertext: str, key, pad_count: int = 0) -> str:
         raise BadLength(f"ciphertext has {len(text)} letters, not a multiple of 3")
     if not text:
         return ""
-    k_inv = hill_key_inverse(key)
-    vals = np.frombuffer(text.encode("ascii"), dtype=np.uint8).astype(np.int64) - 65
-    dec = (vals.reshape(-1, HILL_BLOCK) @ k_inv) % ALPHABET_SIZE
-    plain = "".join(chr(v + 65) for v in dec.ravel())
-    return plain[: len(plain) - pad_count] if pad_count else plain
+    plain = _hill(text, hill_key_inverse(key))
+    return plain[: len(plain) - pad_count]
 
 
 def hill_pad_count(plaintext: str) -> int:

@@ -16,11 +16,12 @@ What each command reads: a stream starts at the first pixel in raster
 order and takes at most pipeline.STREAM_BOUND bytes, which lsb1 mode
 spreads over 8 pixels each (11 856 pixels in all). verify and inspect
 read the PGM header and only the first min(width * height, 11 856)
-pixels, the head; the pixel byte count is checked against the file size,
-so a truncated or over-long file is rejected without reading its pixels.
-seal seals the same head, reads the remaining pixels as one buffer, and
-writes the canonical header, the sealed head and that buffer. tamper reads
-and writes whole files.
+pixels, the head. seal and tamper read all the pixels, in one read. Every
+command reads through one helper, which checks the pixel byte count
+against the file size first, so a truncated or over-long file is rejected
+without reading its pixels. seal seals the head and writes the canonical
+header, the sealed head and the remaining pixels as they were read.
+tamper writes the whole image with its one flipped bit.
 
 How seal and tamper write --out: both read all of --in first, so --in may
 name the same file as --out. The output goes to a new file in the
@@ -50,14 +51,13 @@ import functools
 import os
 import stat
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import pipeline, stego
 from .entropy import BLOCK_HEADER_BYTES, BLOCK_TABLE
 from .errors import MalformedBlock, StegosealError
-from .pgm import GrayImage, header, read_pgm, read_pgm_head, write_pgm
+from .pgm import GrayImage, header, read_pgm_head, write_pgm
 
 EX_OK = 0
 EX_TAMPERED = 1
@@ -166,16 +166,14 @@ def _file_errors(action: str, path: str):
         raise _FileError(f"cannot {action} {path}: {exc.strerror or exc}") from None
 
 
-def _read_image(path: str) -> GrayImage:
-    with _file_errors("read", path):
-        data = Path(path).read_bytes()
-    return read_pgm(data)
-
-
-def _read_head(path: str) -> GrayImage:
-    """The first pixels of a PGM file as a one-row image (see _HEAD_PIXELS)."""
+def _read(path: str, limit: int) -> tuple[int, int, bytes]:
+    """(width, height, the first `limit` pixels) of a PGM file; see read_pgm_head."""
     with _file_errors("read", path), open(path, "rb") as f:
-        _, _, pixels = read_pgm_head(f, _HEAD_PIXELS)
+        return read_pgm_head(f, limit)
+
+
+def _head(pixels) -> GrayImage:
+    """The first pixels as a one-row image (see _HEAD_PIXELS)."""
     return GrayImage(len(pixels), 1, pixels)
 
 
@@ -228,25 +226,20 @@ def _replace_file(path: str, chunks) -> None:
 def _config(key_text: str | None, **fields) -> pipeline.SealConfig:
     """A SealConfig with the cipher and key of --key, if given; a key that
     pipeline.parse_key_text rejects is a usage error."""
-    config = pipeline.SealConfig(**fields)
     if key_text is not None:
         try:
-            config.cipher, key = pipeline.parse_key_text(key_text)
+            cipher, key = pipeline.parse_key_text(key_text)
         except MalformedBlock:
             raise _UsageError(f"--key {key_text!r} is neither a caesar shift 0-25 "
                               "nor 9 comma-separated hill entries 0-25") from None
-        if config.cipher == pipeline.CAESAR:
-            config.caesar_key = key
-        else:
-            config.hill_key = key
-    return config
+        fields.update({"cipher": cipher, f"{cipher}_key": key})
+    return pipeline.SealConfig(**fields)
 
 
 def _cmd_seal(args) -> int:
-    with _file_errors("read", args.input), open(args.input, "rb") as f:
-        width, height, pixels = read_pgm_head(f, _HEAD_PIXELS)
-        rest = f.read(width * height - len(pixels))  # before --out, which may be --in
-    cover = GrayImage(len(pixels), 1, pixels)
+    width, height, pixels = _read(args.input, sys.maxsize)  # before --out, which may be --in
+    pixels = memoryview(pixels)
+    cover, rest = _head(pixels[:_HEAD_PIXELS]), pixels[_HEAD_PIXELS:]
     config = _config(args.key, digest_algorithm=args.digest, embed_mode=args.mode)
     if config.cipher != args.cipher:
         raise _UsageError(f"--key is a {config.cipher} key but --cipher is {args.cipher}")
@@ -260,8 +253,8 @@ def _cmd_seal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    image = _read_head(args.input)
-    report = pipeline.verify(image, _config(args.key, embed_mode=None))
+    _, _, pixels = _read(args.input, _HEAD_PIXELS)
+    report = pipeline.verify(_head(pixels), _config(args.key, embed_mode=None))
     print(f"verdict={report.verdict}")
     print(f"mode={report.mode}")
     print(f"message={report.recovered_message}")
@@ -272,7 +265,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tamper(args) -> int:
-    image = _read_image(args.input)
+    image = GrayImage(*_read(args.input, sys.maxsize))
     flipped = pipeline.tamper(image, args.pixel, args.bit)
     _replace_file(args.output, (write_pgm(flipped),))
     print(f"wrote={args.output}")
@@ -282,9 +275,9 @@ def _cmd_tamper(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    image = _read_head(args.input)
+    _, _, pixels = _read(args.input, _HEAD_PIXELS)
     try:
-        mode, decoded = pipeline.read_stream(image, None)
+        mode, decoded = pipeline.read_stream(_head(pixels), None)
     except StegosealError:
         print("error=no embedded stream found")
         return EX_UNDECODABLE

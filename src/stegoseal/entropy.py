@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BadLength, BadShape, CorruptHeader, DanglingBits,
-                     EmptyAlphabet, TruncatedStream, UnknownSymbol)
+                     TruncatedStream, UnknownSymbol)
 
 BLOCK_MAGIC = 0x4A
 
@@ -74,8 +74,7 @@ _ZIGZAG_FLAT = (
     58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
 )
 ZIGZAG_ORDER = tuple(divmod(i, 8) for i in _ZIGZAG_FLAT)
-_ZROWS = np.array([r for r, _ in ZIGZAG_ORDER])
-_ZCOLS = np.array([c for _, c in ZIGZAG_ORDER])
+_UNZIGZAG = np.argsort(_ZIGZAG_FLAT)
 
 
 def zigzag_scan(block) -> np.ndarray:
@@ -83,7 +82,7 @@ def zigzag_scan(block) -> np.ndarray:
     arr = np.asarray(block)
     if arr.shape != (8, 8):
         raise BadShape(f"zigzag scan needs an 8x8 block, got {arr.shape}")
-    return arr[_ZROWS, _ZCOLS].copy()
+    return np.take(arr, _ZIGZAG_FLAT)
 
 
 def zigzag_unscan(seq) -> np.ndarray:
@@ -91,9 +90,7 @@ def zigzag_unscan(seq) -> np.ndarray:
     arr = np.asarray(seq)
     if arr.shape != (64,):
         raise BadLength(f"zigzag unscan needs 64 values, got shape {arr.shape}")
-    out = np.empty((8, 8), dtype=arr.dtype)
-    out[_ZROWS, _ZCOLS] = arr
-    return out
+    return arr[_UNZIGZAG].reshape(8, 8)
 
 
 @dataclass(frozen=True)
@@ -128,7 +125,7 @@ def build_table(frequencies: dict) -> HuffmanTable:
     to the canonical code assignment. A single-symbol alphabet gets "0".
     """
     if not frequencies:
-        raise EmptyAlphabet("no symbols to code")
+        raise ValueError("no symbols to code")
     for sym, count in frequencies.items():
         if count <= 0:
             raise ValueError(f"symbol {sym} has non-positive count {count}")
@@ -194,7 +191,6 @@ _BLOCK_CODE_LENGTHS = {
 BLOCK_TABLE = HuffmanTable.from_lengths(
     {sym: length for length, syms in _BLOCK_CODE_LENGTHS.items() for sym in syms})
 _LONGEST = max(_BLOCK_CODE_LENGTHS)
-_UNZIGZAG = np.argsort(_ZIGZAG_FLAT)
 _WINDOW = 12
 
 

@@ -36,14 +36,8 @@ class RowOverflow(StegosealError):
         self.limit = limit
 
 
-class NulInPayload(RowOverflow):
+class NulInPayload(StegosealError):
     """A payload row contains byte 0, which is reserved for padding."""
-
-    def __init__(self, row):
-        StegosealError.__init__(self, f"row {row} contains a NUL byte")
-        self.row = row
-        self.actual = None
-        self.limit = None
 
 
 class MalformedBlock(StegosealError):
@@ -55,10 +49,6 @@ class BadShape(StegosealError):
 
 
 # --- entropy coding --------------------------------------------------------
-
-class EmptyAlphabet(StegosealError):
-    """Huffman table requested for zero symbols."""
-
 
 class UnknownSymbol(StegosealError):
     """Symbol to encode has no codeword in the table."""

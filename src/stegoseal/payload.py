@@ -32,7 +32,7 @@ TILES = BLOCK_BYTES // 64
 def _row(text: str, row: int) -> bytes:
     data = text.encode("utf-8")
     if b"\x00" in data:
-        raise NulInPayload(row)
+        raise NulInPayload(f"row {row} contains a NUL byte")
     if len(data) > ROW_LENGTH:
         raise RowOverflow(row, len(data), ROW_LENGTH)
     return data.ljust(ROW_LENGTH, b"\x00")

@@ -1,19 +1,21 @@
 """Binary PGM (P5, maxval 255) reading and writing.
 
 The writer always emits the exact header "P5\\n<w> <h>\\n255\\n" followed by
-raw pixel bytes. The readers are tolerant in what the PGM spec allows
+raw pixel bytes. The reader is tolerant in what the PGM spec allows
 (comments and arbitrary whitespace between header tokens) and strict
 about everything else: wrong magic, wrong maxval, missing pixels, or
 trailing bytes are all distinct errors.
 
-read_pgm parses a whole file held in memory. read_pgm_head parses the
-same header from an open file, checks the pixel byte count against the
-file size, and reads only the first pixels the caller asks for, so a
-caller that needs a prefix of the raster never holds the whole image.
-Both share one header parser.
+There is one reader, read_pgm_head. It parses the header of an open file,
+checks the pixel byte count against the file size, and reads only the
+first pixels the caller asks for, so a caller that needs a prefix of the
+raster never holds the whole image. read_pgm runs it over bytes held in
+memory and asks for every pixel.
 """
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 
@@ -108,20 +110,9 @@ def _parse_header(data: bytes) -> tuple[int, int, int]:
     return width, height, pos + 1
 
 
-def _check_pixel_count(expected: int, found: int) -> None:
-    if found < expected:
-        raise TruncatedPixels(f"need {expected} pixel bytes, found {found}")
-    if found > expected:
-        raise TrailingData(f"{found - expected} bytes after the pixel data")
-
-
 def read_pgm(data: bytes) -> GrayImage:
     """Parse binary PGM bytes into a GrayImage."""
-    data = bytes(data)
-    width, height, pos = _parse_header(data)
-    expected = width * height
-    _check_pixel_count(expected, len(data) - pos)
-    return GrayImage(width, height, data[pos:pos + expected])
+    return GrayImage(*read_pgm_head(io.BytesIO(data), len(data)))
 
 
 def read_pgm_head(f, limit: int) -> tuple[int, int, bytes]:
@@ -133,7 +124,7 @@ def read_pgm_head(f, limit: int) -> tuple[int, int, bytes]:
     until it parses, so long comments cost no more than their length. The
     file size is checked against the header before any pixel is read: a
     file with too few or too many pixel bytes raises TruncatedPixels or
-    TrailingData as read_pgm does. `f` must be seekable.
+    TrailingData. `f` must be seekable.
     """
     size = f.seek(0, 2)
     f.seek(0)
@@ -147,9 +138,13 @@ def read_pgm_head(f, limit: int) -> tuple[int, int, bytes]:
             if not more:
                 raise
             data += more
-    _check_pixel_count(width * height, size - offset)
+    expected, found = width * height, size - offset
+    if found < expected:
+        raise TruncatedPixels(f"need {expected} pixel bytes, found {found}")
+    if found > expected:
+        raise TrailingData(f"{found - expected} bytes after the pixel data")
     f.seek(offset)
-    return width, height, f.read(min(limit, width * height))
+    return width, height, f.read(min(limit, expected))
 
 
 def header(width: int, height: int) -> bytes:

@@ -48,9 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import digest as _digest
-from .cipher import (_as_key, _check_shift, caesar_decrypt, caesar_encrypt,
-                     hill_decrypt, hill_encrypt, hill_key_inverse,
-                     normalize_letters)
+from .cipher import (HILL_PAD, _as_key, _check_shift, caesar_decrypt,
+                     caesar_encrypt, hill_decrypt, hill_encrypt,
+                     hill_key_inverse, normalize_letters)
 from .entropy import (DecodedBlocks, block_stream_bound, decode_blocks,
                       encode_blocks)
 from .errors import EmptyMessage, MalformedBlock, OutOfRange, StegosealError
@@ -84,6 +84,11 @@ class SealConfig:
     digest_algorithm: str = _digest.DEFAULT_ALGORITHM
     embed_mode: str | None = OVERWRITE  # None: verify detects the mode
 
+    @property
+    def key(self):
+        """The key of the chosen cipher: caesar_key or hill_key."""
+        return self.caesar_key if self.cipher == CAESAR else self.hill_key
+
     def validate(self, sealing: bool = False) -> None:
         if self.cipher not in CIPHERS:
             raise ValueError(f"unknown cipher {self.cipher!r}")
@@ -91,20 +96,16 @@ class SealConfig:
             raise ValueError(f"unknown digest algorithm {self.digest_algorithm!r}")
         if self.embed_mode not in MODES and (sealing or self.embed_mode is not None):
             raise ValueError(f"unknown embed mode {self.embed_mode!r}")
-        if self.cipher == CAESAR:
-            if self.hill_key is not None:
-                raise ValueError("hill key given but cipher is caesar")
-            if self.caesar_key is not None:
-                _check_shift(self.caesar_key)
-            if sealing and self.caesar_key is None:
-                raise ValueError("sealing with the caesar cipher needs caesar_key")
+        other = HILL if self.cipher == CAESAR else CAESAR
+        if getattr(self, f"{other}_key") is not None:
+            raise ValueError(f"{other} key given but cipher is {self.cipher}")
+        if self.key is None:
+            if sealing:
+                raise ValueError(f"sealing with the {self.cipher} cipher needs {self.cipher}_key")
+        elif self.cipher == CAESAR:
+            _check_shift(self.key)
         else:
-            if self.caesar_key is not None:
-                raise ValueError("caesar key given but cipher is hill")
-            if sealing and self.hill_key is None:
-                raise ValueError("sealing with the hill cipher needs hill_key")
-            if self.hill_key is not None:
-                hill_key_inverse(self.hill_key)  # raises NotInvertible early
+            hill_key_inverse(self.key)  # raises NotInvertible early
 
 
 @dataclass
@@ -179,12 +180,9 @@ def seal(message: str, config: SealConfig, cover: GrayImage) -> GrayImage:
     if not message:
         raise EmptyMessage("refusing to seal an empty message")
     config.validate(sealing=True)
-    if config.cipher == CAESAR:
-        protected, key = message, config.caesar_key
-    else:
-        protected, key = normalize_letters(message), config.hill_key
+    protected = message if config.cipher == CAESAR else normalize_letters(message)
     digest_hex = _digest.hash_message(protected, config.digest_algorithm).hex
-    block = _pack_block(protected, config.cipher, key, digest_hex)
+    block = _pack_block(protected, config.cipher, config.key, digest_hex)
 
     tiles = to_tiles(block)
     coeffs = int_dct2(tiles)
@@ -259,27 +257,19 @@ def _decrypt_and_hash(ciphertext: str, kind: str, key, embedded_digest: str):
     verification works whatever algorithm the sealer chose.
     """
     algorithm = _digest.algorithm_for_hex_length(len(embedded_digest))
-    if kind == CAESAR:
-        message = caesar_decrypt(ciphertext, key)
-        if algorithm is None:
-            return message, ""
-        return message, _digest.hash_message(message, algorithm).hex
-    full = hill_decrypt(ciphertext, key)
+    decrypt, pads = (caesar_decrypt, (0,)) if kind == CAESAR else (hill_decrypt, (0, 1, 2))
+    full = decrypt(ciphertext, key)
     if algorithm is None:
         return full, ""
-    candidates = [full]
-    if full.endswith("X"):
-        candidates.append(full[:-1])
-    if full.endswith("XX"):
-        candidates.append(full[:-2])
-    for candidate in candidates:
-        recomputed = _digest.hash_message(candidate, algorithm).hex
-        if recomputed == embedded_digest:
-            return candidate, recomputed
+    for pad in pads:
+        if full.endswith(HILL_PAD * pad):
+            candidate = full[:len(full) - pad]
+            recomputed = _digest.hash_message(candidate, algorithm).hex
+            if recomputed == embedded_digest:
+                return candidate, recomputed
     return full, _digest.hash_message(full, algorithm).hex
 
 
 def _expected_key_matches(config: SealConfig, kind: str, key) -> bool:
-    expected = config.caesar_key if config.cipher == CAESAR else config.hill_key
-    return expected is None or (
-        (config.cipher, _key_text(config.cipher, expected)) == (kind, _key_text(kind, key)))
+    return config.key is None or (
+        (config.cipher, _key_text(config.cipher, config.key)) == (kind, _key_text(kind, key)))

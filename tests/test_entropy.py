@@ -15,8 +15,8 @@ from stegoseal.entropy import (BLOCK_MAGIC, BLOCK_TABLE, DC_SYMBOL, EOB,
                                build_table, decode_blocks, decode_prefix,
                                encode_blocks, zigzag_scan, zigzag_unscan)
 from stegoseal.errors import (BadLength, BadShape, CorruptHeader,
-                              DanglingBits, EmptyAlphabet, StegosealError,
-                              TruncatedStream, UnknownSymbol)
+                              DanglingBits, StegosealError, TruncatedStream,
+                              UnknownSymbol)
 from stegoseal.payload import pack, to_tiles
 from stegoseal.transform import int_dct2
 
@@ -102,7 +102,7 @@ def test_uniform_four_symbols():
 
 
 def test_empty_alphabet():
-    with pytest.raises(EmptyAlphabet):
+    with pytest.raises(ValueError):
         build_table({})
 
 

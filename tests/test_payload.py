@@ -38,9 +38,7 @@ def test_pack_overflow():
 
 
 def test_pack_rejects_nul():
-    with pytest.raises(NulInPayload):
-        pack("a\x00b", "16", "ff")
-    with pytest.raises(RowOverflow):  # NulInPayload is a RowOverflow variant
+    with pytest.raises(NulInPayload, match="row 0 contains a NUL byte"):
         pack("a\x00b", "16", "ff")
 
 
