@@ -99,8 +99,7 @@ def hill_key_inverse(key) -> np.ndarray:
 
 
 def _hill(text: str, matrix: np.ndarray) -> str:
-    """Multiply the letters of `text`, a multiple of 3 of A-Z, as row vectors
-    by `matrix` mod 26."""
+    """`text`, letters A-Z in rows of 3, times `matrix` mod 26, as letters."""
     vals = np.frombuffer(text.encode("ascii"), dtype=np.uint8).astype(np.int64) - 65
     out = (vals.reshape(-1, HILL_BLOCK) @ matrix) % ALPHABET_SIZE + 65
     return out.astype(np.uint8).tobytes().decode("ascii")
