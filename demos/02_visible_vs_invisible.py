@@ -11,7 +11,7 @@ import numpy as np
 
 from stegoseal import GrayImage, SealConfig, seal, verify, write_pgm
 from stegoseal import stego
-from stegoseal.entropy import BLOCK_MAGIC, decode_prefix
+from stegoseal.entropy import BLOCK_MAGIC, decode_blocks
 
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
@@ -29,7 +29,7 @@ for mode in ("overwrite", "lsb1"):
 
     delta = sealed.pixels.astype(int) - cover.pixels.astype(int)
     data = stego.extract(sealed, stego.capacity(sealed, mode), mode)
-    _, _, consumed = decode_prefix(data)
+    consumed = decode_blocks(data).consumed
     pixels_used = consumed if mode == "overwrite" else 8 * consumed
 
     print(f"mode {mode}:")

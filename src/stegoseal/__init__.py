@@ -8,7 +8,7 @@ image. Verification reverses every step and reports VERIFIED, TAMPERED or
 UNDECODABLE.
 """
 
-from .digest import DigestHex, hash_message
+from .digest import hash_message
 from .errors import StegosealError
 from .pgm import GrayImage, read_pgm, write_pgm
 from .pipeline import (CAESAR, HILL, TAMPERED, UNDECODABLE, VERIFIED,
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CAESAR", "HILL", "LSB1", "OVERWRITE", "TAMPERED", "UNDECODABLE",
-    "VERIFIED", "DigestHex", "GrayImage", "SealConfig", "StegosealError",
+    "VERIFIED", "GrayImage", "SealConfig", "StegosealError",
     "VerificationReport", "capacity", "embed", "extract", "hash_message",
     "read_pgm", "seal", "tamper", "verify", "write_pgm",
 ]

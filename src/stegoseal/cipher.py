@@ -116,7 +116,7 @@ def hill_encrypt(plaintext: str, key) -> str:
     text = normalize_letters(plaintext)
     if not text:
         raise EmptyInput("no letters to encrypt after normalization")
-    return _hill(text + HILL_PAD * hill_pad_count(plaintext), k)
+    return _hill(text + HILL_PAD * (-len(text) % HILL_BLOCK), k)
 
 
 def hill_decrypt(ciphertext: str, key, pad_count: int = 0) -> str:

@@ -55,6 +55,7 @@ import sys
 import numpy as np
 
 from . import pipeline, stego
+from .digest import ALGORITHMS, DEFAULT_ALGORITHM
 from .entropy import BLOCK_HEADER_BYTES, BLOCK_TABLE
 from .errors import MalformedBlock, StegosealError
 from .pgm import GrayImage, header, read_pgm_head, write_pgm
@@ -88,7 +89,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per process: building one costs far more than parsing with
+    it, mostly in the help formatter's terminal-size queries."""
     parser = _Parser(prog="stegoseal",
                      description="Seal, verify and inspect messages in PGM images.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -101,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="caesar: shift 0-25; hill: 9 comma-separated entries")
     seal.add_argument("--cipher", choices=pipeline.CIPHERS, default=pipeline.CAESAR)
     seal.add_argument("--mode", choices=stego.MODES, default=stego.OVERWRITE)
-    seal.add_argument("--digest", choices=("sha256", "sha512"), default="sha512")
+    seal.add_argument("--digest", choices=ALGORITHMS, default=DEFAULT_ALGORITHM)
 
     verify = sub.add_parser("verify", help="check a sealed image and print the report")
     verify.add_argument("--in", dest="input", required=True, metavar="STEGO.pgm")
@@ -120,15 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """One parser per process: building one costs far more than parsing with
-    it, mostly in the help formatter's terminal-size queries."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    parser = _parser()
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -1,37 +1,28 @@
 """Message digests used as the integrity witness.
 
 Backed by hashlib; correctness is pinned by published FIPS 180 test
-vectors in the test suite. The sealing pipeline defaults to SHA-512 so the
-hex digest fills a whole 128-byte payload row.
+vectors in the test suite. hash_message returns the digest as lowercase
+hex text, which is what the payload block stores. The sealing pipeline
+defaults to SHA-512 so the hex digest fills a whole 128-byte payload row.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 ALGORITHMS = ("sha256", "sha512")
-HEX_LENGTH = {"sha256": 64, "sha512": 128}
 DEFAULT_ALGORITHM = "sha512"
+_BY_HEX_LENGTH = {2 * hashlib.new(name).digest_size: name for name in ALGORITHMS}
 
 
-@dataclass(frozen=True)
-class DigestHex:
-    algorithm: str
-    hex: str
-
-
-def hash_message(message: bytes | str, algorithm: str = DEFAULT_ALGORITHM) -> DigestHex:
+def hash_message(message: bytes | str, algorithm: str = DEFAULT_ALGORITHM) -> str:
     """Hash `message` (str means UTF-8 bytes) and return lowercase hex."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unsupported digest algorithm {algorithm!r}")
     data = message.encode("utf-8") if isinstance(message, str) else bytes(message)
-    return DigestHex(algorithm, hashlib.new(algorithm, data).hexdigest())
+    return hashlib.new(algorithm, data).hexdigest()
 
 
 def algorithm_for_hex_length(n: int) -> str | None:
     """Map a hex digest length back to its algorithm, or None."""
-    for name, length in HEX_LENGTH.items():
-        if length == n:
-            return name
-    return None
+    return _BY_HEX_LENGTH.get(n)

@@ -37,12 +37,12 @@ decoder keeps the next bits of the stream in an integer and indexes a
 zlib's inflate and libjpeg do. An entry gives the symbol, its code
 length, its amplitude size and, when code and amplitude both fit in the
 12 bits, the signed amplitude, so most symbols cost one lookup. The
-codes longer than 12 bits (a few rare symbols) fall back to a canonical
-first-code search over lengths 13-18 (Moffat & Turpin, "On the
-implementation of minimum redundancy prefix codes", IEEE Trans. Commun.
-1997). Its checks run in a fixed order: truncation of a code, then the
-kind of the symbol and its run, then truncation of an amplitude, then
-the padding.
+codes longer than 12 bits (a few rare symbols) fall back to a map from
+codeword, with its length, to symbol, which the decoder probes with the
+stream's next 13, 14, ... 18 bits; as the code is prefix-free, the
+first hit is the only one. Its checks run in a fixed order: truncation
+of a code, then the kind of the symbol and its run, then truncation of
+an amplitude, then the padding.
 
 How BLOCK_TABLE was derived: the symbols of 1000 sealed blocks were
 counted, and every symbol of the alphabet was counted once more so that
@@ -98,10 +98,6 @@ class HuffmanTable:
     """Prefix-free map from integer symbols to bit-string codewords."""
 
     codes: dict
-
-    @property
-    def lengths(self) -> dict:
-        return {sym: len(code) for sym, code in self.codes.items()}
 
     @classmethod
     def from_lengths(cls, lengths: dict) -> "HuffmanTable":
@@ -238,28 +234,19 @@ def _tokens() -> list:
     return table
 
 
-def _long_codes() -> tuple:
-    """(length, first code, end code, symbols) of each code length beyond
-    the window, for the canonical first-code search of Moffat & Turpin."""
-    by_length = {}     # canonical codes of one length are consecutive from the first
-    for sym, code in sorted(BLOCK_TABLE.codes.items(), key=lambda kv: (len(kv[1]), kv[0])):
-        if len(code) > _WINDOW:
-            by_length.setdefault(len(code), (int(code, 2), []))[1].append(sym)
-    return tuple((length, first, first + len(symbols), tuple(symbols))
-                 for length, (first, symbols) in by_length.items())
-
-
 _TOKENS = _tokens()
-_LONG_CODES = _long_codes()
+# Codes longer than the window, keyed by the codeword with a 1 bit in front.
+_LONG_CODES = {int("1" + code, 2): sym
+               for sym, code in BLOCK_TABLE.codes.items() if len(code) > _WINDOW}
 
 
 def _long_token(acc: int, have: int) -> tuple:
     """Token of the code longer than the window at the top of the `have`
-    low bits of acc, found by the canonical first-code search."""
-    for length, first, end, symbols in _LONG_CODES:
-        code = (acc >> (have - length)) & ((1 << length) - 1)
-        if code < end:
-            sym = symbols[code - first]
+    low bits of acc: its one 13-18 bit prefix that is a code."""
+    top = (acc >> (have - _LONGEST)) & ((1 << _LONGEST) - 1) | (1 << _LONGEST)
+    for length in range(_WINDOW + 1, _LONGEST + 1):
+        sym = _LONG_CODES.get(top >> (_LONGEST - length))
+        if sym is not None:
             return sym, length, _size(sym), None
     raise AssertionError("BLOCK_TABLE is a complete code")
 

@@ -181,7 +181,7 @@ def seal(message: str, config: SealConfig, cover: GrayImage) -> GrayImage:
         raise EmptyMessage("refusing to seal an empty message")
     config.validate(sealing=True)
     protected = message if config.cipher == CAESAR else normalize_letters(message)
-    digest_hex = _digest.hash_message(protected, config.digest_algorithm).hex
+    digest_hex = _digest.hash_message(protected, config.digest_algorithm)
     block = _pack_block(protected, config.cipher, config.key, digest_hex)
 
     tiles = to_tiles(block)
@@ -257,17 +257,16 @@ def _decrypt_and_hash(ciphertext: str, kind: str, key, embedded_digest: str):
     verification works whatever algorithm the sealer chose.
     """
     algorithm = _digest.algorithm_for_hex_length(len(embedded_digest))
-    decrypt, pads = (caesar_decrypt, (0,)) if kind == CAESAR else (hill_decrypt, (0, 1, 2))
+    decrypt, pads = (caesar_decrypt, ()) if kind == CAESAR else (hill_decrypt, (1, 2))
     full = decrypt(ciphertext, key)
     if algorithm is None:
         return full, ""
-    for pad in pads:
-        if full.endswith(HILL_PAD * pad):
-            candidate = full[:len(full) - pad]
-            recomputed = _digest.hash_message(candidate, algorithm).hex
-            if recomputed == embedded_digest:
-                return candidate, recomputed
-    return full, _digest.hash_message(full, algorithm).hex
+    recomputed = _digest.hash_message(full, algorithm)
+    if recomputed != embedded_digest:
+        for candidate in (full[:-pad] for pad in pads if full.endswith(HILL_PAD * pad)):
+            if _digest.hash_message(candidate, algorithm) == embedded_digest:
+                return candidate, embedded_digest
+    return full, recomputed
 
 
 def _expected_key_matches(config: SealConfig, kind: str, key) -> bool:

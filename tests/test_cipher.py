@@ -219,6 +219,16 @@ def test_hill_normalizes_input():
     assert hill_encrypt("a b-c!", k) == hill_encrypt("ABC", k)
 
 
+def test_hill_encrypt_normalizes_once(monkeypatch):
+    import stegoseal.cipher as cipher
+    calls = []
+    normalize = cipher.normalize_letters
+    monkeypatch.setattr(cipher, "normalize_letters",
+                        lambda text: calls.append(text) or normalize(text))
+    assert cipher.hill_encrypt("Attack soon", IDENTITY) == "ATTACKSOONXX"
+    assert calls == ["Attack soon"]
+
+
 def test_hill_empty_input():
     with pytest.raises(EmptyInput):
         hill_encrypt("123 !?", IDENTITY)

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from stegoseal.digest import (DigestHex, algorithm_for_hex_length,
-                              hash_message)
+from stegoseal.digest import algorithm_for_hex_length, hash_message
 
 # Published FIPS 180 example digests (empty string, one block, two block,
 # and the million-a message).
@@ -39,17 +38,17 @@ SHA512_VECTORS = [
 
 @pytest.mark.parametrize("message,expected", SHA256_VECTORS)
 def test_sha256_vectors(message, expected):
-    assert hash_message(message, "sha256") == DigestHex("sha256", expected)
+    assert hash_message(message, "sha256") == expected
 
 
 @pytest.mark.parametrize("message,expected", SHA512_VECTORS)
 def test_sha512_vectors(message, expected):
-    assert hash_message(message, "sha512") == DigestHex("sha512", expected)
+    assert hash_message(message, "sha512") == expected
 
 
 def test_hex_lengths():
-    assert len(hash_message(b"x", "sha256").hex) == 64
-    assert len(hash_message(b"x", "sha512").hex) == 128
+    assert len(hash_message(b"x", "sha256")) == 64
+    assert len(hash_message(b"x", "sha512")) == 128
 
 
 def test_str_input_is_utf8():
@@ -58,12 +57,12 @@ def test_str_input_is_utf8():
 
 
 def test_default_algorithm_is_sha512():
-    assert hash_message(b"x").algorithm == "sha512"
+    assert hash_message(b"x") == hash_message(b"x", "sha512")
 
 
 def test_determinism():
     for _ in range(3):
-        assert hash_message(b"same input").hex == hash_message(b"same input").hex
+        assert hash_message(b"same input") == hash_message(b"same input")
 
 
 def test_unknown_algorithm():
@@ -85,9 +84,9 @@ def test_avalanche_mean_bit_change():
         n = 1000
         for _ in range(n):
             data = bytearray(rng.randbytes(rng.randint(1, 64)))
-            a = int(hash_message(bytes(data), algorithm).hex, 16)
+            a = int(hash_message(bytes(data), algorithm), 16)
             pos = rng.randrange(len(data) * 8)
             data[pos // 8] ^= 1 << (pos % 8)
-            b = int(hash_message(bytes(data), algorithm).hex, 16)
+            b = int(hash_message(bytes(data), algorithm), 16)
             total += bin(a ^ b).count("1") / bits
         assert total / n >= 0.30

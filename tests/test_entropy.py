@@ -90,10 +90,9 @@ def test_single_symbol_code():
 
 def test_three_symbol_lengths():
     table = build_table({0: 3, 1: 1, 2: 1})
-    lengths = table.lengths
-    assert lengths[0] == 1
-    assert lengths[1] == 2
-    assert lengths[2] == 2
+    assert len(table.codes[0]) == 1
+    assert len(table.codes[1]) == 2
+    assert len(table.codes[2]) == 2
 
 
 def test_uniform_four_symbols():
@@ -332,10 +331,10 @@ def test_block_table_matches_its_derivation():
     for i in range(1000):
         message = "".join(rng.choice(chars) for _ in range(rng.randint(1, 120)))
         key = rng.randrange(26)
-        digest = hash_message(message, ("sha256", "sha512")[i % 2]).hex
+        digest = hash_message(message, ("sha256", "sha512")[i % 2])
         block = pack(caesar_encrypt(message, key), str(key), digest)
         counts.update(decode_blocks(encode_blocks(int_dct2(to_tiles(block)))).symbols)
-    assert build_table(counts).lengths == BLOCK_TABLE.lengths
+    assert build_table(counts) == BLOCK_TABLE
 
 
 # --- block stream: header, amplitude and padding details ---------------------
@@ -490,10 +489,11 @@ def test_concatenated_streams_are_self_delimiting():
     rng = np.random.default_rng(48)
     first = encode_blocks(random_coefficient_tiles(rng, 4))
     second = encode_blocks(random_coefficient_tiles(rng, 2))
-    symbols, _, consumed = decode_prefix(first + second)
-    assert consumed == len(first)
-    assert symbols == decode_blocks(first).symbols
-    assert decode_prefix((first + second)[consumed:])[0] == decode_blocks(second).symbols
+    decoded = decode_blocks(first + second)
+    assert decoded.consumed == len(first)
+    assert decoded.symbols == decode_blocks(first).symbols
+    assert (decode_blocks((first + second)[decoded.consumed:]).symbols
+            == decode_blocks(second).symbols)
 
 
 def test_skewed_payload_block_compresses():

@@ -103,6 +103,10 @@ def test_gray_image_tobytes_row_major():
     assert img.pixels[1, 0] == 3
 
 
+def test_gray_image_repr_gives_its_size():
+    assert repr(GrayImage(3, 2, bytes(6))) == "GrayImage(3x2)"
+
+
 class CountingFile(io.BytesIO):
     """An in-memory file that counts the bytes read from it."""
 

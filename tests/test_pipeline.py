@@ -11,7 +11,7 @@ import pytest
 from stegoseal.cipher import (caesar_decrypt, caesar_encrypt, hill_encrypt,
                               normalize_letters)
 from stegoseal.digest import hash_message
-from stegoseal.entropy import block_stream_bound, encode_blocks
+from stegoseal.entropy import block_stream_bound, decode_blocks, encode_blocks
 from stegoseal.errors import (CapacityExceeded, EmptyMessage, OutOfRange,
                               RowOverflow)
 from stegoseal.payload import pack, to_tiles
@@ -32,10 +32,7 @@ def paper_config(**overrides):
 
 
 def stream_length(image, mode=OVERWRITE):
-    from stegoseal.entropy import decode_prefix
-    data = extract(image, capacity(image, mode), mode)
-    _, _, consumed = decode_prefix(data)
-    return consumed
+    return decode_blocks(extract(image, capacity(image, mode), mode)).consumed
 
 
 # --- seal ----------------------------------------------------------------
@@ -298,14 +295,14 @@ def embed_block(block, cover):
 
 def test_verify_rejects_blocks_seal_would_not_write(cover):
     key = [[6, 24, 1], [13, 16, 10], [20, 17, 15]]
-    digest = hash_message("ATTACKATDAWN").hex
+    digest = hash_message("ATTACKATDAWN")
     hill_block = pack(hill_encrypt("ATTACKATDAWN", key), "6,24,1,13,16,10,20,17,15", digest)
     assert verify(embed_block(hill_block, cover)).verdict == VERIFIED
     padded = hill_block[:40] + b"\x01" + hill_block[41:]   # a byte in the ciphertext padding
     report = verify(embed_block(padded, cover))
     assert report.verdict == TAMPERED
     assert report.recovered_message == "ATTACKATDAWN"
-    caesar = pack(caesar_encrypt(PAPER_MESSAGE, 16), "16\t", hash_message(PAPER_MESSAGE).hex)
+    caesar = pack(caesar_encrypt(PAPER_MESSAGE, 16), "16\t", hash_message(PAPER_MESSAGE))
     assert verify(embed_block(caesar, cover)).verdict == TAMPERED
 
 
@@ -319,7 +316,7 @@ SEALED_FORM = "block differs from the one seal writes for its message"
 ])
 def test_caesar_key_row_has_one_valid_form(cover, key_row, verdict):
     """Every spelling int() accepts for key 16, but only seal's verifies."""
-    block = pack(caesar_encrypt(PAPER_MESSAGE, 16), key_row, hash_message(PAPER_MESSAGE).hex)
+    block = pack(caesar_encrypt(PAPER_MESSAGE, 16), key_row, hash_message(PAPER_MESSAGE))
     report = verify(embed_block(block, cover))
     assert report.verdict == verdict
     assert report.reason == ("" if verdict == VERIFIED else SEALED_FORM)
@@ -333,7 +330,7 @@ def test_caesar_key_row_has_one_valid_form(cover, key_row, verdict):
 def test_hill_key_row_has_one_valid_form(cover, key_row, verdict):
     message = normalize_letters(PAPER_MESSAGE)
     key = [[3, 3, 0], [2, 5, 0], [0, 0, 1]]
-    block = pack(hill_encrypt(message, key), key_row, hash_message(message).hex)
+    block = pack(hill_encrypt(message, key), key_row, hash_message(message))
     assert verify(embed_block(block, cover)).verdict == verdict
 
 
@@ -353,14 +350,27 @@ def test_digest_row_of_no_known_length_is_a_mismatch(cover, ciphertext, key_row)
     assert report.recomputed_digest == ""
 
 
+def test_digest_mismatch_hashes_the_message_once(cover, monkeypatch):
+    import stegoseal.digest as digest
+    block = pack(caesar_encrypt(PAPER_MESSAGE, 16), "16", hash_message("another message"))
+    sealed = embed_block(block, cover)
+    calls = []
+    monkeypatch.setattr(digest, "hash_message",
+                        lambda *args: calls.append(args) or hash_message(*args))
+    report = verify(sealed)
+    assert (report.verdict, report.reason) == (TAMPERED, "digest mismatch")
+    assert report.recomputed_digest == hash_message(PAPER_MESSAGE)
+    assert calls == [(PAPER_MESSAGE, "sha512")]
+
+
 def test_rebuild_that_raises_is_not_the_sealed_form(cover):
     """Blocks whose message seal refuses: no letters for Hill, a NUL for Caesar."""
-    hill = pack("123", HILL_KEY_ROW, hash_message("").hex)
+    hill = pack("123", HILL_KEY_ROW, hash_message(""))
     report = verify(embed_block(hill, cover))
     assert (report.verdict, report.reason) == (TAMPERED, SEALED_FORM)
 
     ciphertext = "a\x00b"
-    digest = hash_message(caesar_decrypt(ciphertext, 16)).hex
+    digest = hash_message(caesar_decrypt(ciphertext, 16))
     caesar = b"".join(row.encode().ljust(128, b"\x00") for row in (ciphertext, "16", digest))
     report = verify(embed_block(caesar, cover))
     assert (report.verdict, report.reason) == (TAMPERED, SEALED_FORM)

@@ -94,6 +94,11 @@ def test_extract_capacity_check():
         extract(make_cover(8), 65537, OVERWRITE)
 
 
+def test_extract_rejects_a_negative_length():
+    with pytest.raises(ValueError, match="length must be non-negative"):
+        extract(make_cover(8), -1, OVERWRITE)
+
+
 def test_embed_does_not_touch_suffix():
     cover = make_cover(9)
     payload = bytes(200)
