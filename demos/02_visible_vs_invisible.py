@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from stegoseal import GrayImage, SealConfig, seal, verify, write_pgm
-from stegoseal import stego
-from stegoseal.entropy import BLOCK_MAGIC, decode_blocks
+from stegoseal import pipeline, stego
+from stegoseal.entropy import BLOCK_MAGIC
 
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
@@ -28,9 +28,8 @@ for mode in ("overwrite", "lsb1"):
     (OUT / f"sealed_{mode}.pgm").write_bytes(write_pgm(sealed))
 
     delta = sealed.pixels.astype(int) - cover.pixels.astype(int)
-    data = stego.extract(sealed, stego.capacity(sealed, mode), mode)
-    consumed = decode_blocks(data).consumed
-    pixels_used = consumed if mode == "overwrite" else 8 * consumed
+    consumed = pipeline.read_stream(sealed, mode)[1].consumed
+    pixels_used = stego.pixels_for(consumed, mode)
 
     print(f"mode {mode}:")
     print(f"  stream size          {consumed} bytes -> {pixels_used} pixels")

@@ -73,11 +73,11 @@ _VERDICT_CODES = {
     pipeline.UNDECODABLE: EX_UNDECODABLE,
 }
 
-# Seal and verify touch no pixel past the stream's bound, and lsb1 spends
-# 8 pixels a byte, the most of either mode. embed and extract work in
-# raster order from pixel 0, so these first pixels, taken as a one-row
-# image, seal and verify exactly as the whole image does.
-_HEAD_PIXELS = 8 * pipeline.STREAM_BOUND
+# Seal and verify touch no pixel past the stream's bound in the mode that
+# spends the most pixels on it. embed and extract work in raster order from
+# pixel 0, so these first pixels, taken as a one-row image, seal and verify
+# exactly as the whole image does.
+_HEAD_PIXELS = max(stego.pixels_for(pipeline.STREAM_BOUND, m) for m in stego.MODES)
 
 
 class _UsageError(Exception):
@@ -98,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     seal = sub.add_parser("seal", help="embed a sealed message into a cover image")
+    seal.set_defaults(run=_cmd_seal)
     seal.add_argument("--in", dest="input", required=True, metavar="COVER.pgm")
     seal.add_argument("--out", dest="output", required=True, metavar="STEGO.pgm")
     seal.add_argument("--message", required=True)
@@ -108,17 +109,20 @@ def build_parser() -> argparse.ArgumentParser:
     seal.add_argument("--digest", choices=ALGORITHMS, default=DEFAULT_ALGORITHM)
 
     verify = sub.add_parser("verify", help="check a sealed image and print the report")
+    verify.set_defaults(run=_cmd_verify)
     verify.add_argument("--in", dest="input", required=True, metavar="STEGO.pgm")
     verify.add_argument("--key", default=None,
                         help="optional expected key, cross-checked against the image")
 
     tamper = sub.add_parser("tamper", help="flip a single pixel bit")
+    tamper.set_defaults(run=_cmd_tamper)
     tamper.add_argument("--in", dest="input", required=True, metavar="IN.pgm")
     tamper.add_argument("--out", dest="output", required=True, metavar="OUT.pgm")
     tamper.add_argument("--pixel", type=int, required=True)
     tamper.add_argument("--bit", type=int, required=True)
 
     inspect = sub.add_parser("inspect", help="report embedded stream statistics")
+    inspect.set_defaults(run=_cmd_inspect)
     inspect.add_argument("--in", dest="input", required=True, metavar="STEGO.pgm")
 
     return parser
@@ -133,13 +137,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EX_USAGE
     try:
-        if args.command == "seal":
-            return _cmd_seal(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "tamper":
-            return _cmd_tamper(args)
-        return _cmd_inspect(args)
+        return args.run(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
@@ -233,6 +231,12 @@ def _config(key_text: str | None, **fields) -> pipeline.SealConfig:
     return pipeline.SealConfig(**fields)
 
 
+def _emit(**fields) -> None:
+    """Print the report as one key=value line per field, in the order given."""
+    for key, value in fields.items():
+        print(f"{key}={value}")
+
+
 def _cmd_seal(args) -> int:
     width, height, pixels = _read(args.input, sys.maxsize)  # before --out, which may be --in
     pixels = memoryview(pixels)
@@ -242,22 +246,17 @@ def _cmd_seal(args) -> int:
         raise _UsageError(f"--key is a {config.cipher} key but --cipher is {args.cipher}")
     sealed = pipeline.seal(args.message, config, cover)
     _replace_file(args.output, (header(width, height), sealed.tobytes(), rest))
-    changed = int(np.count_nonzero(sealed.pixels != cover.pixels))
-    print(f"wrote={args.output}")
-    print(f"mode={args.mode}")
-    print(f"pixels_changed={changed}")
+    _emit(wrote=args.output, mode=args.mode,
+          pixels_changed=int(np.count_nonzero(sealed.pixels != cover.pixels)))
     return EX_OK
 
 
 def _cmd_verify(args) -> int:
     _, _, pixels = _read(args.input, _HEAD_PIXELS)
     report = pipeline.verify(_head(pixels), _config(args.key, embed_mode=None))
-    print(f"verdict={report.verdict}")
-    print(f"mode={report.mode}")
-    print(f"message={report.recovered_message}")
-    print(f"embedded_digest={report.embedded_digest}")
-    print(f"recomputed_digest={report.recomputed_digest}")
-    print(f"reason={report.reason}")
+    _emit(verdict=report.verdict, mode=report.mode, message=report.recovered_message,
+          embedded_digest=report.embedded_digest,
+          recomputed_digest=report.recomputed_digest, reason=report.reason)
     return _VERDICT_CODES[report.verdict]
 
 
@@ -265,9 +264,7 @@ def _cmd_tamper(args) -> int:
     image = GrayImage(*_read(args.input, sys.maxsize))
     flipped = pipeline.tamper(image, args.pixel, args.bit)
     _replace_file(args.output, (write_pgm(flipped),))
-    print(f"wrote={args.output}")
-    print(f"pixel={args.pixel}")
-    print(f"bit={args.bit}")
+    _emit(wrote=args.output, pixel=args.pixel, bit=args.bit)
     return EX_OK
 
 
@@ -276,20 +273,13 @@ def _cmd_inspect(args) -> int:
     try:
         mode, decoded = pipeline.read_stream(_head(pixels), None)
     except StegosealError:
-        print("error=no embedded stream found")
+        _emit(error="no embedded stream found")
         return EX_UNDECODABLE
-    elements = decoded.coeffs.size
-    consumed = decoded.consumed
-    print(f"mode={mode}")
-    print(f"elements={elements}")
-    print(f"compressed_elements={consumed}")
-    print(f"ratio={elements / consumed:.4f}")
-    print(f"table_entries={len(BLOCK_TABLE.codes)}")
-    print(f"header_bytes={BLOCK_HEADER_BYTES}")
-    print(f"payload_bits={decoded.payload_bits}")
-    print(f"stream_bytes={consumed}")
-    pixels = consumed if mode == stego.OVERWRITE else 8 * consumed
-    print(f"embedded_pixels={pixels}")
+    elements, consumed = decoded.coeffs.size, decoded.consumed
+    _emit(mode=mode, elements=elements, compressed_elements=consumed,
+          ratio=f"{elements / consumed:.4f}", table_entries=len(BLOCK_TABLE.codes),
+          header_bytes=BLOCK_HEADER_BYTES, payload_bits=decoded.payload_bits,
+          stream_bytes=consumed, embedded_pixels=stego.pixels_for(consumed, mode))
     return EX_OK
 
 

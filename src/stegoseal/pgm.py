@@ -16,6 +16,8 @@ memory and asks for every pixel.
 from __future__ import annotations
 
 import io
+import operator
+import re
 
 import numpy as np
 
@@ -23,22 +25,37 @@ from .errors import (BadMagic, BadMaxval, MalformedHeader, TrailingData,
                      TruncatedPixels)
 
 MAXVAL = 255
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+# Whitespace and comments (from '#' to the end of the line: '.' stops at
+# '\n'), then one header token. In a bytes pattern \s is exactly PGM's six
+# whitespace bytes.
+_TOKEN = re.compile(rb"(?:\s|#.*)*([^\s#]*)")
 _HEADER_CHUNK = 4096  # bytes of a file read for its header at first
 
 
 class GrayImage:
-    """An 8-bit single-channel raster. Pixel data is read-only."""
+    """An 8-bit single-channel raster. Pixel data is read-only.
+
+    Only integers are taken: a float dimension or pixel would be truncated
+    and a pixel outside [0, 255] would wrap, so each is a ValueError.
+    """
 
     def __init__(self, width: int, height: int, pixels):
-        width = int(width)
-        height = int(height)
+        try:
+            width, height = operator.index(width), operator.index(height)
+        except TypeError:
+            raise ValueError(f"image dimensions must be integers, got "
+                             f"{width!r}x{height!r}") from None
         if width < 1 or height < 1:
             raise ValueError(f"image dimensions must be positive, got {width}x{height}")
         if isinstance(pixels, (bytes, bytearray)):
             arr = np.frombuffer(bytes(pixels), dtype=np.uint8)
         else:
-            arr = np.asarray(pixels, dtype=np.uint8)
+            arr = np.asarray(pixels)
+            if arr.dtype != np.uint8:
+                if arr.dtype.kind not in "iu" or (
+                        arr.size and not 0 <= arr.min() <= arr.max() <= MAXVAL):
+                    raise ValueError(f"pixels must be integers in [0, {MAXVAL}]")
+                arr = arr.astype(np.uint8)
         if arr.size != width * height:
             raise ValueError(
                 f"expected {width * height} pixels for {width}x{height}, got {arr.size}")
@@ -66,29 +83,6 @@ class _HeaderCut(MalformedHeader):
     """The data ends inside the header; more bytes may complete it."""
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """Skip whitespace and comments, then collect one header token.
-
-    A token is complete only when a byte follows it, so data that ends
-    inside or right after a token raises _HeaderCut.
-    """
-    n = len(data)
-    while pos < n:
-        if data[pos] == 0x23:  # '#' starts a comment running to end of line
-            end = data.find(b"\n", pos)
-            pos = n if end < 0 else end
-        elif data[pos] in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE and data[pos] != 0x23:
-        pos += 1
-    if pos == n:
-        raise _HeaderCut("header ends before or inside a token")
-    return data[start:pos], pos
-
-
 def _parse_header(data: bytes) -> tuple[int, int, int]:
     """Parse the header at the start of `data`: (width, height, pixel offset)."""
     if data[:2] != b"P5":
@@ -96,16 +90,22 @@ def _parse_header(data: bytes) -> tuple[int, int, int]:
     pos = 2
     values = []
     for name in ("width", "height", "maxval"):
-        token, pos = _next_token(data, pos)
+        match = _TOKEN.match(data, pos)
+        token, pos = match[1], match.end()
+        if pos == len(data):  # a token is whole only when a byte follows it
+            raise _HeaderCut("header ends before or inside a token")
         if not token.isdigit():
             raise MalformedHeader(f"{name} is not an unsigned integer: {token!r}")
-        values.append(int(token))
+        try:
+            values.append(int(token))
+        except ValueError:  # past Python's limit on the digits of an int string
+            raise MalformedHeader(f"{name} has too many digits: {len(token)}") from None
     width, height, maxval = values
     if width < 1 or height < 1:
         raise MalformedHeader(f"bad dimensions {width}x{height}")
     if maxval != MAXVAL:
         raise BadMaxval(f"only maxval 255 is supported, got {maxval}")
-    if data[pos] not in _WHITESPACE:
+    if not data[pos:pos + 1].isspace():
         raise MalformedHeader("missing whitespace byte before pixel data")
     return width, height, pos + 1
 

@@ -43,6 +43,7 @@ embedded digest.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,7 +241,16 @@ def verify(stego: GrayImage, config: SealConfig | None = None) -> VerificationRe
 
 
 def tamper(image: GrayImage, pixel_index: int, bit: int) -> GrayImage:
-    """Flip one bit of one pixel; bit 0 is the least significant."""
+    """Flip one bit of one pixel; bit 0 is the least significant.
+
+    Both are read through operator.index: numpy would take a numpy bool as
+    a mask and flip every pixel or none, so it, like a float, is a ValueError.
+    """
+    try:
+        pixel_index, bit = operator.index(pixel_index), operator.index(bit)
+    except TypeError:
+        raise ValueError(f"pixel and bit must be integers, got {pixel_index!r} "
+                         f"and {bit!r}") from None
     if not 0 <= pixel_index < image.width * image.height:
         raise OutOfRange(f"pixel {pixel_index} outside {image.width}x{image.height}")
     if not 0 <= bit <= 7:

@@ -35,6 +35,11 @@ def capacity(image: GrayImage, mode: str = OVERWRITE) -> int:
     return n if _check_mode(mode) == OVERWRITE else n // 8
 
 
+def pixels_for(nbytes: int, mode: str = OVERWRITE) -> int:
+    """Pixels that `nbytes` embedded bytes take in this mode; capacity's inverse."""
+    return nbytes if _check_mode(mode) == OVERWRITE else 8 * nbytes
+
+
 def embed(cover: GrayImage, payload: bytes, mode: str = OVERWRITE) -> GrayImage:
     """Return a new image with `payload` embedded; the cover is untouched."""
     limit = capacity(cover, mode)
@@ -60,4 +65,4 @@ def extract(stego: GrayImage, length: int, mode: str = OVERWRITE) -> bytes:
     flat = stego.pixels.ravel()
     if mode == OVERWRITE:
         return flat[:length].tobytes()
-    return np.packbits(flat[: 8 * length] & 1).tobytes()
+    return np.packbits(flat[: pixels_for(length, mode)] & 1).tobytes()

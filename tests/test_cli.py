@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import os
 import stat
 import subprocess
@@ -190,6 +192,72 @@ def test_stdout_is_key_value_lines(cover_file, tmp_path, capsys):
     out = capsys.readouterr().out
     for line in out.strip().splitlines():
         assert "=" in line, f"free prose on stdout: {line!r}"
+
+
+HILL_KEY = "6,24,1,13,16,10,20,17,15"
+SEAL_OVERWRITE = ["seal", "--in", "{dir}/cover.pgm", "--out", "{dir}/stego.pgm",
+                  "--message", PAPER_MESSAGE, "--key", "16"]
+SEAL_LSB1 = ["seal", "--in", "{dir}/cover.pgm", "--out", "{dir}/lsb1.pgm",
+             "--message", "RENDEZVOUS", "--key", HILL_KEY, "--cipher", "hill",
+             "--mode", "lsb1", "--digest", "sha256"]
+SHA512_PAPER = ("343c69e5308bacdd1f532961118fde684f8efc72795901a1e40b45fa3e730df8"
+                "9ef70d72bc632a501f2435fccc457439e0b7056d2bcd7e3eaa717ca5af2a56db")
+SHA256_RENDEZVOUS = "53a0357017c0f5342d219b2d72c7ec1730be7f69f606a954354c692b5b5035cd"
+
+# Each command's whole stdout, line order included, with {dir} for the
+# directory of the files.
+EXACT_STDOUT = {
+    "seal-overwrite": (SEAL_OVERWRITE, 0,
+                       "wrote={dir}/stego.pgm\nmode=overwrite\npixels_changed=229\n"),
+    "seal-lsb1": (SEAL_LSB1, 0, "wrote={dir}/lsb1.pgm\nmode=lsb1\npixels_changed=641\n"),
+    "verify-verified": (
+        ["verify", "--in", "{dir}/stego.pgm"], 0,
+        f"verdict=VERIFIED\nmode=overwrite\nmessage={PAPER_MESSAGE}\n"
+        f"embedded_digest={SHA512_PAPER}\nrecomputed_digest={SHA512_PAPER}\nreason=\n"),
+    "verify-tampered": (
+        ["verify", "--in", "{dir}/lsb1.pgm", "--key", "9"], 1,
+        f"verdict=TAMPERED\nmode=lsb1\nmessage=RENDEZVOUS\n"
+        f"embedded_digest={SHA256_RENDEZVOUS}\nrecomputed_digest={SHA256_RENDEZVOUS}\n"
+        "reason=embedded key differs from the expected key\n"),
+    "verify-undecodable": (
+        ["verify", "--in", "{dir}/cover.pgm"], 2,
+        "verdict=UNDECODABLE\nmode=overwrite\nmessage=\nembedded_digest=\n"
+        "recomputed_digest=\nreason=CorruptHeader: missing block stream header\n"),
+    "tamper": (
+        ["tamper", "--in", "{dir}/stego.pgm", "--out", "{dir}/broken.pgm",
+         "--pixel", "40", "--bit", "0"], 0,
+        "wrote={dir}/broken.pgm\npixel=40\nbit=0\n"),
+    "inspect-overwrite": (
+        ["inspect", "--in", "{dir}/stego.pgm"], 0,
+        "mode=overwrite\nelements=384\ncompressed_elements=229\nratio=1.6769\n"
+        "table_entries=190\nheader_bytes=3\npayload_bits=1805\nstream_bytes=229\n"
+        "embedded_pixels=229\n"),
+    "inspect-lsb1": (
+        ["inspect", "--in", "{dir}/lsb1.pgm"], 0,
+        "mode=lsb1\nelements=384\ncompressed_elements=166\nratio=2.3133\n"
+        "table_entries=190\nheader_bytes=3\npayload_bits=1300\nstream_bytes=166\n"
+        "embedded_pixels=1328\n"),
+    "inspect-cover": (["inspect", "--in", "{dir}/cover.pgm"], 2,
+                      "error=no embedded stream found\n"),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_dir(tmp_path_factory):
+    """A cover and its two sealed images, as SEAL_OVERWRITE and SEAL_LSB1 write them."""
+    path = tmp_path_factory.mktemp("pinned")
+    (path / "cover.pgm").write_bytes(write_pgm(make_cover(0x515)))
+    for argv in (SEAL_OVERWRITE, SEAL_LSB1):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([arg.format(dir=path) for arg in argv]) == 0
+    return path
+
+
+@pytest.mark.parametrize("case", EXACT_STDOUT)
+def test_exact_stdout(pinned_dir, capsys, case):
+    argv, code, stdout = EXACT_STDOUT[case]
+    assert main([arg.format(dir=pinned_dir) for arg in argv]) == code
+    assert capsys.readouterr().out == stdout.format(dir=pinned_dir)
 
 
 def test_module_entry_point(cover_file, tmp_path):

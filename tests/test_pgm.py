@@ -83,11 +83,44 @@ def test_malformed_header():
         read_pgm(b"P5\n0 4\n255\n")
 
 
+@pytest.mark.parametrize("data", [
+    b"P5\n" + b"1" * 5000 + b" 1\n255\n\x00",
+    b"P5\n1 1\n" + b"2" * 5000 + b"\n\x00",
+], ids=["width", "maxval"])
+def test_over_long_header_number_is_malformed(data):
+    """A number past Python's 4300-digit int-string limit is a MalformedHeader."""
+    with pytest.raises(MalformedHeader, match="too many digits: 5000"):
+        read_pgm(data)
+
+
 def test_gray_image_validation():
     with pytest.raises(ValueError):
         GrayImage(2, 2, bytes(3))
     with pytest.raises(ValueError):
         GrayImage(0, 1, b"")
+
+
+@pytest.mark.parametrize("width, height, pixels", [
+    (2.5, 2, bytes(4)),                    # was a 2x2 image
+    (2, 1.0, bytes(2)),
+    ("2", 1, bytes(2)),
+    (2, 1, [0.5, 255.9]),                  # was stored as [0, 255]
+    (2, 1, np.array([-1, 2])),             # was stored as [255, 2]
+    (2, 1, [0, 256]),                      # was stored as [0, 0]
+    (2, 1, np.array([0.0, 1.0])),
+    (2, 1, np.array([True, False])),
+], ids=["float-width", "float-height", "str-width", "float-list", "negative", "256",
+        "float-array", "bool-array"])
+def test_gray_image_takes_integers_only(width, height, pixels):
+    with pytest.raises(ValueError):
+        GrayImage(width, height, pixels)
+
+
+@pytest.mark.parametrize("pixels", [[0, 255], np.array([0, 255]), np.array([0, 255], np.uint16),
+                                    memoryview(bytes([0, 255])), bytearray([0, 255])])
+def test_gray_image_takes_integer_pixels_in_range(pixels):
+    img = GrayImage(np.int64(2), np.int32(1), pixels)
+    assert img.tobytes() == bytes([0, 255])
 
 
 def test_gray_image_pixels_read_only():

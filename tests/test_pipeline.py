@@ -533,6 +533,20 @@ def test_tamper_out_of_range(cover):
         tamper(cover, -1, 0)
 
 
+@pytest.mark.parametrize("pixel, bit, flipped", [(True, 0, 1), (np.int64(3), np.uint8(2), 3)])
+def test_tamper_flips_the_pixel_it_names(pixel, bit, flipped):
+    """Indices are read as integers, never as a numpy bool mask."""
+    out = tamper(GrayImage(4, 4, bytes(16)), pixel, bit)
+    assert out.pixels.ravel().tolist() == [1 << bit if i == flipped else 0 for i in range(16)]
+
+
+@pytest.mark.parametrize("pixel, bit", [(np.bool_(False), 0), (np.bool_(True), 0),
+                                        (1.0, 0), (0, 1.5), ("1", 0)])
+def test_tamper_rejects_non_integer_indices(pixel, bit):
+    with pytest.raises(ValueError, match="must be integers"):
+        tamper(GrayImage(4, 4, bytes(16)), pixel, bit)
+
+
 # --- key row parsing -------------------------------------------------------
 
 
