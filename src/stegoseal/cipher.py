@@ -12,7 +12,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import BadLength, EmptyInput, NotInvertible
+from .errors import CipherError
 
 ALPHABET_SIZE = 26
 HILL_BLOCK = 3
@@ -87,13 +87,13 @@ def hill_key_inverse(key) -> np.ndarray:
     """Return the matrix inverse of `key` mod 26.
 
     Computed as adjugate times the modular inverse of the determinant.
-    Raises NotInvertible when gcd(det mod 26, 26) != 1.
+    Raises CipherError when gcd(det mod 26, 26) != 1.
     """
     k = _as_key(key)
     adj = _adjugate3(k)
     det = int(k[0] @ adj[:, 0]) % ALPHABET_SIZE   # cofactor expansion along row 0
     if gcd(det, ALPHABET_SIZE) != 1:
-        raise NotInvertible(f"det = {det} shares a factor with 26")
+        raise CipherError(f"det = {det} shares a factor with 26")
     det_inv = pow(det, -1, ALPHABET_SIZE)
     return (det_inv * adj) % ALPHABET_SIZE
 
@@ -115,7 +115,7 @@ def hill_encrypt(plaintext: str, key) -> str:
     k = _as_key(key)
     text = normalize_letters(plaintext)
     if not text:
-        raise EmptyInput("no letters to encrypt after normalization")
+        raise CipherError("no letters to encrypt after normalization")
     return _hill(text + HILL_PAD * (-len(text) % HILL_BLOCK), k)
 
 
@@ -128,7 +128,7 @@ def hill_decrypt(ciphertext: str, key, pad_count: int = 0) -> str:
         raise ValueError(f"pad_count must be 0, 1 or 2, got {pad_count}")
     text = normalize_letters(ciphertext)
     if len(text) % HILL_BLOCK != 0:
-        raise BadLength(f"ciphertext has {len(text)} letters, not a multiple of 3")
+        raise CipherError(f"ciphertext has {len(text)} letters, not a multiple of 3")
     if not text:
         return ""
     plain = _hill(text, hill_key_inverse(key))

@@ -57,8 +57,8 @@ import numpy as np
 from . import pipeline, stego
 from .digest import ALGORITHMS, DEFAULT_ALGORITHM
 from .entropy import BLOCK_HEADER_BYTES, BLOCK_TABLE
-from .errors import MalformedBlock, StegosealError
-from .pgm import GrayImage, header, read_pgm_head, write_pgm
+from .errors import CipherError, StegosealError
+from .pgm import GrayImage, header, read_pgm_head
 
 EX_OK = 0
 EX_TAMPERED = 1
@@ -224,7 +224,7 @@ def _config(key_text: str | None, **fields) -> pipeline.SealConfig:
     if key_text is not None:
         try:
             cipher, key = pipeline.parse_key_text(key_text)
-        except MalformedBlock:
+        except CipherError:
             raise _UsageError(f"--key {key_text!r} is neither a caesar shift 0-25 "
                               "nor 9 comma-separated hill entries 0-25") from None
         fields.update({"cipher": cipher, f"{cipher}_key": key})
@@ -263,7 +263,7 @@ def _cmd_verify(args) -> int:
 def _cmd_tamper(args) -> int:
     image = GrayImage(*_read(args.input, sys.maxsize))
     flipped = pipeline.tamper(image, args.pixel, args.bit)
-    _replace_file(args.output, (write_pgm(flipped),))
+    _replace_file(args.output, (header(image.width, image.height), flipped.pixels))
     _emit(wrote=args.output, pixel=args.pixel, bit=args.bit)
     return EX_OK
 

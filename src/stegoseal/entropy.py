@@ -61,8 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadLength, BadShape, CorruptHeader, DanglingBits,
-                     TruncatedStream, UnknownSymbol)
+from .errors import StreamError
 
 BLOCK_MAGIC = 0x4A
 
@@ -81,7 +80,7 @@ def zigzag_scan(block) -> np.ndarray:
     """Read an 8x8 integer matrix in zig-zag order; returns 64 values."""
     arr = np.asarray(block)
     if arr.shape != (8, 8):
-        raise BadShape(f"zigzag scan needs an 8x8 block, got {arr.shape}")
+        raise StreamError(f"zigzag scan needs an 8x8 block, got {arr.shape}")
     return np.take(arr, _ZIGZAG_FLAT)
 
 
@@ -89,7 +88,7 @@ def zigzag_unscan(seq) -> np.ndarray:
     """Place 64 values back into an 8x8 matrix, inverting zigzag_scan."""
     arr = np.asarray(seq)
     if arr.shape != (64,):
-        raise BadLength(f"zigzag unscan needs 64 values, got shape {arr.shape}")
+        raise StreamError(f"zigzag unscan needs 64 values, got shape {arr.shape}")
     return arr[_UNZIGZAG].reshape(8, 8)
 
 
@@ -274,7 +273,7 @@ def encode_blocks(coeffs) -> bytes:
     """Serialize integer coefficient tiles, shape (n, 8, 8), as a block stream."""
     arr = np.asarray(coeffs)
     if arr.ndim != 3 or arr.shape[1:] != (8, 8) or not 1 <= arr.shape[0] <= 0xFFFF:
-        raise BadShape(f"expected 1-65535 tiles of shape (n, 8, 8), got {arr.shape}")
+        raise StreamError(f"expected 1-65535 tiles of shape (n, 8, 8), got {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise TypeError(f"coefficients must be integers, got {arr.dtype}")
     eob, eob_bits = _CODEWORDS[EOB]
@@ -288,7 +287,7 @@ def encode_blocks(coeffs) -> bytes:
         if value < 0:
             value += (1 << size) - 1
         if size > 11:
-            raise UnknownSymbol(f"coefficient symbol {DC_SYMBOL + size:#x} has no code")
+            raise StreamError(f"coefficient symbol {DC_SYMBOL + size:#x} has no code")
         code, n = _CODEWORDS[DC_SYMBOL + size]
         acc = (acc << n) | code | value
         nbits += n
@@ -305,8 +304,8 @@ def encode_blocks(coeffs) -> bytes:
             if value < 0:
                 value += (1 << size) - 1
             if size > 11:
-                raise UnknownSymbol(f"coefficient symbol {(run << 4) | size:#x} has no code"
-                                    if size < 16 else f"coefficient category {size} has no code")
+                raise StreamError(f"coefficient symbol {(run << 4) | size:#x} has no code"
+                                  if size < 16 else f"coefficient category {size} has no code")
             code, n = _CODEWORDS[(run << 4) | size]
             acc = (acc << n) | code | value
             nbits += n
@@ -327,17 +326,16 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
     """Decode a block stream at the start of `data`, ignoring what follows.
 
     When `tiles` is given, a header that declares another tile count is
-    rejected before any symbol is read. Raises CorruptHeader,
-    TruncatedStream or DanglingBits on anything encode_blocks would not
-    have written.
+    rejected before any symbol is read. Raises StreamError on anything
+    encode_blocks would not have written.
     """
     if len(data) < BLOCK_HEADER_BYTES or data[0] != BLOCK_MAGIC:
-        raise CorruptHeader("missing block stream header")
+        raise StreamError("missing block stream header")
     count = int.from_bytes(data[1:3], "big")
     if count == 0:
-        raise CorruptHeader("block stream with zero tiles")
+        raise StreamError("block stream with zero tiles")
     if tiles is not None and count != tiles:
-        raise CorruptHeader(f"stream declares {count} tiles, expected {tiles}")
+        raise StreamError(f"stream declares {count} tiles, expected {tiles}")
     body = bytes(data[BLOCK_HEADER_BYTES:block_stream_bound(count)])
     nbits = 8 * len(body)
     body += bytes(12)     # zeros to read past the end; the checks below stop there
@@ -359,14 +357,14 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
                                        or _long_token(acc, have))
         have -= length
         if have < slack:
-            raise TruncatedStream(f"bits ran out after {len(symbols)} symbols")
+            raise StreamError(f"bits ran out after {len(symbols)} symbols")
         append(symbol)
         if symbol < DC_SYMBOL:
-            raise CorruptHeader("AC symbol where a DC category belongs")
+            raise StreamError("AC symbol where a DC category belongs")
         if size:
             have -= size
             if have < slack:
-                raise TruncatedStream("bits ran out inside an amplitude")
+                raise StreamError("bits ran out inside an amplitude")
             if value is None:
                 value = _signed((acc >> have) & ((1 << size) - 1), size)
             dc += value
@@ -382,32 +380,32 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
                                            or _long_token(acc, have))
             have -= length
             if have < slack:
-                raise TruncatedStream(f"bits ran out after {len(symbols)} symbols")
+                raise StreamError(f"bits ran out after {len(symbols)} symbols")
             append(symbol)
             if size and symbol < DC_SYMBOL:
                 k += symbol >> 4
                 if k >= 64:
-                    raise CorruptHeader("zero run past the end of a block")
+                    raise StreamError("zero run past the end of a block")
                 have -= size
                 if have < slack:
-                    raise TruncatedStream("bits ran out inside an amplitude")
+                    raise StreamError("bits ran out inside an amplitude")
                 if value is None:
                     value = _signed((acc >> have) & ((1 << size) - 1), size)
                 zz[base + k] = value
                 k += 1
             elif symbol == EOB:
                 if symbols[-2] == ZRL:
-                    raise CorruptHeader("ZRL before the end of a block")
+                    raise StreamError("ZRL before the end of a block")
                 break
             elif symbol == ZRL:
                 k += 16
                 if k >= 64:
-                    raise CorruptHeader("zero run past the end of a block")
+                    raise StreamError("zero run past the end of a block")
             else:
-                raise CorruptHeader("DC category where an AC symbol belongs")
+                raise StreamError("DC category where an AC symbol belongs")
     pos = slack + nbits - have
     if pos & 7 and body[pos >> 3] & ((0x100 >> (pos & 7)) - 1):
-        raise DanglingBits("padding bits after the last block are not zero")
+        raise StreamError("padding bits after the last block are not zero")
     coeffs = np.array(zz, dtype=np.int64).reshape(count, 64)[:, _UNZIGZAG]
     return DecodedBlocks(coeffs.reshape(count, 8, 8), symbols, pos,
                          BLOCK_HEADER_BYTES + (pos + 7) // 8)

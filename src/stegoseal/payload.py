@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadShape, MalformedBlock, NulInPayload, RowOverflow
+from .errors import BlockError
 
 ROWS = 3
 ROW_LENGTH = 128
@@ -32,9 +32,9 @@ TILES = BLOCK_BYTES // 64
 def _row(text: str, row: int) -> bytes:
     data = text.encode("utf-8")
     if b"\x00" in data:
-        raise NulInPayload(f"row {row} contains a NUL byte")
+        raise BlockError(f"row {row} contains a NUL byte")
     if len(data) > ROW_LENGTH:
-        raise RowOverflow(row, len(data), ROW_LENGTH)
+        raise BlockError(f"row {row}: {len(data)} bytes exceeds row length {ROW_LENGTH}")
     return data.ljust(ROW_LENGTH, b"\x00")
 
 
@@ -46,12 +46,12 @@ def pack(ciphertext: str, key_text: str, digest_hex: str) -> bytes:
 def unpack(block: bytes) -> tuple[str, str, str]:
     """Strip trailing NUL padding and return (ciphertext, key, digest)."""
     if len(block) != BLOCK_BYTES:
-        raise MalformedBlock(f"expected a {BLOCK_BYTES}-byte block, got {len(block)} bytes")
+        raise BlockError(f"expected a {BLOCK_BYTES}-byte block, got {len(block)} bytes")
     try:
         return tuple(block[start:start + ROW_LENGTH].rstrip(b"\x00").decode("utf-8")
                      for start in range(0, BLOCK_BYTES, ROW_LENGTH))
     except UnicodeDecodeError as exc:
-        raise MalformedBlock(f"row is not valid UTF-8: {exc}") from None
+        raise BlockError(f"row is not valid UTF-8: {exc}") from None
 
 
 def to_tiles(block: bytes) -> np.ndarray:
@@ -67,5 +67,5 @@ def from_tiles(tiles) -> bytes:
     """Exact inverse of to_tiles for uint8 tiles."""
     arr = np.asarray(tiles)
     if arr.shape != (TILES, 8, 8):
-        raise BadShape(f"expected tiles of shape ({TILES}, 8, 8), got {arr.shape}")
+        raise BlockError(f"expected tiles of shape ({TILES}, 8, 8), got {arr.shape}")
     return arr.astype(np.uint8, copy=False).tobytes()

@@ -4,7 +4,7 @@ The writer always emits the exact header "P5\\n<w> <h>\\n255\\n" followed by
 raw pixel bytes. The reader is tolerant in what the PGM spec allows
 (comments and arbitrary whitespace between header tokens) and strict
 about everything else: wrong magic, wrong maxval, missing pixels, or
-trailing bytes are all distinct errors.
+trailing bytes each raise PgmError with a message that names the fault.
 
 There is one reader, read_pgm_head. It parses the header of an open file,
 checks the pixel byte count against the file size, and reads only the
@@ -21,8 +21,7 @@ import re
 
 import numpy as np
 
-from .errors import (BadMagic, BadMaxval, MalformedHeader, TrailingData,
-                     TruncatedPixels)
+from .errors import PgmError
 
 MAXVAL = 255
 # Whitespace and comments (from '#' to the end of the line: '.' stops at
@@ -79,14 +78,14 @@ class GrayImage:
         return f"GrayImage({self.width}x{self.height})"
 
 
-class _HeaderCut(MalformedHeader):
+class _HeaderCut(PgmError):
     """The data ends inside the header; more bytes may complete it."""
 
 
 def _parse_header(data: bytes) -> tuple[int, int, int]:
     """Parse the header at the start of `data`: (width, height, pixel offset)."""
     if data[:2] != b"P5":
-        raise BadMagic(f"expected P5 magic, got {data[:2]!r}")
+        raise PgmError(f"expected P5 magic, got {data[:2]!r}")
     pos = 2
     values = []
     for name in ("width", "height", "maxval"):
@@ -95,18 +94,18 @@ def _parse_header(data: bytes) -> tuple[int, int, int]:
         if pos == len(data):  # a token is whole only when a byte follows it
             raise _HeaderCut("header ends before or inside a token")
         if not token.isdigit():
-            raise MalformedHeader(f"{name} is not an unsigned integer: {token!r}")
+            raise PgmError(f"{name} is not an unsigned integer: {token!r}")
         try:
             values.append(int(token))
         except ValueError:  # past Python's limit on the digits of an int string
-            raise MalformedHeader(f"{name} has too many digits: {len(token)}") from None
+            raise PgmError(f"{name} has too many digits: {len(token)}") from None
     width, height, maxval = values
     if width < 1 or height < 1:
-        raise MalformedHeader(f"bad dimensions {width}x{height}")
+        raise PgmError(f"bad dimensions {width}x{height}")
     if maxval != MAXVAL:
-        raise BadMaxval(f"only maxval 255 is supported, got {maxval}")
+        raise PgmError(f"only maxval 255 is supported, got {maxval}")
     if not data[pos:pos + 1].isspace():
-        raise MalformedHeader("missing whitespace byte before pixel data")
+        raise PgmError("missing whitespace byte before pixel data")
     return width, height, pos + 1
 
 
@@ -123,8 +122,8 @@ def read_pgm_head(f, limit: int) -> tuple[int, int, bytes]:
     positioned right after them. The header is read in chunks that double
     until it parses, so long comments cost no more than their length. The
     file size is checked against the header before any pixel is read: a
-    file with too few or too many pixel bytes raises TruncatedPixels or
-    TrailingData. `f` must be seekable.
+    file with too few or too many pixel bytes raises PgmError. `f` must be
+    seekable.
     """
     size = f.seek(0, 2)
     f.seek(0)
@@ -140,9 +139,9 @@ def read_pgm_head(f, limit: int) -> tuple[int, int, bytes]:
             data += more
     expected, found = width * height, size - offset
     if found < expected:
-        raise TruncatedPixels(f"need {expected} pixel bytes, found {found}")
+        raise PgmError(f"need {expected} pixel bytes, found {found}")
     if found > expected:
-        raise TrailingData(f"{found - expected} bytes after the pixel data")
+        raise PgmError(f"{found - expected} bytes after the pixel data")
     f.seek(offset)
     return width, height, f.read(min(limit, expected))
 

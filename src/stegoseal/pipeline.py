@@ -11,7 +11,10 @@ runs the exact reverse and yields one of three verdicts:
                  writes for the recovered message, and the expected key
                  (if given) matches
     TAMPERED     the stream decoded but one of those checks failed
-    UNDECODABLE  the stream would not decode at all; no message is claimed
+    UNDECODABLE  the stream would not decode at all; no message is claimed,
+                 and the reason is "<stage class>: <detail>", where the
+                 class (StreamError, BlockError or CipherError) names the
+                 step that rejected the image
 
 Every step between the block and the stream is one-to-one: the decoder
 rejects each bit string that encode_blocks would not have written, and
@@ -54,7 +57,7 @@ from .cipher import (HILL_PAD, _as_key, _check_shift, caesar_decrypt,
                      hill_key_inverse, normalize_letters)
 from .entropy import (DecodedBlocks, block_stream_bound, decode_blocks,
                       encode_blocks)
-from .errors import EmptyMessage, MalformedBlock, OutOfRange, StegosealError
+from .errors import BlockError, CipherError, EmbedError, StegosealError
 from .payload import TILES, from_tiles, pack, to_tiles, unpack
 from .pgm import GrayImage
 from .stego import MODES, OVERWRITE, capacity, embed, extract
@@ -106,11 +109,14 @@ class SealConfig:
         elif self.cipher == CAESAR:
             _check_shift(self.key)
         else:
-            hill_key_inverse(self.key)  # raises NotInvertible early
+            hill_key_inverse(self.key)  # raises CipherError early
 
 
 @dataclass
 class VerificationReport:
+    """The verdict on an image. An UNDECODABLE reason reads
+    "<stage class>: <detail>", as in "StreamError: missing block stream header"."""
+
     verdict: str
     recovered_message: str = ""
     embedded_digest: str = ""
@@ -124,20 +130,20 @@ def parse_key_text(text: str):
     if "," in text:
         parts = text.split(",")
         if len(parts) != 9:
-            raise MalformedBlock(f"hill key row has {len(parts)} entries, needs 9")
+            raise CipherError(f"hill key row has {len(parts)} entries, needs 9")
         try:
             vals = [int(p) for p in parts]
         except ValueError:
-            raise MalformedBlock("hill key row is not all integers") from None
+            raise CipherError("hill key row is not all integers") from None
         if any(not 0 <= v <= 25 for v in vals):
-            raise MalformedBlock("hill key entries must be in [0, 25]")
+            raise CipherError("hill key entries must be in [0, 25]")
         return HILL, np.array(vals, dtype=np.int64).reshape(3, 3)
     try:
         shift = int(text)
     except ValueError:
-        raise MalformedBlock(f"key row {text!r} is not an integer") from None
+        raise CipherError(f"key row {text!r} is not an integer") from None
     if not 0 <= shift <= 25:
-        raise MalformedBlock(f"caesar key {shift} out of range")
+        raise CipherError(f"caesar key {shift} out of range")
     return CAESAR, shift
 
 
@@ -172,14 +178,14 @@ def _recover_block(coeffs) -> bytes:
     """Inverse transform: coefficient tiles back to the byte block."""
     tiles = int_idct2(coeffs)
     if (tiles < 0).any() or (tiles > 255).any():
-        raise MalformedBlock("reconstructed bytes fall outside [0, 255]")
+        raise BlockError("reconstructed bytes fall outside [0, 255]")
     return from_tiles(tiles.astype(np.uint8))
 
 
 def seal(message: str, config: SealConfig, cover: GrayImage) -> GrayImage:
     """Seal `message` into `cover`; the result verifies under the same config."""
     if not message:
-        raise EmptyMessage("refusing to seal an empty message")
+        raise CipherError("refusing to seal an empty message")
     config.validate(sealing=True)
     protected = message if config.cipher == CAESAR else normalize_letters(message)
     digest_hex = _digest.hash_message(protected, config.digest_algorithm)
@@ -252,9 +258,9 @@ def tamper(image: GrayImage, pixel_index: int, bit: int) -> GrayImage:
         raise ValueError(f"pixel and bit must be integers, got {pixel_index!r} "
                          f"and {bit!r}") from None
     if not 0 <= pixel_index < image.width * image.height:
-        raise OutOfRange(f"pixel {pixel_index} outside {image.width}x{image.height}")
+        raise EmbedError(f"pixel {pixel_index} outside {image.width}x{image.height}")
     if not 0 <= bit <= 7:
-        raise OutOfRange(f"bit {bit} outside [0, 7]")
+        raise EmbedError(f"bit {bit} outside [0, 7]")
     flat = image.pixels.ravel().copy()
     flat[pixel_index] ^= 1 << bit
     return GrayImage(image.width, image.height, flat)

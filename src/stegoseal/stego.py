@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityExceeded
+from .errors import EmbedError
 from .pgm import GrayImage
 
 OVERWRITE = "overwrite"
@@ -44,7 +44,7 @@ def embed(cover: GrayImage, payload: bytes, mode: str = OVERWRITE) -> GrayImage:
     """Return a new image with `payload` embedded; the cover is untouched."""
     limit = capacity(cover, mode)
     if len(payload) > limit:
-        raise CapacityExceeded(len(payload), limit)
+        raise EmbedError(f"payload needs {len(payload)} bytes, image holds {limit}")
     flat = cover.pixels.ravel().copy()
     data = np.frombuffer(bytes(payload), dtype=np.uint8)
     if mode == OVERWRITE:
@@ -59,7 +59,7 @@ def extract(stego: GrayImage, length: int, mode: str = OVERWRITE) -> bytes:
     """Read back `length` embedded bytes."""
     limit = capacity(stego, mode)
     if length > limit:
-        raise CapacityExceeded(length, limit)
+        raise EmbedError(f"payload needs {length} bytes, image holds {limit}")
     if length < 0:
         raise ValueError("length must be non-negative")
     flat = stego.pixels.ravel()

@@ -60,7 +60,7 @@ measured on the tiles that maximise each intermediate; for entries below
 such values and the rounding offset, stays below 2**39, and a multiple of
 2**-14 below 2**39 fits in float64's 53 bits. So every operation is exact,
 in any summation order and with or without fused multiply-add, and floor
-gives the integer result. Both transforms raise OutOfRange on an entry of
+gives the integer result. Both transforms raise BlockError on an entry of
 magnitude 2**35 or more. A tile with entries below 2**31 has coefficients
 below 8 * 2**31 = 2**34, so int_idct2 takes int_dct2's output back on all
 of them. The pipeline stays far inside that: seal passes byte tiles, and
@@ -74,7 +74,7 @@ import math
 
 import numpy as np
 
-from .errors import BadShape, OutOfRange
+from .errors import BlockError
 
 BLOCK = 8
 
@@ -95,7 +95,7 @@ _C.flags.writeable = False
 def _as_block(m, name: str) -> np.ndarray:
     arr = np.asarray(m, dtype=np.float64)
     if arr.shape != (BLOCK, BLOCK):
-        raise BadShape(f"{name} must be 8x8, got shape {arr.shape}")
+        raise BlockError(f"{name} must be 8x8, got shape {arr.shape}")
     return arr
 
 
@@ -172,13 +172,13 @@ def _pass(x: np.ndarray, steps) -> np.ndarray:
 def _as_tiles(m, name: str) -> np.ndarray:
     arr = np.asarray(m)
     if arr.shape[-2:] != (BLOCK, BLOCK):
-        raise BadShape(f"{name} must be 8x8 or a stack of 8x8, got shape {arr.shape}")
+        raise BlockError(f"{name} must be 8x8 or a stack of 8x8, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise TypeError(f"{name} must hold integers, got {arr.dtype}")
     info = np.iinfo(arr.dtype)
     if not (-_LIMIT < info.min and info.max < _LIMIT or not arr.size
             or -_LIMIT < arr.min() and arr.max() < _LIMIT):
-        raise OutOfRange(f"{name} entries must be below 2**35 in magnitude")
+        raise BlockError(f"{name} entries must be below 2**35 in magnitude")
     return arr
 
 

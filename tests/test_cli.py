@@ -222,7 +222,7 @@ EXACT_STDOUT = {
     "verify-undecodable": (
         ["verify", "--in", "{dir}/cover.pgm"], 2,
         "verdict=UNDECODABLE\nmode=overwrite\nmessage=\nembedded_digest=\n"
-        "recomputed_digest=\nreason=CorruptHeader: missing block stream header\n"),
+        "recomputed_digest=\nreason=StreamError: missing block stream header\n"),
     "tamper": (
         ["tamper", "--in", "{dir}/stego.pgm", "--out", "{dir}/broken.pgm",
          "--pixel", "40", "--bit", "0"], 0,
@@ -457,7 +457,7 @@ def assert_untouched(out, existing):
 
 
 @pytest.mark.parametrize("existing", [True, False])
-@pytest.mark.parametrize("command, fail_at", [("seal", 2), ("tamper", 1)])
+@pytest.mark.parametrize("command, fail_at", [("seal", 2), ("tamper", 1), ("tamper", 2)])
 def test_failed_write_leaves_out_as_it_was(cover_file, tmp_path, capsys, monkeypatch,
                                            existing, command, fail_at):
     out = old_output(tmp_path, existing)
@@ -610,7 +610,7 @@ def test_verify_and_inspect_report_the_same_mode(tmp_path, capsys):
     inspected = parse_kv(capsys.readouterr().out)
     assert verified["mode"] == inspected["mode"] == "lsb1"
     assert verified["verdict"] == "UNDECODABLE"
-    assert verified["reason"].startswith("MalformedBlock: ")
+    assert verified["reason"].startswith("CipherError: ")
 
 
 HILL_KEY = "6,24,1,13,16,10,20,17,15"

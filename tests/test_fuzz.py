@@ -80,6 +80,8 @@ def test_verify_never_raises_on_random_covers(head, mode, header, keyed):
     config = SealConfig(caesar_key=16, embed_mode=mode) if keyed else SealConfig(embed_mode=mode)
     report = verify(GrayImage(64, 64, np.frombuffer(bytes(pixels), np.uint8)), config)
     assert report.verdict in (VERIFIED, TAMPERED, UNDECODABLE)
+    if report.verdict == UNDECODABLE:
+        assert report.reason.startswith(("StreamError: ", "BlockError: ", "CipherError: "))
 
 
 SEALED = {mode: seal("I'm so proud to be Egyptian", SealConfig(caesar_key=16, embed_mode=mode),

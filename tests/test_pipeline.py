@@ -12,8 +12,7 @@ from stegoseal.cipher import (caesar_decrypt, caesar_encrypt, hill_encrypt,
                               normalize_letters)
 from stegoseal.digest import hash_message
 from stegoseal.entropy import block_stream_bound, decode_blocks, encode_blocks
-from stegoseal.errors import (CapacityExceeded, EmptyMessage, OutOfRange,
-                              RowOverflow)
+from stegoseal.errors import BlockError, CipherError, EmbedError
 from stegoseal.payload import pack, to_tiles
 from stegoseal.pgm import GrayImage
 from stegoseal.pipeline import (STREAM_BOUND, TAMPERED, UNDECODABLE, VERIFIED,
@@ -84,12 +83,12 @@ def test_sealed_stream_bytes_are_pinned(message, config, length, sha256):
 
 
 def test_seal_rejects_empty_message(cover):
-    with pytest.raises(EmptyMessage):
+    with pytest.raises(CipherError, match="refusing to seal an empty message"):
         seal("", paper_config(), cover)
 
 
 def test_seal_message_too_long_for_row(cover):
-    with pytest.raises(RowOverflow):
+    with pytest.raises(BlockError, match="row 0: 4000 bytes exceeds row length 128"):
         seal("x" * 4000, paper_config(), cover)
 
 
@@ -100,7 +99,7 @@ def test_seal_requires_key(cover):
 
 def test_seal_too_small_cover():
     tiny = GrayImage(8, 8, bytes(64))
-    with pytest.raises(CapacityExceeded):
+    with pytest.raises(EmbedError, match="payload needs 229 bytes, image holds 64"):
         seal(PAPER_MESSAGE, paper_config(), tiny)
 
 
@@ -120,8 +119,7 @@ def test_config_validation():
         SealConfig(caesar_key=26).validate()
     with pytest.raises(ValueError):
         SealConfig(caesar_key=3, hill_key=np.eye(3, dtype=int)).validate()
-    from stegoseal.errors import NotInvertible
-    with pytest.raises(NotInvertible):
+    with pytest.raises(CipherError, match="det = 8 shares a factor with 26"):
         SealConfig(cipher="hill", hill_key=2 * np.eye(3, dtype=int)).validate()
     with pytest.raises(ValueError, match="sealing with the hill cipher needs hill_key"):
         SealConfig(cipher="hill").validate(sealing=True)
@@ -288,9 +286,13 @@ def test_verify_hill_every_bit_flip(cover):
             assert report.verdict != VERIFIED, (pixel, bit)
 
 
+def block_stream_of(block):
+    return encode_blocks(int_dct2(to_tiles(block)))
+
+
 def embed_block(block, cover):
     """Seal an arbitrary block, bypassing the checks seal makes."""
-    return embed(cover, encode_blocks(int_dct2(to_tiles(block))), OVERWRITE)
+    return embed(cover, block_stream_of(block), OVERWRITE)
 
 
 def test_verify_rejects_blocks_seal_would_not_write(cover):
@@ -488,6 +490,24 @@ def test_verify_forged_stream_header_is_undecodable(cover):
     assert verify(img, SealConfig()).verdict == UNDECODABLE
 
 
+@pytest.mark.parametrize("stream, reason", [
+    (bytes.fromhex("4A 0005") + bytes(64), "StreamError: stream declares 5 tiles"),
+    (block_stream_of(pack(caesar_encrypt(PAPER_MESSAGE, 16), "16",
+                          hash_message(PAPER_MESSAGE)))[:-8], "StreamError: bits ran out"),
+    (block_stream_of(b"\xff" + bytes(383)), "BlockError: row is not valid UTF-8"),
+    (block_stream_of(pack("KHOOR", "abc", hash_message("HELLO"))),
+     "CipherError: key row 'abc' is not an integer"),
+    (block_stream_of(pack("ABCD", HILL_KEY_ROW, hash_message("ABCD"))),
+     "CipherError: ciphertext has 4 letters, not a multiple of 3"),
+], ids=["forged header", "truncated stream", "row not utf-8", "bad key row", "hill length"])
+def test_undecodable_reason_names_the_stage(stream, reason):
+    """An UNDECODABLE reason starts with the class of the stage that
+    rejected the image: the stream, the block or the cipher."""
+    report = verify(GrayImage(len(stream), 1, stream))
+    assert report.verdict == UNDECODABLE
+    assert report.reason.startswith(reason)
+
+
 def test_verify_time_does_not_follow_the_cover():
     """Forged headers on an all-zero 2048x2048 cover, where a decoder
     that reads until the bits run out would walk the whole capacity, are
@@ -525,11 +545,11 @@ def test_tamper_bit0_changes_by_one(cover):
 
 
 def test_tamper_out_of_range(cover):
-    with pytest.raises(OutOfRange):
+    with pytest.raises(EmbedError, match="pixel 65536 outside 256x256"):
         tamper(cover, 65536, 0)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(EmbedError, match=r"bit 8 outside \[0, 7\]"):
         tamper(cover, 0, 8)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(EmbedError, match="pixel -1 outside 256x256"):
         tamper(cover, -1, 0)
 
 
@@ -558,7 +578,11 @@ def test_parse_key_text():
 
 
 def test_parse_key_text_errors():
-    from stegoseal.errors import MalformedBlock
-    for bad in ("", "abc", "26", "1,2,3", "1,2,3,4,5,6,7,8,x", "1,2,3,4,5,6,7,8,99"):
-        with pytest.raises(MalformedBlock):
+    for bad, message in (("", "key row '' is not an integer"),
+                         ("abc", "key row 'abc' is not an integer"),
+                         ("26", "caesar key 26 out of range"),
+                         ("1,2,3", "hill key row has 3 entries, needs 9"),
+                         ("1,2,3,4,5,6,7,8,x", "hill key row is not all integers"),
+                         ("1,2,3,4,5,6,7,8,99", r"hill key entries must be in \[0, 25\]")):
+        with pytest.raises(CipherError, match=message):
             parse_key_text(bad)
