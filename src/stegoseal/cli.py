@@ -263,7 +263,7 @@ def _cmd_verify(args) -> int:
 def _cmd_tamper(args) -> int:
     image = GrayImage(*_read(args.input, sys.maxsize))
     flipped = pipeline.tamper(image, args.pixel, args.bit)
-    _replace_file(args.output, (header(image.width, image.height), flipped.pixels))
+    _replace_file(args.output, (header(image.width, image.height), flipped.tobytes()))
     _emit(wrote=args.output, pixel=args.pixel, bit=args.bit)
     return EX_OK
 

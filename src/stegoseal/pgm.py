@@ -11,6 +11,9 @@ checks the pixel byte count against the file size, and reads only the
 first pixels the caller asks for, so a caller that needs a prefix of the
 raster never holds the whole image. read_pgm runs it over bytes held in
 memory and asks for every pixel.
+
+A GrayImage holds its raster as one `bytes` object: shared with the
+caller when given as `bytes`, and read-only by construction.
 """
 
 from __future__ import annotations
@@ -24,18 +27,21 @@ import numpy as np
 from .errors import PgmError
 
 MAXVAL = 255
-# Whitespace and comments (from '#' to the end of the line: '.' stops at
-# '\n'), then one header token. In a bytes pattern \s is exactly PGM's six
-# whitespace bytes.
-_TOKEN = re.compile(rb"(?:\s|#.*)*([^\s#]*)")
+# Whitespace and comments (from '#' through the next CR or LF, as pgm(5)
+# has it), then one header token. In a bytes pattern \s is exactly PGM's
+# six whitespace bytes.
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 _HEADER_CHUNK = 4096  # bytes of a file read for its header at first
 
 
 class GrayImage:
-    """An 8-bit single-channel raster. Pixel data is read-only.
+    """An 8-bit single-channel raster, held as one `bytes` object.
 
-    Only integers are taken: a float dimension or pixel would be truncated
-    and a pixel outside [0, 255] would wrap, so each is a ValueError.
+    `bytes` pixels are stored as given; any other input is checked and
+    copied into new bytes. `pixels` is a (height, width) view of them that
+    numpy will not make writeable. Only integers are taken: a float
+    dimension or pixel would be truncated and a pixel outside [0, 255]
+    would wrap, so each is a ValueError.
     """
 
     def __init__(self, width: int, height: int, pixels):
@@ -46,33 +52,31 @@ class GrayImage:
                              f"{width!r}x{height!r}") from None
         if width < 1 or height < 1:
             raise ValueError(f"image dimensions must be positive, got {width}x{height}")
-        if isinstance(pixels, (bytes, bytearray)):
-            arr = np.frombuffer(bytes(pixels), dtype=np.uint8)
-        else:
+        if not isinstance(pixels, bytes):
             arr = np.asarray(pixels)
             if arr.dtype != np.uint8:
                 if arr.dtype.kind not in "iu" or (
                         arr.size and not 0 <= arr.min() <= arr.max() <= MAXVAL):
                     raise ValueError(f"pixels must be integers in [0, {MAXVAL}]")
                 arr = arr.astype(np.uint8)
-        if arr.size != width * height:
+            pixels = arr.tobytes()
+        if len(pixels) != width * height:
             raise ValueError(
-                f"expected {width * height} pixels for {width}x{height}, got {arr.size}")
-        arr = arr.reshape(height, width).copy()
-        arr.flags.writeable = False
+                f"expected {width * height} pixels for {width}x{height}, got {len(pixels)}")
         self.width = width
         self.height = height
-        self.pixels = arr
+        self._data = pixels
+        self.pixels = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
 
     def tobytes(self) -> bytes:
-        """Raw pixel bytes in row-major order."""
-        return self.pixels.tobytes()
+        """Raw pixel bytes in row-major order: the stored object itself."""
+        return self._data
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GrayImage)
                 and self.width == other.width
                 and self.height == other.height
-                and np.array_equal(self.pixels, other.pixels))
+                and self._data == other._data)
 
     def __repr__(self) -> str:
         return f"GrayImage({self.width}x{self.height})"

@@ -261,9 +261,10 @@ def tamper(image: GrayImage, pixel_index: int, bit: int) -> GrayImage:
         raise EmbedError(f"pixel {pixel_index} outside {image.width}x{image.height}")
     if not 0 <= bit <= 7:
         raise EmbedError(f"bit {bit} outside [0, 7]")
-    flat = image.pixels.ravel().copy()
-    flat[pixel_index] ^= 1 << bit
-    return GrayImage(image.width, image.height, flat)
+    raster = memoryview(image.tobytes())
+    flipped = bytes([raster[pixel_index] ^ 1 << bit])
+    return GrayImage(image.width, image.height,
+                     b"".join((raster[:pixel_index], flipped, raster[pixel_index + 1:])))
 
 
 def _decrypt_and_hash(ciphertext: str, kind: str, key, embedded_digest: str):

@@ -41,18 +41,20 @@ def pixels_for(nbytes: int, mode: str = OVERWRITE) -> int:
 
 
 def embed(cover: GrayImage, payload: bytes, mode: str = OVERWRITE) -> GrayImage:
-    """Return a new image with `payload` embedded; the cover is untouched."""
+    """Return a new image with `payload` embedded; the cover is untouched.
+
+    The new raster is made in one copy: the changed first pixels joined to
+    the rest of the cover's bytes.
+    """
     limit = capacity(cover, mode)
     if len(payload) > limit:
         raise EmbedError(f"payload needs {len(payload)} bytes, image holds {limit}")
-    flat = cover.pixels.ravel().copy()
-    data = np.frombuffer(bytes(payload), dtype=np.uint8)
-    if mode == OVERWRITE:
-        flat[: data.size] = data
-    else:
-        bits = np.unpackbits(data)
-        flat[: bits.size] = (flat[: bits.size] & 0xFE) | bits
-    return GrayImage(cover.width, cover.height, flat)
+    head = bytes(payload)
+    if mode == LSB1:
+        bits = np.unpackbits(np.frombuffer(head, dtype=np.uint8))
+        head = ((cover.pixels.ravel()[: bits.size] & 0xFE) | bits).tobytes()
+    rest = memoryview(cover.tobytes())[len(head):]
+    return GrayImage(cover.width, cover.height, head + rest)
 
 
 def extract(stego: GrayImage, length: int, mode: str = OVERWRITE) -> bytes:

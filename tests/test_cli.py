@@ -394,6 +394,22 @@ def test_verify_memory_is_bounded_by_the_stream(tmp_path, capsys, mode):
     assert peak < 1_000_000
 
 
+def test_tamper_memory_is_two_rasters(tmp_path, capsys):
+    """tamper holds the raster it read and the one it writes, no other copy."""
+    raster = 2048 * 2048
+    cover = tmp_path / "cover.pgm"
+    cover.write_bytes(write_pgm(make_cover(0xB16, 2048, 2048)))
+    tracemalloc.start()
+    try:
+        code = main(["tamper", "--in", str(cover), "--out", str(tmp_path / "out.pgm"),
+                     "--pixel", "40", "--bit", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 2 * raster + 2**20
+
+
 # --- how seal and tamper write --out ---------------------------------------
 
 

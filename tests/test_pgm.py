@@ -129,6 +129,30 @@ def test_gray_image_pixels_read_only():
         img.pixels[0, 0] = 1
 
 
+@pytest.mark.parametrize("make", [bytes, bytearray, memoryview, list,
+                                  lambda b: np.frombuffer(b, np.uint8).copy()],
+                         ids=["bytes", "bytearray", "memoryview", "list", "uint8-array"])
+def test_gray_image_pixels_cannot_be_made_writeable(make):
+    data = bytes(range(16))
+    img = GrayImage(4, 4, make(data))
+    with pytest.raises(ValueError):
+        img.pixels.flags.writeable = True
+    assert img.tobytes() == data
+    assert img.pixels.ravel().tolist() == list(data)
+
+
+def test_gray_image_keeps_bytes_without_copying():
+    data = bytes(range(6))
+    assert GrayImage(3, 2, data).tobytes() is data
+
+
+def test_gray_image_copies_what_the_caller_can_change():
+    data = bytearray(range(6))
+    img = GrayImage(3, 2, data)
+    data[0] = 99
+    assert img.tobytes() == bytes(range(6))
+
+
 def test_gray_image_tobytes_row_major():
     img = GrayImage(2, 2, bytes([1, 2, 3, 4]))
     assert img.tobytes() == bytes([1, 2, 3, 4])
@@ -162,6 +186,10 @@ HEADERS = [
     # the width token straddles the end of the first chunk
     b"P5\n#" + b"c" * 4088 + b"\n0002 3\n255\n",
     b"P5\n2 3\n#" + b"x" * 4094 + b"\n255\n",
+    # pgm(5): a comment runs through the next carriage return or newline
+    b"P5\n# c\r2 3\n255\n",
+    b"P5# c\r2\r3 # d\r255\r",
+    b"P5\n2 3 # e\r\n255\n",
 ]
 
 

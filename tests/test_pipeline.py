@@ -532,9 +532,11 @@ def test_verify_time_does_not_follow_the_cover():
 
 
 def test_tamper_is_involution(cover):
+    before = bytearray(cover.tobytes())  # a copy, not the same object
     once = tamper(cover, 1000, 3)
     assert once != cover
     assert tamper(once, 1000, 3) == cover
+    assert cover.tobytes() == before  # the input image is left as it was
 
 
 def test_tamper_bit0_changes_by_one(cover):
