@@ -1,7 +1,8 @@
 """Command-line front end: seal, verify, tamper and inspect PGM images.
 
-All stdout output is line-oriented key=value text. Exit codes form a
-stable contract:
+All stdout output is key=value text, one line per field: a backslash and
+each character str.splitlines splits on print as Python escapes (\\\\, \\n,
+\\x0b, \\x85, \\u2028, ...). Exit codes form a stable contract:
 
     0   success (for verify: verdict VERIFIED)
     1   verify: verdict TAMPERED
@@ -78,6 +79,9 @@ _VERDICT_CODES = {
 # pixel 0, so these first pixels, taken as a one-row image, seal and verify
 # exactly as the whole image does.
 _HEAD_PIXELS = max(stego.pixels_for(pipeline.STREAM_BOUND, m) for m in stego.MODES)
+
+# What _emit escapes: a backslash and every character str.splitlines splits on.
+_ESCAPES = str.maketrans({c: repr(c)[1:-1] for c in "\\\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
 class _UsageError(Exception):
@@ -234,7 +238,7 @@ def _config(key_text: str | None, **fields) -> pipeline.SealConfig:
 def _emit(**fields) -> None:
     """Print the report as one key=value line per field, in the order given."""
     for key, value in fields.items():
-        print(f"{key}={value}")
+        print(f"{key}={str(value).translate(_ESCAPES)}")
 
 
 def _cmd_seal(args) -> int:

@@ -29,11 +29,16 @@ that no nonzero value follows, and padding that is not zero. Every other
 bit string decodes, so a stream is the only encoding of its coefficients:
 encode_blocks(decode_blocks(data).coeffs) == data[:consumed].
 
-Both directions are table-driven. The encoder looks up each symbol's
-codeword and length once, ORs it with the amplitude bits into one
-integer per tile, and writes a tile's whole bytes before the next. The
-decoder keeps the next bits of the stream in an integer and indexes a
-4096-entry token table with the next 12 of them, as the fast paths of
+Both directions are table-driven. As in JPEG (ITU-T T.81, Annex C), the
+encoder emits each symbol from a precomputed bit string: a DC difference
+or an AC value after no zeros indexes a list of code-plus-amplitude
+strings by the value itself, v from the front and -v from the back; after
+a run, the (run, size) code precedes the value's amplitude string. The
+strings are joined once and become bytes in one int(bits, 2). A min/max
+test of the AC values and a range test of each DC difference send a value
+past the table to a walk that raises at the first symbol without a code.
+The decoder keeps the next bits of the stream in an integer and indexes
+a 4096-entry token table with the next 12 of them, as the fast paths of
 zlib's inflate and libjpeg do. An entry gives the symbol, its code
 length, its amplitude size and, when code and amplitude both fit in the
 12 bits, the signed amplitude, so most symbols cost one lookup. The
@@ -66,13 +71,13 @@ from .errors import StreamError
 BLOCK_MAGIC = 0x4A
 
 # Standard JPEG zig-zag traversal of an 8x8 block, as flat row-major indices.
-_ZIGZAG_FLAT = (
+_ZIGZAG_FLAT = np.array((
     0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5,
     12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13, 6, 7, 14, 21, 28,
     35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
     58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
-)
-ZIGZAG_ORDER = tuple(divmod(i, 8) for i in _ZIGZAG_FLAT)
+))
+ZIGZAG_ORDER = tuple(divmod(i, 8) for i in _ZIGZAG_FLAT.tolist())
 _UNZIGZAG = np.argsort(_ZIGZAG_FLAT)
 
 
@@ -199,11 +204,22 @@ def _signed(bits: int, size: int) -> int:
     return bits if bits >> (size - 1) else bits + 1 - (1 << size)
 
 
-# Encoder, indexed by symbol: the codeword shifted left past the symbol's
-# amplitude bits, and the code length plus the amplitude size.
-_CODEWORDS = [(int(code, 2) << _size(sym), len(code) + _size(sym))
-              if (code := BLOCK_TABLE.codes.get(sym)) else None
-              for sym in range(DC_SYMBOL + 12)]
+def _amplitude_bits() -> list:
+    """The amplitude bits of each v with |v| < 2048, at index v. The s-bit
+    strings are the (s-1)-bit ones after a 0, then after a 1; category s
+    gives the second half to its positives and the first to its negatives."""
+    front, back, strings = [""], [], [""]
+    for _ in range(11):
+        zeros, ones = ["0" + b for b in strings], ["1" + b for b in strings]
+        front, back, strings = front + ones, zeros + back, zeros + ones
+    return front + back
+
+
+# Encoder: amplitude, DC difference and run-0 AC bits, indexed by value.
+_AMPLITUDE = _amplitude_bits()
+_DC_BITS = [BLOCK_TABLE.codes[DC_SYMBOL + len(a)] + a for a in _AMPLITUDE]
+_AC_BITS = [BLOCK_TABLE.codes[len(a)] + a for a in _AMPLITUDE]
+_MAX_VALUE = len(_AMPLITUDE) // 2
 
 
 def _tokens() -> list:
@@ -269,6 +285,24 @@ class DecodedBlocks:
     consumed: int          # bytes of the whole stream
 
 
+def _uncoded(rows: list) -> StreamError:
+    """The StreamError of the first symbol of `rows`, zig-zag tiles as
+    lists, that BLOCK_TABLE has no code for."""
+    previous = 0
+    for row in rows:
+        size = abs(row[0] - previous).bit_length()
+        previous = row[0]
+        if size > 11:
+            return StreamError(f"coefficient symbol {DC_SYMBOL + size:#x} has no code")
+        run = 0
+        for value in row[1:]:
+            size = abs(value).bit_length()
+            if size > 11:
+                return StreamError(f"coefficient symbol {(run & 15) << 4 | size:#x} has no code"
+                                   if size < 16 else f"coefficient category {size} has no code")
+            run = run + 1 if not value else 0
+
+
 def encode_blocks(coeffs) -> bytes:
     """Serialize integer coefficient tiles, shape (n, 8, 8), as a block stream."""
     arr = np.asarray(coeffs)
@@ -276,50 +310,39 @@ def encode_blocks(coeffs) -> bytes:
         raise StreamError(f"expected 1-65535 tiles of shape (n, 8, 8), got {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise TypeError(f"coefficients must be integers, got {arr.dtype}")
-    eob, eob_bits = _CODEWORDS[EOB]
-    zrl, zrl_bits = _CODEWORDS[ZRL]
-    out = [bytes([BLOCK_MAGIC]), arr.shape[0].to_bytes(2, "big")]
-    acc = nbits = previous = 0     # acc holds the nbits not yet written
-    for row in arr.reshape(-1, 64)[:, _ZIGZAG_FLAT].tolist():
+    zz = arr.reshape(-1, 64)[:, _ZIGZAG_FLAT]
+    rows = zz.tolist()
+    if zz[:, 1:].min() < -_MAX_VALUE or zz[:, 1:].max() > _MAX_VALUE:
+        raise _uncoded(rows)
+    amplitude, dc_bits, ac_bits, codes = _AMPLITUDE, _DC_BITS, _AC_BITS, BLOCK_TABLE.codes
+    bits = [format(BLOCK_MAGIC << 16 | len(rows), "024b")]
+    append = bits.append
+    previous = 0
+    for row in rows:
         value = row[0] - previous
         previous = row[0]
-        size = abs(value).bit_length()
-        if value < 0:
-            value += (1 << size) - 1
-        if size > 11:
-            raise StreamError(f"coefficient symbol {DC_SYMBOL + size:#x} has no code")
-        code, n = _CODEWORDS[DC_SYMBOL + size]
-        acc = (acc << n) | code | value
-        nbits += n
+        if not -_MAX_VALUE <= value <= _MAX_VALUE:
+            raise _uncoded(rows)
+        append(dc_bits[value])
         run = 0
         for value in row[1:]:
             if not value:
                 run += 1
-                continue
-            while run > 15:
-                acc = (acc << zrl_bits) | zrl
-                nbits += zrl_bits
-                run -= 16
-            size = abs(value).bit_length()
-            if value < 0:
-                value += (1 << size) - 1
-            if size > 11:
-                raise StreamError(f"coefficient symbol {(run << 4) | size:#x} has no code"
-                                  if size < 16 else f"coefficient category {size} has no code")
-            code, n = _CODEWORDS[(run << 4) | size]
-            acc = (acc << n) | code | value
-            nbits += n
-            run = 0
+            elif not run:
+                append(ac_bits[value])
+            else:
+                while run > 15:
+                    append(codes[ZRL])
+                    run -= 16
+                amp = amplitude[value]
+                append(codes[run << 4 | len(amp)])
+                append(amp)
+                run = 0
         if run:
-            acc = (acc << eob_bits) | eob
-            nbits += eob_bits
-        spare = nbits & 7
-        out.append((acc >> spare).to_bytes(nbits >> 3, "big"))
-        acc &= (1 << spare) - 1
-        nbits = spare
-    if nbits:
-        out.append(bytes([acc << (8 - nbits)]))
-    return b"".join(out)
+            append(codes[EOB])
+    stream = "".join(bits)
+    spare = -len(stream) % 8
+    return (int(stream, 2) << spare).to_bytes((len(stream) + spare) // 8, "big")
 
 
 def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:

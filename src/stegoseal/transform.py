@@ -39,17 +39,18 @@ relative gap of -5.1e-5.
 
 Both 2D transforms run the 1D transform down the columns, then along the
 rows, as dct2 = C @ tile @ C.T does, on all the columns of a tile stack
-at once: a (9, 8 * tiles) array, the 8 entries of each column over a row
-of ones. Each shear step is one 9x9 integer matrix M on [x; 1] that
-shears all the disjoint pairs of its layer at once, and the step is
-x <- floor(M @ [x; 1] / 2**14). M holds 2**14 times the identity, the
-multiplier p or s in each sheared row, and the rounding offset in that
-row's ninth column: 2**13 forward, and 2**13 - 1 in the inverse, which
-negates the multipliers and runs the steps in reverse order. Since
--floor((a + 2**13) / 2**14) == floor((-a + 2**13 - 1) / 2**14) for every
-integer a, floor serves both directions. A 1D pass is 12 such products,
-and a signed-permutation product puts X_u in place (the inverse starts
-with the inverse permutation).
+at once: an (8, 8 * tiles) array. Each shear step is one 9x9 integer
+matrix M on [x; 1] that shears all the disjoint pairs of its layer at
+once, and the step is x <- floor(M @ [x; 1] / 2**14). M holds 2**14
+times the identity, the multiplier p or s in each sheared row, and the
+rounding offset in that row's ninth column: 2**13 forward, and 2**13 - 1
+in the inverse, which negates the multipliers and runs the steps in
+reverse order. Since -floor((a + 2**13) / 2**14) ==
+floor((-a + 2**13 - 1) / 2**14) for every integer a, floor serves both
+directions. A 1D pass is 12 such products. The first adds M's ninth
+column to the 8 rows times its first 8, which makes the row of ones. A
+signed-permutation product then puts X_u in place; int_idct2 folds its
+inverse into its first M (_UNOUT), which only moves and negates entries.
 
 The products run in float64 through BLAS, on the matrices divided by
 2**14. Their entries are multiples of 2**-14, so every product, partial
@@ -140,8 +141,11 @@ def _shears(sign: int, half: int) -> tuple:
     return tuple(m / (1 << _BITS) for m in steps)
 
 
-_FORWARD = _shears(1, 1 << (_BITS - 1))
-_INVERSE = _shears(-1, (1 << (_BITS - 1)) - 1)[::-1]
+def _chain(steps) -> tuple:
+    """(the first step's columns on the 8 entries, its offset column, the rest)"""
+    return np.ascontiguousarray(steps[0][:, :BLOCK]), steps[0][:, BLOCK:].copy(), steps[1:]
+
+
 # After the last step X_u is held at _SOURCE[u], negated where _SIGN is -1:
 # X = _OUT @ [x; 1] and [x; 1] = _UNOUT @ [X; 1].
 _OUT = np.zeros((BLOCK, BLOCK + 1))
@@ -149,23 +153,22 @@ _OUT[range(BLOCK), _SOURCE] = _SIGN
 _UNOUT = np.zeros((BLOCK + 1, BLOCK + 1))
 _UNOUT[_SOURCE, range(BLOCK)] = _SIGN
 _UNOUT[BLOCK, BLOCK] = 1
+_FORWARD = _chain(_shears(1, 1 << (_BITS - 1)))
+_INVERSE = _shears(-1, (1 << (_BITS - 1)) - 1)[::-1]
+_INVERSE = _chain((_INVERSE[0] @ _UNOUT,) + _INVERSE[1:])
 
 
-def _with_ones(rows: np.ndarray) -> np.ndarray:
-    """rows, shape (8, n, 8), as a (9, 8n) float64 array whose last row is
-    ones."""
-    x = np.empty((BLOCK + 1,) + rows.shape[1:])
-    x[:BLOCK] = rows
-    x[BLOCK] = 1
-    return x.reshape(BLOCK + 1, -1)
-
-
-def _pass(x: np.ndarray, steps) -> np.ndarray:
-    """The shear steps on each column of x, shape (9, n), whose last row is
-    ones: each is a matrix product rounded down."""
-    for m in steps:
-        x = np.dot(m, x)
-        np.floor(x, out=x)
+def _pass(x: np.ndarray, chain) -> np.ndarray:
+    """The shear steps on each column of x, shape (8, n), as a (9, n) array
+    whose last row is ones: each is a matrix product rounded down, and
+    after the first they run in two buffers."""
+    first, offset, rest = chain
+    x = np.dot(first, x)
+    x += offset
+    np.floor(x, out=x)
+    y = np.empty_like(x)
+    for m in rest:
+        np.floor(np.dot(m, x, out=y), out=x)
     return x
 
 
@@ -189,9 +192,9 @@ def int_dct2(tiles) -> np.ndarray:
     """
     t = _as_tiles(tiles, "tiles")
     n = t.size // (BLOCK * BLOCK)
-    x = _with_ones(t.reshape(n, BLOCK, BLOCK).transpose(1, 0, 2))          # (x, tile, y)
-    c = np.dot(_OUT, _pass(x, _FORWARD)).reshape(BLOCK, n, BLOCK)           # (u, tile, y)
-    c = np.dot(_OUT, _pass(_with_ones(c.transpose(2, 1, 0)), _FORWARD))    # (v, tile, u)
+    x = t.reshape(n, BLOCK, BLOCK).transpose(1, 0, 2).astype(float, order="C")   # (x, tile, y)
+    c = np.dot(_OUT, _pass(x.reshape(BLOCK, -1), _FORWARD)).reshape(BLOCK, n, BLOCK)  # (u, tile, y)
+    c = np.dot(_OUT, _pass(c.transpose(2, 1, 0).reshape(BLOCK, -1), _FORWARD))   # (v, tile, u)
     return c.reshape(BLOCK, n, BLOCK).transpose(1, 2, 0).astype(np.int64, order="C").reshape(t.shape)
 
 
@@ -200,7 +203,7 @@ def int_idct2(coeffs) -> np.ndarray:
     int_dct2(t) is below 2**35 in magnitude, as for any t below 2**31."""
     c = _as_tiles(coeffs, "coeffs")
     n = c.size // (BLOCK * BLOCK)
-    y = _with_ones(c.reshape(n, BLOCK, BLOCK).transpose(2, 0, 1))                   # (v, tile, u)
-    x = _pass(np.dot(_UNOUT, y), _INVERSE)[:BLOCK].reshape(BLOCK, n, BLOCK)         # (y, tile, u)
-    x = _pass(np.dot(_UNOUT, _with_ones(x.transpose(2, 1, 0))), _INVERSE)[:BLOCK]  # (x, tile, y)
+    y = c.reshape(n, BLOCK, BLOCK).transpose(2, 0, 1).astype(float, order="C")     # (v, tile, u)
+    x = _pass(y.reshape(BLOCK, -1), _INVERSE)[:BLOCK].reshape(BLOCK, n, BLOCK)       # (y, tile, u)
+    x = _pass(x.transpose(2, 1, 0).reshape(BLOCK, -1), _INVERSE)[:BLOCK]            # (x, tile, y)
     return x.reshape(BLOCK, n, BLOCK).transpose(1, 0, 2).astype(np.int64, order="C").reshape(c.shape)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from stegoseal import GrayImage
 
@@ -11,6 +12,11 @@ def cover():
     """A deterministic random 256x256 cover image."""
     rng = np.random.default_rng(0xC0FFEE)
     return GrayImage(256, 256, rng.integers(0, 256, 256 * 256, dtype=np.uint8))
+
+
+# Property tests draw the same inputs on every run of the suite.
+FUZZ = settings(max_examples=400, derandomize=True, database=None, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
 
 
 def make_cover(seed, width=256, height=256):

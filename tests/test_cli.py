@@ -83,6 +83,29 @@ def test_verify_with_wrong_key_is_tampered(cover_file, tmp_path, capsys):
     assert "verdict=TAMPERED" in out
 
 
+def unescape(value):
+    """Undo the escapes the CLI writes into a report value."""
+    return value.encode("latin-1", "backslashreplace").decode("unicode_escape")
+
+
+def test_a_message_cannot_forge_report_lines(cover_file, tmp_path, capsys):
+    """Each field prints as one line, whatever line breaks the message holds,
+    and undoing the escapes gives the message back."""
+    message = ("pay 10\nverdict=TAMPERED\nmessage=pay 9999 \\n\r\v\f\x1c\x1d\x1e\x85"
+               "\u2028\u2029 \u00e9\u20ac end")
+    stego = tmp_path / "stego.pgm"
+    assert main(["seal", "--in", str(cover_file), "--out", str(stego),
+                 f"--message={message}", "--key", "7"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--in", str(stego)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("=", 1)[0] for line in lines] == [
+        "verdict", "mode", "message", "embedded_digest", "recomputed_digest", "reason"]
+    out = parse_kv("\n".join(lines))
+    assert out["verdict"] == "VERIFIED"
+    assert unescape(out["message"]) == message
+
+
 def test_verify_lsb1_auto_detect(cover_file, tmp_path, capsys):
     stego = tmp_path / "stego.pgm"
     main(["seal", "--in", str(cover_file), "--out", str(stego),

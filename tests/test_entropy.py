@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stegoseal.cipher import caesar_encrypt
 from stegoseal.digest import hash_message
@@ -19,7 +21,7 @@ from stegoseal.errors import StegosealError, StreamError
 from stegoseal.payload import pack, to_tiles
 from stegoseal.transform import int_dct2
 
-from conftest import kraft_sum
+from conftest import FUZZ, kraft_sum
 
 
 def diagonal_walk_oracle():
@@ -515,3 +517,74 @@ def test_skewed_payload_block_compresses():
     data = encode_blocks(int_dct2(tiles))
     assert len(data) < 384
     assert np.array_equal(decode_blocks(data).coeffs, int_dct2(tiles))
+
+
+# --- block stream: the encoder against a reference ---------------------------
+
+
+def reference_encode(tiles):
+    """The block stream of `tiles` as the module docstring describes it,
+    symbol by symbol from BLOCK_TABLE.codes, raising at the first symbol
+    without a code."""
+    bits, previous = [], 0
+    for tile in tiles:
+        zz = [int(tile[r][c]) for r, c in diagonal_walk_oracle()]
+        symbols, previous, run = [(DC_SYMBOL, zz[0] - previous)], zz[0], 0
+        for value in zz[1:]:
+            if value:
+                symbols += [(ZRL, 0)] * (run // 16) + [(run % 16 << 4, value)]
+            run = 0 if value else run + 1
+        for base, value in symbols + [(EOB, 0)] * bool(run):
+            size = abs(value).bit_length()
+            if size > 11:
+                raise StreamError(f"coefficient category {size} has no code"
+                                  if base < DC_SYMBOL and size > 15
+                                  else f"coefficient symbol {base + size:#x} has no code")
+            bits += [CODES[base + size], amplitude_bits(value)]
+    return block_stream(len(tiles), *bits)
+
+
+@st.composite
+def coefficient_stacks(draw, value, dc_step):
+    """1-8 tiles in which the zeros before each nonzero AC value run 0-62,
+    some tiles end on a nonzero value (no EOB), and the DC changes by
+    dc_step between tiles."""
+    tiles, dc = [], 0
+    for _ in range(draw(st.integers(1, 8))):
+        dc += draw(dc_step)
+        zz, k = [dc] + [0] * 63, 1 + draw(st.integers(0, 62))
+        while k < 64:
+            zz[k] = draw(value)
+            k += 1 + draw(st.integers(0, 15) | st.integers(16, 62))
+        if draw(st.booleans()):
+            zz[63] = draw(value)
+        tiles.append(zigzag_unscan(np.array(zz, np.int64)))
+    return np.array(tiles)
+
+
+AC_VALUES = st.sampled_from([1, -1, 2047, -2047]) | st.integers(-2047, 2047).filter(bool)
+DC_STEPS = st.sampled_from([2047, -2047, 0]) | st.integers(-2047, 2047)
+
+
+@settings(FUZZ, max_examples=200)
+@given(coefficient_stacks(AC_VALUES, DC_STEPS))
+def test_encode_blocks_matches_the_reference(tiles):
+    data = encode_blocks(tiles)
+    assert data == reference_encode(tiles)
+    assert np.array_equal(decode_blocks(data).coeffs, tiles)
+
+
+PAST_THE_TABLE = AC_VALUES | st.sampled_from([2048, -2048, 4095, 32767, -32768, 2 ** 15,
+                                              -(2 ** 16), 2 ** 40, -(2 ** 62)])
+
+
+@settings(FUZZ, max_examples=200)
+@given(coefficient_stacks(PAST_THE_TABLE, DC_STEPS | st.sampled_from([2048, -2048, 4095])))
+def test_encode_blocks_raises_at_the_first_symbol_without_a_code(tiles):
+    try:
+        expected = reference_encode(tiles)
+    except StreamError as exc:
+        with pytest.raises(StreamError, match=f"^{re.escape(str(exc))}$"):
+            encode_blocks(tiles)
+    else:
+        assert encode_blocks(tiles) == expected

@@ -5,7 +5,7 @@ the suite draws the same inputs.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stegoseal.entropy import BLOCK_MAGIC, decode_blocks, encode_blocks
@@ -16,10 +16,8 @@ from stegoseal.pipeline import (TAMPERED, UNDECODABLE, VERIFIED, SealConfig,
 from stegoseal.stego import LSB1, OVERWRITE
 from stegoseal.transform import int_dct2
 
+from conftest import FUZZ
 from test_entropy import random_coefficient_tiles
-
-FUZZ = settings(max_examples=400, derandomize=True, database=None, deadline=None,
-                suppress_health_check=[HealthCheck.too_slow])
 
 
 def _real_streams():
