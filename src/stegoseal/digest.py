@@ -16,10 +16,11 @@ _BY_HEX_LENGTH = {2 * hashlib.new(name).digest_size: name for name in ALGORITHMS
 
 
 def hash_message(message: bytes | str, algorithm: str = DEFAULT_ALGORITHM) -> str:
-    """Hash `message` (str means UTF-8 bytes) and return lowercase hex."""
+    """Hash `message`, a bytes-like object or a str (its UTF-8 bytes), and
+    return lowercase hex; anything else raises TypeError."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unsupported digest algorithm {algorithm!r}")
-    data = message.encode("utf-8") if isinstance(message, str) else bytes(message)
+    data = message.encode("utf-8") if isinstance(message, str) else message
     return hashlib.new(algorithm, data).hexdigest()
 
 

@@ -31,23 +31,24 @@ encode_blocks(decode_blocks(data).coeffs) == data[:consumed].
 
 Both directions are table-driven. As in JPEG (ITU-T T.81, Annex C), the
 encoder emits each symbol from a precomputed bit string: a DC difference
-or an AC value after no zeros indexes a list of code-plus-amplitude
-strings by the value itself, v from the front and -v from the back; after
-a run, the (run, size) code precedes the value's amplitude string. The
-strings are joined once and become bytes in one int(bits, 2). A min/max
-test of the AC values and a range test of each DC difference send a value
-past the table to a walk that raises at the first symbol without a code.
-The decoder keeps the next bits of the stream in an integer and indexes
-a 4096-entry token table with the next 12 of them, as the fast paths of
-zlib's inflate and libjpeg do. An entry gives the symbol, its code
-length, its amplitude size and, when code and amplitude both fit in the
-12 bits, the signed amplitude, so most symbols cost one lookup. The
-codes longer than 12 bits (a few rare symbols) fall back to a map from
-codeword, with its length, to symbol, which the decoder probes with the
-stream's next 13, 14, ... 18 bits; as the code is prefix-free, the
-first hit is the only one. Its checks run in a fixed order: truncation
-of a code, then the kind of the symbol and its run, then truncation of
-an amplitude, then the padding.
+or an AC value after no zeros keys a dict of code-plus-amplitude strings
+that holds the values -2047..2047; after a run, the (run, size) code
+precedes the value's amplitude string. The strings are joined once and
+become bytes in one int(bits, 2). A value the dicts lack has no code:
+its KeyError sends the tiles to a walk that raises at the first symbol
+without a code. The decoder keeps the next bits of the stream in an
+integer and indexes a 4096-entry token table with the next 12 of them,
+as the fast paths of zlib's inflate and libjpeg do. An entry gives the
+symbol, its code length, its amplitude size and, when code and amplitude
+both fit in the 12 bits, the signed amplitude, so most symbols cost one
+lookup. The codes longer than 12 bits (a few rare symbols) fall back to
+a map from codeword, with its length, to symbol, which the decoder
+probes with the stream's next 13, 14, ... 18 bits; as the code is
+prefix-free, the first hit is the only one. DC and AC symbols go through
+this one read, as in libjpeg's decode_mcu (ITU-T T.81, Annex F.2.2), and
+the position in the tile says which kind belongs there. The checks run
+in a fixed order: truncation of a code, then the kind of the symbol and
+its run, then truncation of an amplitude, then the padding.
 
 How BLOCK_TABLE was derived: the symbols of 1000 sealed blocks were
 counted, and every symbol of the alphabet was counted once more so that
@@ -204,22 +205,23 @@ def _signed(bits: int, size: int) -> int:
     return bits if bits >> (size - 1) else bits + 1 - (1 << size)
 
 
-def _amplitude_bits() -> list:
-    """The amplitude bits of each v with |v| < 2048, at index v. The s-bit
+def _amplitude_bits() -> dict:
+    """The amplitude bits of each v with |v| < 2048, keyed by v. The s-bit
     strings are the (s-1)-bit ones after a 0, then after a 1; category s
-    gives the second half to its positives and the first to its negatives."""
-    front, back, strings = [""], [], [""]
+    gives the second half to its positives and the first to its negatives,
+    so the negatives, then the positives, run in increasing order."""
+    negatives, positives, strings = [], [""], [""]
     for _ in range(11):
         zeros, ones = ["0" + b for b in strings], ["1" + b for b in strings]
-        front, back, strings = front + ones, zeros + back, zeros + ones
-    return front + back
+        negatives, positives, strings = zeros + negatives, positives + ones, zeros + ones
+    return dict(zip(range(-2047, 2048), negatives + positives))
 
 
-# Encoder: amplitude, DC difference and run-0 AC bits, indexed by value.
+# Encoder: amplitude, DC difference and run-0 AC bits, keyed by the codable
+# values; a value past them raises KeyError.
 _AMPLITUDE = _amplitude_bits()
-_DC_BITS = [BLOCK_TABLE.codes[DC_SYMBOL + len(a)] + a for a in _AMPLITUDE]
-_AC_BITS = [BLOCK_TABLE.codes[len(a)] + a for a in _AMPLITUDE]
-_MAX_VALUE = len(_AMPLITUDE) // 2
+_DC_BITS = {v: BLOCK_TABLE.codes[DC_SYMBOL + len(a)] + a for v, a in _AMPLITUDE.items()}
+_AC_BITS = {v: BLOCK_TABLE.codes[len(a)] + a for v, a in _AMPLITUDE.items()}
 
 
 def _tokens() -> list:
@@ -308,38 +310,35 @@ def encode_blocks(coeffs) -> bytes:
     arr = np.asarray(coeffs)
     if arr.ndim != 3 or arr.shape[1:] != (8, 8) or not 1 <= arr.shape[0] <= 0xFFFF:
         raise StreamError(f"expected 1-65535 tiles of shape (n, 8, 8), got {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype.kind not in "iu":
         raise TypeError(f"coefficients must be integers, got {arr.dtype}")
-    zz = arr.reshape(-1, 64)[:, _ZIGZAG_FLAT]
-    rows = zz.tolist()
-    if zz[:, 1:].min() < -_MAX_VALUE or zz[:, 1:].max() > _MAX_VALUE:
-        raise _uncoded(rows)
+    rows = arr.reshape(-1, 64)[:, _ZIGZAG_FLAT].tolist()
     amplitude, dc_bits, ac_bits, codes = _AMPLITUDE, _DC_BITS, _AC_BITS, BLOCK_TABLE.codes
     bits = [format(BLOCK_MAGIC << 16 | len(rows), "024b")]
     append = bits.append
     previous = 0
-    for row in rows:
-        value = row[0] - previous
-        previous = row[0]
-        if not -_MAX_VALUE <= value <= _MAX_VALUE:
-            raise _uncoded(rows)
-        append(dc_bits[value])
-        run = 0
-        for value in row[1:]:
-            if not value:
-                run += 1
-            elif not run:
-                append(ac_bits[value])
-            else:
-                while run > 15:
-                    append(codes[ZRL])
-                    run -= 16
-                amp = amplitude[value]
-                append(codes[run << 4 | len(amp)])
-                append(amp)
-                run = 0
-        if run:
-            append(codes[EOB])
+    try:
+        for row in rows:
+            append(dc_bits[row[0] - previous])
+            previous = row[0]
+            run = 0
+            for value in row[1:]:
+                if not value:
+                    run += 1
+                elif not run:
+                    append(ac_bits[value])
+                else:
+                    while run > 15:
+                        append(codes[ZRL])
+                        run -= 16
+                    amp = amplitude[value]
+                    append(codes[run << 4 | len(amp)])
+                    append(amp)
+                    run = 0
+            if run:
+                append(codes[EOB])
+    except KeyError:
+        raise _uncoded(rows) from None
     stream = "".join(bits)
     spare = -len(stream) % 8
     return (int(stream, 2) << spare).to_bytes((len(stream) + spare) // 8, "big")
@@ -366,66 +365,58 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
     # read, and a read that leaves `have` below `slack` ran past nbits
     acc = have = i = dc = 0
     slack = -nbits
-    tokens = _TOKENS
+    tokens, window, refill = _TOKENS, _WINDOW, _LONGEST + 11
     symbols = []
     append = symbols.append
     zz = [0] * (64 * count)
     for base in range(0, 64 * count, 64):
-        if have < _LONGEST + 11:
-            acc = (acc & ((1 << have) - 1)) << 32 | int.from_bytes(body[i:i + 4], "big")
-            i += 4
-            have += 32
-            slack += 32
-        symbol, length, size, value = (tokens[(acc >> (have - _WINDOW)) & 0xFFF]
-                                       or _long_token(acc, have))
-        have -= length
-        if have < slack:
-            raise StreamError(f"bits ran out after {len(symbols)} symbols")
-        append(symbol)
-        if symbol < DC_SYMBOL:
-            raise StreamError("AC symbol where a DC category belongs")
-        if size:
-            have -= size
-            if have < slack:
-                raise StreamError("bits ran out inside an amplitude")
-            if value is None:
-                value = _signed((acc >> have) & ((1 << size) - 1), size)
-            dc += value
-        zz[base] = dc
-        k = 1
+        k = 0
         while k < 64:
-            if have < _LONGEST + 11:
+            if have < refill:
                 acc = (acc & ((1 << have) - 1)) << 32 | int.from_bytes(body[i:i + 4], "big")
                 i += 4
                 have += 32
                 slack += 32
-            symbol, length, size, value = (tokens[(acc >> (have - _WINDOW)) & 0xFFF]
+            symbol, length, size, value = (tokens[(acc >> (have - window)) & 0xFFF]
                                            or _long_token(acc, have))
             have -= length
             if have < slack:
                 raise StreamError(f"bits ran out after {len(symbols)} symbols")
             append(symbol)
-            if size and symbol < DC_SYMBOL:
-                k += symbol >> 4
-                if k >= 64:
-                    raise StreamError("zero run past the end of a block")
-                have -= size
-                if have < slack:
-                    raise StreamError("bits ran out inside an amplitude")
-                if value is None:
-                    value = _signed((acc >> have) & ((1 << size) - 1), size)
-                zz[base + k] = value
-                k += 1
-            elif symbol == EOB:
-                if symbols[-2] == ZRL:
-                    raise StreamError("ZRL before the end of a block")
-                break
-            elif symbol == ZRL:
-                k += 16
-                if k >= 64:
-                    raise StreamError("zero run past the end of a block")
-            else:
+            if symbol < DC_SYMBOL and k:
+                if size:
+                    k += symbol >> 4
+                    if k >= 64:
+                        raise StreamError("zero run past the end of a block")
+                    have -= size
+                    if have < slack:
+                        raise StreamError("bits ran out inside an amplitude")
+                    if value is None:
+                        value = _signed((acc >> have) & ((1 << size) - 1), size)
+                    zz[base + k] = value
+                    k += 1
+                elif symbol == EOB:
+                    if symbols[-2] == ZRL:
+                        raise StreamError("ZRL before the end of a block")
+                    break
+                else:                                   # ZRL
+                    k += 16
+                    if k >= 64:
+                        raise StreamError("zero run past the end of a block")
+            elif k:
                 raise StreamError("DC category where an AC symbol belongs")
+            elif symbol < DC_SYMBOL:
+                raise StreamError("AC symbol where a DC category belongs")
+            else:
+                if size:
+                    have -= size
+                    if have < slack:
+                        raise StreamError("bits ran out inside an amplitude")
+                    if value is None:
+                        value = _signed((acc >> have) & ((1 << size) - 1), size)
+                    dc += value
+                zz[base] = dc
+                k = 1
     pos = slack + nbits - have
     if pos & 7 and body[pos >> 3] & ((0x100 >> (pos & 7)) - 1):
         raise StreamError("padding bits after the last block are not zero")

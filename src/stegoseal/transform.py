@@ -176,11 +176,9 @@ def _as_tiles(m, name: str) -> np.ndarray:
     arr = np.asarray(m)
     if arr.shape[-2:] != (BLOCK, BLOCK):
         raise BlockError(f"{name} must be 8x8 or a stack of 8x8, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype.kind not in "iu":
         raise TypeError(f"{name} must hold integers, got {arr.dtype}")
-    info = np.iinfo(arr.dtype)
-    if not (-_LIMIT < info.min and info.max < _LIMIT or not arr.size
-            or -_LIMIT < arr.min() and arr.max() < _LIMIT):
+    if not (arr.itemsize <= 4 or not arr.size or -_LIMIT < arr.min() and arr.max() < _LIMIT):
         raise BlockError(f"{name} entries must be below 2**35 in magnitude")
     return arr
 

@@ -90,3 +90,12 @@ def test_avalanche_mean_bit_change():
             b = int(hash_message(bytes(data), algorithm), 16)
             total += bin(a ^ b).count("1") / bits
         assert total / n >= 0.30
+
+
+def test_only_bytes_like_and_text_are_hashed():
+    """An int or a list is not a message: bytes(5) would be five NULs."""
+    for message in (5, 0, [97, 98, 99], None):
+        with pytest.raises(TypeError):
+            hash_message(message)
+    for message in (bytearray(b"abc"), memoryview(b"abc")):
+        assert hash_message(message) == hash_message(b"abc")

@@ -236,18 +236,40 @@ def test_block_stream_rejects_non_canonical_forms():
 
 
 def test_block_stream_prefixes_are_truncated():
-    """Every proper prefix of a stream runs out of bits, also when
-    the cut falls inside the amplitude of a tile's last coefficient."""
-    rng = np.random.default_rng(44)
+    """A stream cut at any byte raises at the first symbol the cut reaches:
+    "after n symbols" when it reaches the symbol's code, "inside an
+    amplitude" when it reaches only the amplitude bits. DC differences of
+    0 and +-1 have 14-bit codes, so those tile starts are read through the
+    codes longer than the decoder's 12-bit window."""
+    assert len(CODES[DC_SYMBOL]) == len(CODES[DC_SYMBOL + 1]) == 14
     last = np.zeros((1, 8, 8), np.int64)
     last[0, 0, 0], last[0, 7, 7] = 3, -700       # no EOB: the stream ends in an amplitude
-    for tiles in [last] + [random_coefficient_tiles(rng, 2) for _ in range(20)]:
+    small_steps = np.zeros((9, 64), np.int64)
+    small_steps[:, 0] = [0, 0, 1, 1, 0, -1, -1, -1, 0]
+    small_steps[[1, 4, 7], [5, 1, 40]] = [2, -1, 300]
+    stacks = [last, np.array([zigzag_unscan(row) for row in small_steps])]
+    for i, message in enumerate(["I'm so proud to be Egyptian", "a", "Pay 10 to B. " * 9]):
+        digest = hash_message(message, ("sha256", "sha512")[i % 2])
+        stacks.append(int_dct2(to_tiles(pack(caesar_encrypt(message, i + 3), str(i + 3), digest))))
+    rng = np.random.default_rng(44)
+    stacks += [random_coefficient_tiles(rng, 2) for _ in range(20)]
+    in_code = set()
+    for tiles in stacks:
         data = encode_blocks(tiles)
+        ends, end = [], 0        # bit after each symbol's code, and after its amplitude
+        for symbol in decode_blocks(data).symbols:
+            end += len(CODES[symbol])
+            ends.append((end, end + symbol_size(symbol)))
+            end += symbol_size(symbol)
         for cut in range(3, len(data)):
-            with pytest.raises(StreamError, match="bits ran out (after|inside)"):
+            have = 8 * (cut - 3)
+            n, (code_end, _) = next((n, e) for n, e in enumerate(ends) if e[1] > have)
+            message = (f"bits ran out after {n} symbols" if code_end > have
+                       else "bits ran out inside an amplitude")
+            with pytest.raises(StreamError, match=f"^{re.escape(message)}$"):
                 decode_blocks(data[:cut])
-    with pytest.raises(StreamError, match="bits ran out inside an amplitude"):
-        decode_blocks(encode_blocks(last)[:-1])
+            in_code.add(code_end > have)
+    assert in_code == {True, False}          # both messages were predicted
 
 
 def test_block_stream_checks_tile_count_first():

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from stegoseal.entropy import encode_blocks
 from stegoseal.errors import BlockError
 from stegoseal.transform import dct2, idct2, int_dct2, int_idct2
 
@@ -232,6 +233,14 @@ def test_int_idct2_rejects_float_coefficients():
     with pytest.raises(BlockError, match=r"coeffs must be 8x8 or a stack of 8x8, "
                                          r"got shape \(8, 4\)"):
         int_idct2(np.zeros((8, 4), int))
+
+
+@pytest.mark.parametrize("function", [int_dct2, int_idct2, encode_blocks])
+def test_timedelta_tiles_are_not_integers(function):
+    """numpy counts timedelta64 as an integer type; the coefficient entry
+    points take signed and unsigned integers only."""
+    with pytest.raises(TypeError, match=r"integers, got timedelta64\[s\]"):
+        function(np.zeros((1, 8, 8), "m8[s]"))
 
 
 # --- reference forms and the 2**35 domain -------------------------------------
