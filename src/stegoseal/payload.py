@@ -4,11 +4,20 @@ A sealed message travels as one fixed block of 3 rows of 128 bytes each,
 row after row:
 
     row 0: ciphertext, NUL-padded
-    row 1: serialized key text, NUL-padded
+    row 1: key text, NUL-padded
     row 2: digest hex text, NUL-padded
 
 Byte 0 is reserved for padding and therefore forbidden inside the row
 content, which makes stripping unambiguous.
+
+The key text has one letter per key entry, A = 0 ... Z = 25: Caesar has 1
+entry and Hill 9, in row-major order. Each letter is written 8 times, so
+each entry fills one 8-byte row of a tile; key 16 is "QQQQQQQQ". A tile
+whose rows are each constant keeps its energy in the first column of its
+DCT coefficients. Written as decimal text, "16" and 62 NULs, the key was
+an impulse that the DCT spreads over all 64 coefficients; the letters cut
+the paper example's stream from 229 to 201 bytes. pipeline writes this
+text and reads it back.
 
 For the transform stage the block is cut into consecutive 64-byte runs,
 each read row-major as one 8x8 tile: tile k holds bytes 64k..64k+63, and

@@ -31,7 +31,11 @@ The key travels inside the payload (row 1), so verification needs no
 out-of-band secret; anyone holding the image can decode and re-seal it.
 This mirrors the scheme's design and is an integrity mechanism only, not
 confidentiality. When a key is supplied for verification it is checked
-against the embedded one as an extra tamper signal.
+against the embedded one as an extra tamper signal. Row 1 holds one
+letter per key entry, each 8 times over (see payload): _key_text writes
+it, and _read_key_row takes exactly 1 or 9 groups of 8 equal letters A-Z
+and raises CipherError, so UNDECODABLE, on any other row. A --key is
+decimal text, read by parse_key_text.
 
 Verify needs no embed mode either: with embed_mode=None it takes the first
 of stego.MODES whose stream decodes and names it in report.mode (the first
@@ -47,6 +51,7 @@ embedded digest.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,21 +130,29 @@ class VerificationReport:
     mode: str = OVERWRITE
 
 
+def _decimal(text: str) -> int:
+    """`text` as an int when it is ASCII decimal digits only; int() alone
+    would also take a sign, spaces, underscores and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_key_text(text: str):
-    """Parse payload row 1 or a --key into ("caesar", shift) or ("hill", matrix)."""
+    """Parse a --key into ("caesar", shift) or ("hill", matrix)."""
     if "," in text:
         parts = text.split(",")
         if len(parts) != 9:
             raise CipherError(f"hill key row has {len(parts)} entries, needs 9")
         try:
-            vals = [int(p) for p in parts]
+            vals = [_decimal(p) for p in parts]
         except ValueError:
             raise CipherError("hill key row is not all integers") from None
         if any(not 0 <= v <= 25 for v in vals):
             raise CipherError("hill key entries must be in [0, 25]")
         return HILL, np.array(vals, dtype=np.int64).reshape(3, 3)
     try:
-        shift = int(text)
+        shift = _decimal(text)
     except ValueError:
         raise CipherError(f"key row {text!r} is not an integer") from None
     if not 0 <= shift <= 25:
@@ -147,11 +160,28 @@ def parse_key_text(text: str):
     return CAESAR, shift
 
 
+# Payload row 1 holds one letter per key entry (A = 0 ... Z = 25), each
+# written _KEY_REPEAT times so that it fills one 8-byte row of a tile.
+_KEY_REPEAT = 8
+_KEY_ROW = re.compile(r"(?:([A-Z])\1{7})+")  # groups of _KEY_REPEAT equal letters
+
+
 def _key_text(kind: str, key) -> str:
     """Payload row 1 as seal writes it for `key`, the one form verify accepts."""
-    if kind == CAESAR:
-        return str(_check_shift(key))
-    return ",".join(str(v) for v in _as_key(key).ravel())
+    values = [_check_shift(key)] if kind == CAESAR else _as_key(key).ravel().tolist()
+    return "".join(chr(ord("A") + v) * _KEY_REPEAT for v in values)
+
+
+def _read_key_row(row: str):
+    """Payload row 1 back as (kind, key): exactly 1 (Caesar) or 9 (Hill,
+    row-major) groups of _KEY_REPEAT equal letters A-Z."""
+    if len(row) not in (_KEY_REPEAT, 9 * _KEY_REPEAT) or not _KEY_ROW.fullmatch(row):
+        raise CipherError(f"key row {row!r} is not 1 or 9 groups of "
+                          f"{_KEY_REPEAT} equal letters A-Z")
+    values = [ord(letter) - ord("A") for letter in row[::_KEY_REPEAT]]
+    if len(values) == 1:
+        return CAESAR, values[0]
+    return HILL, np.array(values, dtype=np.int64).reshape(3, 3)
 
 
 def _pack_block(protected: str, kind: str, key, digest_hex: str) -> bytes:
@@ -165,8 +195,9 @@ def _is_sealed_form(block: bytes, message: str, kind: str, key,
     """Whether `block` is byte for byte what seal writes for `message`.
 
     This catches the changes that decryption ignores, such as a nonzero
-    byte in the zero padding of a Hill ciphertext, or a key row such as
-    "16\\t" (a tab after the digits) that still parses as 16.
+    byte in the zero padding of a Hill ciphertext or a lowercase letter in
+    it, which normalize_letters would drop or fold. The key row needs no
+    such check: _read_key_row accepts only the form _key_text writes.
     """
     try:
         return _pack_block(message, kind, key, digest_hex) == block
@@ -227,8 +258,8 @@ def verify(stego: GrayImage, config: SealConfig | None = None) -> VerificationRe
     try:
         mode, decoded = read_stream(stego, config.embed_mode)
         block = _recover_block(decoded.coeffs)
-        ciphertext, key_text, embedded_digest = unpack(block)
-        kind, key = parse_key_text(key_text)
+        ciphertext, key_row, embedded_digest = unpack(block)
+        kind, key = _read_key_row(key_row)
         message, recomputed = _decrypt_and_hash(ciphertext, kind, key, embedded_digest)
     except StegosealError as exc:
         return VerificationReport(UNDECODABLE, reason=f"{type(exc).__name__}: {exc}",

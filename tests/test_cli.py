@@ -231,8 +231,8 @@ SHA256_RENDEZVOUS = "53a0357017c0f5342d219b2d72c7ec1730be7f69f606a954354c692b5b5
 # directory of the files.
 EXACT_STDOUT = {
     "seal-overwrite": (SEAL_OVERWRITE, 0,
-                       "wrote={dir}/stego.pgm\nmode=overwrite\npixels_changed=229\n"),
-    "seal-lsb1": (SEAL_LSB1, 0, "wrote={dir}/lsb1.pgm\nmode=lsb1\npixels_changed=641\n"),
+                       "wrote={dir}/stego.pgm\nmode=overwrite\npixels_changed=201\n"),
+    "seal-lsb1": (SEAL_LSB1, 0, "wrote={dir}/lsb1.pgm\nmode=lsb1\npixels_changed=566\n"),
     "verify-verified": (
         ["verify", "--in", "{dir}/stego.pgm"], 0,
         f"verdict=VERIFIED\nmode=overwrite\nmessage={PAPER_MESSAGE}\n"
@@ -252,14 +252,14 @@ EXACT_STDOUT = {
         "wrote={dir}/broken.pgm\npixel=40\nbit=0\n"),
     "inspect-overwrite": (
         ["inspect", "--in", "{dir}/stego.pgm"], 0,
-        "mode=overwrite\nelements=384\ncompressed_elements=229\nratio=1.6769\n"
-        "table_entries=190\nheader_bytes=3\npayload_bits=1805\nstream_bytes=229\n"
-        "embedded_pixels=229\n"),
+        "mode=overwrite\nelements=384\ncompressed_elements=201\nratio=1.9104\n"
+        "table_entries=190\nheader_bytes=3\npayload_bits=1578\nstream_bytes=201\n"
+        "embedded_pixels=201\n"),
     "inspect-lsb1": (
         ["inspect", "--in", "{dir}/lsb1.pgm"], 0,
-        "mode=lsb1\nelements=384\ncompressed_elements=166\nratio=2.3133\n"
-        "table_entries=190\nheader_bytes=3\npayload_bits=1300\nstream_bytes=166\n"
-        "embedded_pixels=1328\n"),
+        "mode=lsb1\nelements=384\ncompressed_elements=149\nratio=2.5772\n"
+        "table_entries=190\nheader_bytes=3\npayload_bits=1163\nstream_bytes=149\n"
+        "embedded_pixels=1192\n"),
     "inspect-cover": (["inspect", "--in", "{dir}/cover.pgm"], 2,
                       "error=no embedded stream found\n"),
 }
@@ -671,6 +671,14 @@ HILL_KEY = "6,24,1,13,16,10,20,17,15"
     ("verify", ["--key", "27,3,0,2,5,0,0,0,1"], 64),
     ("verify", ["--key", "2,0,0,0,2,0,0,0,2"], 65),
     ("verify", ["--key", "16"], 2),
+    # spellings int() takes for 16 and 15: a key is ASCII decimal digits only
+    ("seal", ["--key", " 16"], 64),
+    ("seal", ["--key", "+16"], 64),
+    ("seal", ["--key", "1_6"], 64),
+    ("seal", ["--key", "16\t"], 64),
+    ("seal", ["--key", "\u0661\u0666"], 64),
+    ("seal", ["--key", "6,24,1,13,16,10,20,17,+15", "--cipher", "hill"], 64),
+    ("verify", ["--key", "+16"], 64),
 ])
 def test_key_exit_codes(cover_file, tmp_path, capsys, command, flags, code):
     """Every --key goes through pipeline.parse_key_text: a key it rejects,
