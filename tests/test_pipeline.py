@@ -381,7 +381,8 @@ KEY_ROW_ERROR = "CipherError: key row "
 
 
 @pytest.mark.parametrize("key_row, verdict", [
-    pytest.param(CAESAR_KEY_ROW, VERIFIED, id="sealed"),
+    # seal's row for key 16, named by the key and its verdict
+    pytest.param(CAESAR_KEY_ROW, VERIFIED, id="16-VERIFIED"),
     pytest.param(7 * "Q", UNDECODABLE, id="7 repeats"),
     pytest.param(9 * "Q", UNDECODABLE, id="9 repeats"),
     pytest.param(7 * "Q" + "R", UNDECODABLE, id="odd letter"),
@@ -402,7 +403,8 @@ def test_caesar_key_row_has_one_valid_form(cover, key_row, verdict):
 
 
 @pytest.mark.parametrize("key_row, verdict", [
-    pytest.param(HILL_KEY_ROW, VERIFIED, id="sealed"),
+    # seal's row for HILL_KEY, named by the key entries and its verdict
+    pytest.param(HILL_KEY_ROW, VERIFIED, id="3,3,0,2,5,0,0,0,1-VERIFIED"),
     pytest.param(HILL_KEY_ROW[:-8], UNDECODABLE, id="8 entries"),
     pytest.param(HILL_KEY_ROW[:-1], UNDECODABLE, id="7 repeats"),
     pytest.param(HILL_KEY_ROW + "B", UNDECODABLE, id="9 repeats"),
