@@ -59,6 +59,7 @@ from . import pipeline, stego
 from .digest import ALGORITHMS, DEFAULT_ALGORITHM
 from .entropy import BLOCK_HEADER_BYTES, BLOCK_TABLE
 from .errors import CipherError, StegosealError
+from .payload import ROWS, TILES
 from .pgm import GrayImage, header, read_pgm_head
 
 EX_OK = 0
@@ -280,10 +281,14 @@ def _cmd_inspect(args) -> int:
         _emit(error="no embedded stream found")
         return EX_UNDECODABLE
     elements, consumed = decoded.coeffs.size, decoded.consumed
+    per_row = TILES // ROWS
+    ciphertext_bits, key_bits, digest_bits = (
+        sum(decoded.tile_bits[start:start + per_row]) for start in range(0, TILES, per_row))
     _emit(mode=mode, elements=elements, compressed_elements=consumed,
           ratio=f"{elements / consumed:.4f}", table_entries=len(BLOCK_TABLE.codes),
           header_bytes=BLOCK_HEADER_BYTES, payload_bits=decoded.payload_bits,
-          stream_bytes=consumed, embedded_pixels=stego.pixels_for(consumed, mode))
+          stream_bytes=consumed, embedded_pixels=stego.pixels_for(consumed, mode),
+          ciphertext_bits=ciphertext_bits, key_bits=key_bits, digest_bits=digest_bits)
     return EX_OK
 
 

@@ -4,7 +4,7 @@ The block stream is what the sealing pipeline embeds. It codes a stack
 of 8x8 integer coefficient tiles the way baseline JPEG codes its blocks
 (ITU-T T.81, Annex F.1.2):
 
-    magic byte 0x4A
+    magic byte 0x4B
     tile count, 2 bytes big-endian (>= 1)
     per tile, in zig-zag order:
         DC  the category of the difference from the previous tile's DC
@@ -50,19 +50,21 @@ the position in the tile says which kind belongs there. The checks run
 in a fixed order: truncation of a code, then the kind of the symbol and
 its run, then truncation of an amplitude, then the padding.
 
-How BLOCK_TABLE was derived: the symbols of 1000 sealed blocks were
-counted, and every symbol of the alphabet was counted once more so that
-each gets a code; build_table turned the counts into code lengths. The
-blocks come from random.Random(2110): message i has 1-120 characters
-drawn from letters, digits and " .,!?'\"-:;()", a Caesar key drawn from
-0-25, and SHA-256 for even i, SHA-512 for odd i. No fixed example
-message is among them. The blocks carry the key row of that time, str(key)
-and NULs, not the letters seal writes now (see payload), and
-tests/test_entropy.py repeats the derivation on those blocks and checks
-that it gives this table. Refitting it on blocks with today's key row
-raises the median ratio of block bytes to stream bytes by a further 2.6%
-over 300 Caesar messages and 1.8% over 300 Hill messages (the message
-sets of tests/test_pipeline.py); that refit has not been made.
+How BLOCK_TABLE was derived: 1000 blocks were built by
+pipeline._pack_block, as seal builds them, and their symbols counted;
+every symbol of the alphabet was counted once more so that each gets a
+code, and build_table turned the counts into code lengths, none longer
+than 18 bits. The blocks come from random.Random(2110): message i has
+1-120 characters drawn from letters, digits and " .,!?'\"-:;()", and
+takes SHA-256 for even i and SHA-512 for odd i. It is sealed under a
+Caesar key drawn from 0-25 when i mod 4 is 0 or 1, and else under a Hill
+key of 9 entries drawn from 0-25 again until it is invertible mod 26,
+after a random letter is appended to a message without one. No fixed
+example message is among them. tests/test_entropy.py repeats the
+derivation and checks that it gives this table. The table of magic 0x4A
+had been fitted on blocks with a decimal key row and a hex digest row;
+a stream coded under it fails at its first byte instead of decoding
+under this table.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ import numpy as np
 
 from .errors import StreamError
 
-BLOCK_MAGIC = 0x4A
+BLOCK_MAGIC = 0x4B
 
 # Standard JPEG zig-zag traversal of an 8x8 block, as flat row-major indices.
 _ZIGZAG_FLAT = np.array((
@@ -165,33 +167,31 @@ ZRL = 0xF0
 
 # Code lengths of BLOCK_TABLE (see the module docstring): length -> symbols.
 _BLOCK_CODE_LENGTHS = {
-    2: (0x04, 0x05,),
-    3: (0x02, 0x03, 0x06,),
-    5: (0x01,),
-    6: (0x00, 0x07, 0x13,),
-    7: (0x10A,),
-    8: (0x08, 0x11, 0x14, 0x15, 0x103, 0x104, 0x109,),
-    9: (0x12, 0x16, 0x108,),
-    10: (0x09, 0x105, 0x106, 0x107,),
-    12: (0x17,),
-    13: (0x102,),
-    14: (0x23, 0x24, 0x25, 0x26, 0x100, 0x101,),
-    15: (0x21, 0x22,),
-    16: (0x18, 0x19, 0x31, 0x43,),
-    17: (0x27, 0x34, 0x3B, 0x41, 0x42, 0x44, 0x45, 0x46, 0x47, 0x48, 0x49, 0x4A,
-         0x4B, 0x51, 0x52, 0x53, 0x54, 0x55, 0x56, 0x57, 0x58, 0x59, 0x5A, 0x5B,
-         0x61, 0x62, 0x63, 0x64, 0x65, 0x66, 0x67, 0x68, 0x69, 0x6A, 0x6B, 0x71,
-         0x72, 0x73, 0x74, 0x75, 0x76, 0x77, 0x78, 0x79, 0x7A, 0x7B, 0x81, 0x82,
-         0x83, 0x84, 0x85, 0x86, 0x87, 0x88, 0x89, 0x8A, 0x8B, 0x91, 0x92, 0x93,
-         0x94, 0x95, 0x96, 0x97, 0x98, 0x99, 0x9A, 0x9B, 0xA1, 0xA2, 0xA3, 0xA4,
-         0xA5, 0xA6, 0xA7, 0xA8, 0xA9, 0xAA, 0xAB, 0xB1, 0xB2, 0xB3, 0xB4, 0xB5,
-         0xB6, 0xB7, 0xB8, 0xB9, 0xBA, 0xBB, 0xC1, 0xC2, 0xC3, 0xC4, 0xC5, 0xC6,
-         0xC7, 0xC8, 0xC9, 0xCA, 0xCB, 0xD1, 0xD2, 0xD3, 0xD4, 0xD5, 0xD6, 0xD7,
-         0xD8, 0xD9, 0xDA, 0xDB, 0xE1, 0xE2, 0xE3, 0xE4, 0xE5, 0xE6, 0xE7, 0xE8,
-         0xE9, 0xEA, 0xEB, 0xF0, 0xF1, 0xF2, 0xF3, 0xF4, 0xF5, 0xF6, 0xF7, 0xF8,
-         0xF9, 0xFA, 0xFB, 0x10B,),
-    18: (0x0A, 0x0B, 0x1A, 0x1B, 0x28, 0x29, 0x2A, 0x2B, 0x32, 0x33, 0x35, 0x36,
-         0x37, 0x38, 0x39, 0x3A,),
+    2: (0x03,),
+    3: (0x01, 0x02, 0x04, 0x05,),
+    4: (0x06,),
+    5: (0x07,),
+    6: (0x00, 0x12, 0x13, 0x109,),
+    7: (0x11, 0x14, 0x17, 0x57, 0xD5, 0x107, 0x10A,),
+    8: (0x08, 0x15, 0x96,),
+    9: (0x09, 0x23, 0x97, 0x108,),
+    10: (0x16, 0x21, 0x22, 0x54, 0x55, 0x94, 0x95, 0xD4, 0x102, 0x103, 0x104, 0x106,),
+    11: (0x24, 0x51, 0x53, 0x56, 0x93, 0xD1, 0xD3, 0xD6, 0x101, 0x105,),
+    12: (0x91, 0x100,),
+    13: (0x25, 0x32, 0x33, 0x65, 0xA4, 0xA5, 0xA6,),
+    14: (0x26, 0x31, 0x64, 0x66, 0xE4, 0xE5,),
+    15: (0x18, 0x19, 0x34, 0x41, 0x43, 0x61, 0x63, 0xA3, 0xE6,),
+    16: (0x35, 0x75, 0xA1, 0xB6, 0xD7, 0xE3,),
+    17: (0x1A, 0x1B, 0x27, 0x28, 0x29, 0x2A, 0x2B, 0x36, 0x37, 0x38, 0x39, 0x3A, 0x3B,
+         0x42, 0x44, 0x45, 0x46, 0x47, 0x48, 0x49, 0x4A, 0x4B, 0x52, 0x58, 0x59, 0x5A,
+         0x5B, 0x62, 0x67, 0x68, 0x69, 0x6A, 0x6B, 0x71, 0x72, 0x73, 0x74, 0x76, 0x77,
+         0x78, 0x79, 0x7A, 0x7B, 0x81, 0x82, 0x83, 0x84, 0x85, 0x86, 0x87, 0x88, 0x89,
+         0x8A, 0x8B, 0x92, 0x98, 0x99, 0x9A, 0x9B, 0xA2, 0xA7, 0xA8, 0xA9, 0xAA, 0xAB,
+         0xB1, 0xB2, 0xB3, 0xB4, 0xB5, 0xB7, 0xB8, 0xB9, 0xBA, 0xBB, 0xC1, 0xC2, 0xC3,
+         0xC4, 0xC5, 0xC6, 0xC7, 0xC8, 0xC9, 0xCA, 0xCB, 0xD2, 0xD8, 0xD9, 0xDA, 0xDB,
+         0xE1, 0xE2, 0xE7, 0xE8, 0xE9, 0xEA, 0xEB, 0xF0, 0xF1, 0xF2, 0xF3, 0xF4, 0xF5,
+         0xF6, 0xF7, 0xF8, 0xF9, 0xFA, 0xFB, 0x10B,),
+    18: (0x0A, 0x0B,),
 }
 
 BLOCK_TABLE = HuffmanTable.from_lengths(
@@ -290,6 +290,7 @@ class DecodedBlocks:
     symbols: list          # the Huffman symbols, in stream order
     payload_bits: int      # bits after the header, padding excluded
     consumed: int          # bytes of the whole stream
+    tile_bits: list        # the payload bits of each tile, in stream order
 
 
 def _uncoded(rows: list) -> StreamError:
@@ -374,6 +375,7 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
     symbols = []
     append = symbols.append
     zz = [0] * (64 * count)
+    ends = []             # the bit after each tile
     for base in range(0, 64 * count, 64):
         k = 0
         while k < 64:
@@ -422,12 +424,14 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
                     dc += value
                 zz[base] = dc
                 k = 1
-    pos = slack + nbits - have
+        ends.append(slack + nbits - have)
+    pos = ends[-1]
     if pos & 7 and body[pos >> 3] & ((0x100 >> (pos & 7)) - 1):
         raise StreamError("padding bits after the last block are not zero")
     coeffs = np.array(zz, dtype=np.int64).reshape(count, 64)[:, _UNZIGZAG]
     return DecodedBlocks(coeffs.reshape(count, 8, 8), symbols, pos,
-                         BLOCK_HEADER_BYTES + (pos + 7) // 8)
+                         BLOCK_HEADER_BYTES + (pos + 7) // 8,
+                         [end - start for start, end in zip([0] + ends, ends)])
 
 
 def decode_prefix(data: bytes):

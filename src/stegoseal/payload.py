@@ -5,7 +5,7 @@ row after row:
 
     row 0: ciphertext, NUL-padded
     row 1: key text, NUL-padded
-    row 2: digest hex text, NUL-padded
+    row 2: digest text, one character per nibble, NUL-padded
 
 Byte 0 is reserved for padding and therefore forbidden inside the row
 content, which makes stripping unambiguous.
@@ -15,9 +15,15 @@ entry and Hill 9, in row-major order. Each letter is written 8 times, so
 each entry fills one 8-byte row of a tile; key 16 is "QQQQQQQQ". A tile
 whose rows are each constant keeps its energy in the first column of its
 DCT coefficients. Written as decimal text, "16" and 62 NULs, the key was
-an impulse that the DCT spreads over all 64 coefficients; the letters cut
-the paper example's stream from 229 to 201 bytes. pipeline writes this
-text and reads it back.
+an impulse that the DCT spreads over all 64 coefficients.
+
+The digest text writes nibble n as chr(0x30 + n), "0123456789:;<=>?".
+These 16 symbols are contiguous, where lowercase hex splits 0-9
+(0x30-0x39) from a-f (0x61-0x66) and so widens every AC amplitude of a
+digest tile. With the Huffman table fitted on these blocks, the paper
+example's stream takes 168 bytes; it took 229 with a decimal key and a
+hex digest, and 201 with the key letters and a hex digest. pipeline
+writes both texts and reads them back.
 
 For the transform stage the block is cut into consecutive 64-byte runs,
 each read row-major as one 8x8 tile: tile k holds bytes 64k..64k+63, and

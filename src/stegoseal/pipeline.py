@@ -37,6 +37,14 @@ it, and _read_key_row takes exactly 1 or 9 groups of 8 equal letters A-Z
 and raises CipherError, so UNDECODABLE, on any other row. A --key is
 decimal text, read by parse_key_text.
 
+Row 2 holds the digest as one character per nibble, chr(0x30 + nibble),
+so "0123456789:;<=>?" (see payload). _pack_block writes it, and verify
+maps it back to lowercase hex in one str.translate right after unpack;
+the report and the CLI print that hex. The map passes every other
+character through, so a row with a hex letter where seal writes its
+symbol reads as the same digest: _is_sealed_form then finds that the
+block is not the one seal writes, and the verdict is TAMPERED.
+
 Verify needs no embed mode either: with embed_mode=None it takes the first
 of stego.MODES whose stream decodes and names it in report.mode (the first
 mode when none does). At most one can: overwrite puts 0x00 in pixel 1,
@@ -143,18 +151,18 @@ def parse_key_text(text: str):
     if "," in text:
         parts = text.split(",")
         if len(parts) != 9:
-            raise CipherError(f"hill key row has {len(parts)} entries, needs 9")
+            raise CipherError(f"hill key has {len(parts)} entries, needs 9")
         try:
             vals = [_decimal(p) for p in parts]
         except ValueError:
-            raise CipherError("hill key row is not all integers") from None
+            raise CipherError("hill key is not all integers") from None
         if any(not 0 <= v <= 25 for v in vals):
             raise CipherError("hill key entries must be in [0, 25]")
         return HILL, np.array(vals, dtype=np.int64).reshape(3, 3)
     try:
         shift = _decimal(text)
     except ValueError:
-        raise CipherError(f"key row {text!r} is not an integer") from None
+        raise CipherError(f"key {text!r} is not an integer") from None
     if not 0 <= shift <= 25:
         raise CipherError(f"caesar key {shift} out of range")
     return CAESAR, shift
@@ -184,10 +192,18 @@ def _read_key_row(row: str):
     return HILL, np.array(values, dtype=np.int64).reshape(3, 3)
 
 
+# Payload row 2 holds the digest as one character per nibble, chr(0x30 + nibble):
+# hex digits 0-9 stay, a-f become :;<=>?, so the row's 16 symbols are contiguous.
+_DIGEST_ROW = str.maketrans("abcdef", ":;<=>?")
+_DIGEST_HEX = str.maketrans(":;<=>?", "abcdef")
+
+
 def _pack_block(protected: str, kind: str, key, digest_hex: str) -> bytes:
-    """The block seal writes for the protected message under `key`."""
+    """The block seal writes for the protected message under `key`, with
+    row 2 written from the lowercase hex digest_hex."""
     encrypt = caesar_encrypt if kind == CAESAR else hill_encrypt
-    return pack(encrypt(protected, key), _key_text(kind, key), digest_hex)
+    return pack(encrypt(protected, key), _key_text(kind, key),
+                digest_hex.translate(_DIGEST_ROW))
 
 
 def _is_sealed_form(block: bytes, message: str, kind: str, key,
@@ -196,8 +212,10 @@ def _is_sealed_form(block: bytes, message: str, kind: str, key,
 
     This catches the changes that decryption ignores, such as a nonzero
     byte in the zero padding of a Hill ciphertext or a lowercase letter in
-    it, which normalize_letters would drop or fold. The key row needs no
-    such check: _read_key_row accepts only the form _key_text writes.
+    it, which normalize_letters would drop or fold, and the changes the
+    digest row's map to hex ignores, such as a hex "a" where seal writes
+    ":". The key row needs no such check: _read_key_row accepts only the
+    form _key_text writes.
     """
     try:
         return _pack_block(message, kind, key, digest_hex) == block
@@ -258,8 +276,9 @@ def verify(stego: GrayImage, config: SealConfig | None = None) -> VerificationRe
     try:
         mode, decoded = read_stream(stego, config.embed_mode)
         block = _recover_block(decoded.coeffs)
-        ciphertext, key_row, embedded_digest = unpack(block)
+        ciphertext, key_row, digest_row = unpack(block)
         kind, key = _read_key_row(key_row)
+        embedded_digest = digest_row.translate(_DIGEST_HEX)
         message, recomputed = _decrypt_and_hash(ciphertext, kind, key, embedded_digest)
     except StegosealError as exc:
         return VerificationReport(UNDECODABLE, reason=f"{type(exc).__name__}: {exc}",

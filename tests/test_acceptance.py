@@ -19,9 +19,10 @@ from stegoseal.cipher import (caesar_decrypt, caesar_encrypt, hill_decrypt,
 from stegoseal.cli import main
 from stegoseal.digest import hash_message
 from stegoseal.errors import CipherError
-from stegoseal.payload import pack, to_tiles
+from stegoseal.payload import to_tiles
 from stegoseal.pgm import GrayImage, write_pgm
-from stegoseal.pipeline import (VERIFIED, SealConfig, seal, tamper, verify)
+from stegoseal.pipeline import (VERIFIED, SealConfig, _pack_block, seal, tamper,
+                                verify)
 from stegoseal.transform import dct2, idct2, int_dct2, int_idct2
 
 from conftest import kraft_sum, make_cover
@@ -91,9 +92,7 @@ def test_03_example_ciphertext_token():
 
 
 def test_04_payload_arithmetic():
-    digest_hex = hash_message(EXAMPLE_MESSAGE)
-    block = pack(caesar_encrypt(EXAMPLE_MESSAGE, EXAMPLE_KEY),
-                 str(EXAMPLE_KEY), digest_hex)
+    block = _pack_block(EXAMPLE_MESSAGE, "caesar", EXAMPLE_KEY, hash_message(EXAMPLE_MESSAGE))
     tiles = to_tiles(block)
     ok = len(block) == 384 and tiles.shape == (6, 8, 8)
     assert report(4, ok, f"{len(block)} elements in {tiles.shape[0]} 8x8 tiles")

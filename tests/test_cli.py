@@ -160,6 +160,8 @@ def test_inspect_reports_block_stream_sizes(cover_file, tmp_path, capsys):
     assert out["table_entries"] == str(len(BLOCK_TABLE.codes))
     assert int(out["stream_bytes"]) == 3 + (int(out["payload_bits"]) + 7) // 8
     assert int(out["embedded_pixels"]) == 8 * int(out["stream_bytes"])
+    rows = [int(out[f"{row}_bits"]) for row in ("ciphertext", "key", "digest")]
+    assert min(rows) > 0 and sum(rows) == int(out["payload_bits"])
 
 
 def test_inspect_plain_cover(cover_file, capsys):
@@ -231,8 +233,8 @@ SHA256_RENDEZVOUS = "53a0357017c0f5342d219b2d72c7ec1730be7f69f606a954354c692b5b5
 # directory of the files.
 EXACT_STDOUT = {
     "seal-overwrite": (SEAL_OVERWRITE, 0,
-                       "wrote={dir}/stego.pgm\nmode=overwrite\npixels_changed=201\n"),
-    "seal-lsb1": (SEAL_LSB1, 0, "wrote={dir}/lsb1.pgm\nmode=lsb1\npixels_changed=566\n"),
+                       "wrote={dir}/stego.pgm\nmode=overwrite\npixels_changed=168\n"),
+    "seal-lsb1": (SEAL_LSB1, 0, "wrote={dir}/lsb1.pgm\nmode=lsb1\npixels_changed=518\n"),
     "verify-verified": (
         ["verify", "--in", "{dir}/stego.pgm"], 0,
         f"verdict=VERIFIED\nmode=overwrite\nmessage={PAPER_MESSAGE}\n"
@@ -252,14 +254,14 @@ EXACT_STDOUT = {
         "wrote={dir}/broken.pgm\npixel=40\nbit=0\n"),
     "inspect-overwrite": (
         ["inspect", "--in", "{dir}/stego.pgm"], 0,
-        "mode=overwrite\nelements=384\ncompressed_elements=201\nratio=1.9104\n"
-        "table_entries=190\nheader_bytes=3\npayload_bits=1578\nstream_bytes=201\n"
-        "embedded_pixels=201\n"),
+        "mode=overwrite\nelements=384\ncompressed_elements=168\nratio=2.2857\n"
+        "table_entries=190\nheader_bytes=3\npayload_bits=1320\nstream_bytes=168\n"
+        "embedded_pixels=168\nciphertext_bits=546\nkey_bits=130\ndigest_bits=644\n"),
     "inspect-lsb1": (
         ["inspect", "--in", "{dir}/lsb1.pgm"], 0,
-        "mode=lsb1\nelements=384\ncompressed_elements=149\nratio=2.5772\n"
-        "table_entries=190\nheader_bytes=3\npayload_bits=1163\nstream_bytes=149\n"
-        "embedded_pixels=1192\n"),
+        "mode=lsb1\nelements=384\ncompressed_elements=128\nratio=3.0000\n"
+        "table_entries=190\nheader_bytes=3\npayload_bits=995\nstream_bytes=128\n"
+        "embedded_pixels=1024\nciphertext_bits=441\nkey_bits=211\ndigest_bits=343\n"),
     "inspect-cover": (["inspect", "--in", "{dir}/cover.pgm"], 2,
                       "error=no embedded stream found\n"),
 }

@@ -11,14 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stegoseal.cipher import caesar_encrypt
+from stegoseal.cipher import normalize_letters
 from stegoseal.digest import hash_message
 from stegoseal.entropy import (BLOCK_MAGIC, BLOCK_TABLE, DC_SYMBOL, EOB,
                                ZIGZAG_ORDER, ZRL, block_stream_bound,
                                build_table, decode_blocks, decode_prefix,
                                encode_blocks, zigzag_scan, zigzag_unscan)
 from stegoseal.errors import StegosealError, StreamError
-from stegoseal.payload import pack, to_tiles
+from stegoseal.payload import TILES, to_tiles
+from stegoseal.pipeline import _pack_block
 from stegoseal.transform import int_dct2
 
 from conftest import FUZZ, kraft_sum
@@ -239,18 +240,18 @@ def test_block_stream_prefixes_are_truncated():
     """A stream cut at any byte raises at the first symbol the cut reaches:
     "after n symbols" when it reaches the symbol's code, "inside an
     amplitude" when it reaches only the amplitude bits. DC differences of
-    0 and +-1 have 14-bit codes, so those tile starts are read through the
-    codes longer than the decoder's 12-bit window."""
-    assert len(CODES[DC_SYMBOL]) == len(CODES[DC_SYMBOL + 1]) == 14
+    1024-2047 in size have 17-bit codes, so those tile starts are read
+    through the codes longer than the decoder's 12-bit window."""
+    assert len(CODES[DC_SYMBOL + 11]) == 17
     last = np.zeros((1, 8, 8), np.int64)
     last[0, 0, 0], last[0, 7, 7] = 3, -700       # no EOB: the stream ends in an amplitude
     small_steps = np.zeros((9, 64), np.int64)
-    small_steps[:, 0] = [0, 0, 1, 1, 0, -1, -1, -1, 0]
+    small_steps[:, 0] = [1024, 1024, 0, 1, -1023, -1023, 1024, 0, -1]
     small_steps[[1, 4, 7], [5, 1, 40]] = [2, -1, 300]
     stacks = [last, np.array([zigzag_unscan(row) for row in small_steps])]
     for i, message in enumerate(["I'm so proud to be Egyptian", "a", "Pay 10 to B. " * 9]):
         digest = hash_message(message, ("sha256", "sha512")[i % 2])
-        stacks.append(int_dct2(to_tiles(pack(caesar_encrypt(message, i + 3), str(i + 3), digest))))
+        stacks.append(int_dct2(to_tiles(_pack_block(message, "caesar", i + 3, digest))))
     rng = np.random.default_rng(44)
     stacks += [random_coefficient_tiles(rng, 2) for _ in range(20)]
     in_code = set()
@@ -352,17 +353,32 @@ def test_encode_blocks_rejects_values_past_the_table():
 
 
 def test_block_table_matches_its_derivation():
-    """Re-derive the fixed table as the entropy module docstring describes."""
+    """Re-derive the fixed table as the entropy module docstring describes,
+    from blocks built by the pipeline's own _pack_block."""
+    from test_pipeline import random_hill_key
     chars = string.ascii_letters + string.digits + " .,!?'\"-:;()"
     rng = random.Random(2110)
     counts = Counter(dict.fromkeys(BLOCK_TABLE.codes, 1))
     for i in range(1000):
         message = "".join(rng.choice(chars) for _ in range(rng.randint(1, 120)))
-        key = rng.randrange(26)
-        digest = hash_message(message, ("sha256", "sha512")[i % 2])
-        block = pack(caesar_encrypt(message, key), str(key), digest)
+        algorithm = ("sha256", "sha512")[i % 2]
+        if i % 4 < 2:
+            kind, key = "caesar", rng.randrange(26)
+        else:
+            if not normalize_letters(message):
+                message += rng.choice(string.ascii_letters)
+            message, kind, key = normalize_letters(message), "hill", random_hill_key(rng)
+        block = _pack_block(message, kind, key, hash_message(message, algorithm))
         counts.update(decode_blocks(encode_blocks(int_dct2(to_tiles(block)))).symbols)
+    assert len(counts) == 190
     assert build_table(counts) == BLOCK_TABLE
+
+
+def test_block_table_codes_are_at_most_18_bits():
+    """A symbol is at most 18 code bits and 11 amplitude bits, which the
+    decoder's 32-bit refill and the pipeline's stream bound allow for."""
+    assert max(len(code) for code in BLOCK_TABLE.codes.values()) <= 18
+    assert block_stream_bound(TILES) <= 3 + (TILES * 68 * (18 + 11) + 7) // 8
 
 
 # --- block stream: header, amplitude and padding details ---------------------
@@ -471,11 +487,17 @@ def test_equal_dc_tiles_code_zero_differences():
 def test_payload_bits_count_codes_and_amplitudes():
     rng = np.random.default_rng(45)
     for _ in range(50):
-        data = encode_blocks(random_coefficient_tiles(rng, int(rng.integers(1, 5))))
+        tiles = random_coefficient_tiles(rng, int(rng.integers(1, 5)))
+        data = encode_blocks(tiles)
         decoded = decode_blocks(data)
         assert decoded.payload_bits == sum(len(CODES[s]) + symbol_size(s)
                                            for s in decoded.symbols)
         assert decoded.consumed == len(data) == 3 + (decoded.payload_bits + 7) // 8
+        # tile k's bits are what coding it after the tiles before it adds
+        ends = [decode_blocks(encode_blocks(tiles[:k + 1])).payload_bits
+                for k in range(len(tiles))]
+        assert decoded.tile_bits == [end - start for start, end in zip([0] + ends, ends)]
+        assert sum(decoded.tile_bits) == decoded.payload_bits
 
 
 def test_every_padding_bit_is_checked():
@@ -533,8 +555,8 @@ def test_skewed_payload_block_compresses():
     comes out smaller than its raw size, header included."""
     block = bytearray(384)
     block[0:27] = b"Y'c ie fhekt je ru Uwofjyqd"
-    block[128:130] = b"16"
-    block[256:384] = b"0123456789abcdef" * 8
+    block[128:136] = b"QQQQQQQQ"
+    block[256:384] = b"0123456789:;<=>?" * 8
     tiles = np.frombuffer(bytes(block), np.uint8).reshape(6, 8, 8)
     data = encode_blocks(int_dct2(tiles))
     assert len(data) < 384

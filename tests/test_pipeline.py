@@ -13,13 +13,13 @@ from stegoseal.cipher import (caesar_decrypt, caesar_encrypt, hill_encrypt,
 from stegoseal.digest import hash_message
 from stegoseal.entropy import block_stream_bound, decode_blocks, encode_blocks
 from stegoseal.errors import BlockError, CipherError, EmbedError
-from stegoseal.payload import pack, to_tiles
+from stegoseal.payload import from_tiles, pack, to_tiles
 from stegoseal.pgm import GrayImage
 from stegoseal.pipeline import (STREAM_BOUND, TAMPERED, UNDECODABLE, VERIFIED,
                                 SealConfig, parse_key_text, read_stream, seal,
                                 tamper, verify)
 from stegoseal.stego import LSB1, OVERWRITE, capacity, embed, extract
-from stegoseal.transform import int_dct2
+from stegoseal.transform import int_dct2, int_idct2
 
 from conftest import make_cover
 
@@ -57,19 +57,19 @@ def test_seal_is_deterministic(cover):
 # digests. A change to the cipher, the packing, the transform or the coder
 # that alters a single bit shows here.
 PINNED_STREAMS = [
-    ("I'm so proud to be Egyptian", SealConfig(caesar_key=16), 201,
-     "eccab4c1eebe9a8b6ca23db05b9e847d4d20aa419604d816d65f881e53aadf1d"),
+    ("I'm so proud to be Egyptian", SealConfig(caesar_key=16), 168,
+     "b2c4dcb0ac064e34c3b9dcec21ccf8ff7c50fbeac2a9ccb0b5fe777e1daffa5c"),
     ("oD. v2vaoV'Tpx1d. ,Twh-eK6D,Y?bS3M6x.OQt",
-     SealConfig(caesar_key=9, digest_algorithm="sha512"), 198,
-     "1f0b79d3cfd276ca4ed68511eac7b2686d94d9cf00ac25b3d3cff0ea246e3c49"),
+     SealConfig(caesar_key=9, digest_algorithm="sha512"), 166,
+     "e4f90f32aa0ed7b9ac91ca8147186f59154e79cb9858d2eb6f79bd6661b641ba"),
     ("f3M?k0FCf14vazy6hK'yp9OSCiM5cOoynm'HjcRaPP??G1L24h?7.Q4'xmo?Up?x0OJhexzXeOe",
-     SealConfig(cipher="hill", hill_key=[[6, 24, 1], [13, 16, 10], [20, 17, 15]]), 204,
-     "9f4748b5b26944a65905a9b559d124883875df228c10bf354fc898363ca777d7"),
+     SealConfig(cipher="hill", hill_key=[[6, 24, 1], [13, 16, 10], [20, 17, 15]]), 173,
+     "5b97e1fda444c7ab5ef4d132eb6837dcc2ca9ebe62aed62637a6263dd487d25c"),
     ("H5U0QfVxNhwr'jR62y!zY9JzLuemn,0UevU62p4A2QJ29P84rmenjK9a2xyE4Kzm0'0Cu4,"
      "y-XJWO00MS1bwm-W4Tm8cxLdB-4.f2uTXH,bARN",
      SealConfig(cipher="hill", hill_key=[[3, 10, 20], [20, 9, 17], [9, 4, 17]],
-                digest_algorithm="sha512"), 250,
-     "9ede4f937f675fd51984d06a328cbbd46424144b1423e0d42b5cf8fc2398b348"),
+                digest_algorithm="sha512"), 211,
+     "590b572e30bb095a5543075b462a7f809c5520ae3479b4c87ccee56992200a69"),
 ]
 
 
@@ -132,7 +132,7 @@ def test_seal_requires_key(cover):
 
 def test_seal_too_small_cover():
     tiny = GrayImage(8, 8, bytes(64))
-    with pytest.raises(EmbedError, match="payload needs 201 bytes, image holds 64"):
+    with pytest.raises(EmbedError, match="payload needs 168 bytes, image holds 64"):
         seal(PAPER_MESSAGE, paper_config(), tiny)
 
 
@@ -325,6 +325,12 @@ HILL_KEY = [[3, 3, 0], [2, 5, 0], [0, 0, 1]]
 HILL_KEY_ROW = "".join(8 * letter for letter in "DDACFAAAB")  # HILL_KEY
 CAESAR_KEY_ROW = 8 * "Q"                                      # key 16
 
+
+def digest_row(message, algorithm="sha512"):
+    """Payload row 2 as seal writes it: the digest's nibbles as chr(0x30 + n)."""
+    return "".join(chr(0x30 + int(nibble, 16)) for nibble in hash_message(message, algorithm))
+
+
 FLIP_CASES = {
     **{f"{cipher}-{i}": spec for cipher in ("caesar", "hill")
        for i, spec in enumerate(random_specs(cipher, 2))},
@@ -361,7 +367,7 @@ def embed_block(block, cover):
 
 def test_verify_rejects_blocks_seal_would_not_write(cover):
     key = [[6, 24, 1], [13, 16, 10], [20, 17, 15]]
-    digest = hash_message("ATTACKATDAWN")
+    digest = digest_row("ATTACKATDAWN")
     key_row = "".join(8 * letter for letter in "GYBNQKURP")
     hill_block = pack(hill_encrypt("ATTACKATDAWN", key), key_row, digest)
     assert verify(embed_block(hill_block, cover)).verdict == VERIFIED
@@ -372,8 +378,34 @@ def test_verify_rejects_blocks_seal_would_not_write(cover):
         assert (report.verdict, report.reason) == (TAMPERED, SEALED_FORM)
         assert report.recovered_message == "ATTACKATDAWN"
     caesar = pack(caesar_encrypt(PAPER_MESSAGE, 16), CAESAR_KEY_ROW + "\t",
-                  hash_message(PAPER_MESSAGE))
+                  digest_row(PAPER_MESSAGE))
     assert verify(embed_block(caesar, cover)).verdict == UNDECODABLE
+
+
+def test_digest_row_holds_one_character_per_nibble(cover):
+    """Seal writes row 2 in the 16 contiguous characters 0-9 and :;<=>?,
+    and verify reports the digest in lowercase hex."""
+    sealed = seal(PAPER_MESSAGE, paper_config(), cover)
+    _, decoded = read_stream(sealed, OVERWRITE)
+    row = from_tiles(int_idct2(decoded.coeffs).astype(np.uint8))[256:].rstrip(b"\x00")
+    assert row.decode() == digest_row(PAPER_MESSAGE)
+    assert set(row) <= set(range(0x30, 0x40))
+    report = verify(sealed)
+    assert report.embedded_digest == report.recomputed_digest == hash_message(PAPER_MESSAGE)
+
+
+@pytest.mark.parametrize("row", [
+    digest_row(PAPER_MESSAGE).replace(":", "a", 1),
+    hash_message(PAPER_MESSAGE),
+], ids=["one hex a", "hex row"])
+def test_digest_row_in_hex_is_not_the_sealed_form(cover, row):
+    """A hex letter where seal writes its nibble character reads as the same
+    digest, but the block is not the one seal writes: TAMPERED."""
+    assert row != digest_row(PAPER_MESSAGE)
+    block = pack(caesar_encrypt(PAPER_MESSAGE, 16), CAESAR_KEY_ROW, row)
+    report = verify(embed_block(block, cover))
+    assert (report.verdict, report.reason) == (TAMPERED, SEALED_FORM)
+    assert report.embedded_digest == report.recomputed_digest == hash_message(PAPER_MESSAGE)
 
 
 SEALED_FORM = "block differs from the one seal writes for its message"
@@ -396,7 +428,7 @@ KEY_ROW_ERROR = "CipherError: key row "
 def test_caesar_key_row_has_one_valid_form(cover, key_row, verdict):
     """Row 1 is exactly 1 or 9 groups of 8 equal letters A-Z; each near
     miss of seal's form is rejected before any decryption."""
-    block = pack(caesar_encrypt(PAPER_MESSAGE, 16), key_row, hash_message(PAPER_MESSAGE))
+    block = pack(caesar_encrypt(PAPER_MESSAGE, 16), key_row, digest_row(PAPER_MESSAGE))
     report = verify(embed_block(block, cover))
     assert report.verdict == verdict
     assert report.reason.startswith(KEY_ROW_ERROR) if verdict == UNDECODABLE else report.reason == ""
@@ -417,7 +449,7 @@ def test_caesar_key_row_has_one_valid_form(cover, key_row, verdict):
 ])
 def test_hill_key_row_has_one_valid_form(cover, key_row, verdict):
     message = normalize_letters(PAPER_MESSAGE)
-    block = pack(hill_encrypt(message, HILL_KEY), key_row, hash_message(message))
+    block = pack(hill_encrypt(message, HILL_KEY), key_row, digest_row(message))
     report = verify(embed_block(block, cover))
     assert report.verdict == verdict
     assert report.reason.startswith(KEY_ROW_ERROR) if verdict == UNDECODABLE else report.reason == ""
@@ -556,6 +588,17 @@ def test_verify_never_raises_on_noise():
         assert report.verdict == UNDECODABLE
 
 
+def test_stream_under_the_old_magic_is_undecodable(cover):
+    """A stream with magic 0x4A, from the table before the digest row's
+    nibble characters, is rejected at its first byte."""
+    sealed = seal(PAPER_MESSAGE, paper_config(), cover)
+    stream = extract(sealed, stream_length(sealed), OVERWRITE)
+    assert stream[0] == 0x4B
+    report = verify(embed(cover, b"\x4a" + stream[1:], OVERWRITE))
+    assert (report.verdict, report.reason) == (UNDECODABLE,
+                                               "StreamError: missing block stream header")
+
+
 def test_verify_rejects_another_tile_count(cover):
     # a well-formed 3-tile stream, where the block's 6 tiles are expected
     sealed = embed(cover, encode_blocks(np.zeros((3, 8, 8), np.int64)), OVERWRITE)
@@ -577,7 +620,7 @@ def test_verify_forged_stream_header_is_undecodable(cover):
 
 
 @pytest.mark.parametrize("stream, reason", [
-    (bytes.fromhex("4A 0005") + bytes(64), "StreamError: stream declares 5 tiles"),
+    (bytes.fromhex("4B 0005") + bytes(64), "StreamError: stream declares 5 tiles"),
     (block_stream_of(pack(caesar_encrypt(PAPER_MESSAGE, 16), CAESAR_KEY_ROW,
                           hash_message(PAPER_MESSAGE)))[:-8], "StreamError: bits ran out"),
     (block_stream_of(b"\xff" + bytes(383)), "BlockError: row is not valid UTF-8"),
@@ -601,8 +644,8 @@ def test_verify_time_does_not_follow_the_cover():
     zero = GrayImage(2048, 2048, np.zeros(2048 * 2048, np.uint8))
     headers = {
         "general stream of 2**32 - 1 symbols": bytes.fromhex("48 0001 00 01 FFFFFFFF"),
-        "65535 tiles": bytes.fromhex("4A FFFF"),
-        "6 tiles of random bits": bytes.fromhex("4A 0006") + np.random.default_rng(62).bytes(2048),
+        "65535 tiles": bytes.fromhex("4B FFFF"),
+        "6 tiles of random bits": bytes.fromhex("4B 0006") + np.random.default_rng(62).bytes(2048),
     }
     for mode in (OVERWRITE, LSB1):
         for name, header in headers.items():
@@ -655,7 +698,7 @@ def test_tamper_rejects_non_integer_indices(pixel, bit):
         tamper(GrayImage(4, 4, bytes(16)), pixel, bit)
 
 
-# --- key row parsing -------------------------------------------------------
+# --- key parsing -----------------------------------------------------------
 
 
 def test_parse_key_text():
@@ -667,16 +710,16 @@ def test_parse_key_text():
 
 
 def test_parse_key_text_errors():
-    for bad, message in (("", "key row '' is not an integer"),
-                         ("abc", "key row 'abc' is not an integer"),
+    for bad, message in (("", "key '' is not an integer"),
+                         ("abc", "key 'abc' is not an integer"),
                          ("26", "caesar key 26 out of range"),
-                         ("1,2,3", "hill key row has 3 entries, needs 9"),
-                         ("1,2,3,4,5,6,7,8,x", "hill key row is not all integers"),
+                         ("1,2,3", "hill key has 3 entries, needs 9"),
+                         ("1,2,3,4,5,6,7,8,x", "hill key is not all integers"),
                          ("1,2,3,4,5,6,7,8,99", r"hill key entries must be in \[0, 25\]"),
-                         ("+16", r"key row '\+16' is not an integer"),
-                         ("16\t", r"key row '16\\t' is not an integer"),
+                         ("+16", r"key '\+16' is not an integer"),
+                         ("16\t", r"key '16\\t' is not an integer"),
                          ("\u0661\u0666", "is not an integer"),
                          ("1" * 5000, "is not an integer"),
-                         ("1,2,3,4,5,6,7,8, 9", "hill key row is not all integers")):
+                         ("1,2,3,4,5,6,7,8, 9", "hill key is not all integers")):
         with pytest.raises(CipherError, match=message):
             parse_key_text(bad)
