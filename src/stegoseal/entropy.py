@@ -35,20 +35,22 @@ or an AC value after no zeros keys a dict of code-plus-amplitude strings
 that holds the values -2047..2047; after a run, the (run, size) code
 precedes the value's amplitude string. The strings are joined once and
 become bytes in one int(bits, 2). A value the dicts lack has no code:
-its KeyError sends the tiles to a walk that raises at the first symbol
-without a code. The decoder keeps the next bits of the stream in an
-integer and indexes a 4096-entry token table with the next 12 of them,
-as the fast paths of zlib's inflate and libjpeg do. An entry gives the
-symbol, its code length, its amplitude size and, when code and amplitude
-both fit in the 12 bits, the signed amplitude, so most symbols cost one
-lookup. The codes longer than 12 bits (a few rare symbols) fall back to
-a map from codeword, with its length, to symbol, which the decoder
-probes with the stream's next 13, 14, ... 18 bits; as the code is
-prefix-free, the first hit is the only one. DC and AC symbols go through
-this one read, as in libjpeg's decode_mcu (ITU-T T.81, Annex F.2.2), and
-the position in the tile says which kind belongs there. The checks run
-in a fixed order: truncation of a code, then the kind of the symbol and
-its run, then truncation of an amplitude, then the padding.
+its KeyError stops the encoder at the first symbol without a code, and
+the StreamError names that symbol from the loop's state, the value and
+the run of zeros before it (None at a DC). The decoder keeps the next
+bits of the stream in an integer and indexes a 4096-entry token table
+with the next 12 of them, as the fast paths of zlib's inflate and
+libjpeg do. An entry gives the symbol, its code length, its amplitude
+size and, when code and amplitude both fit in the 12 bits, the signed
+amplitude, so most symbols cost one lookup. The codes longer than 12
+bits (a few rare symbols) fall back to a map from codeword, with its
+length, to symbol, which the decoder probes with the stream's next 13,
+14, ... 18 bits; as the code is prefix-free, the first hit is the only
+one. DC and AC symbols go through this one read, as in libjpeg's
+decode_mcu (ITU-T T.81, Annex F.2.2), and the position in the tile says
+which kind belongs there. The checks run in a fixed order: truncation of
+a code, then the kind of the symbol and its run, then truncation of an
+amplitude, then the padding.
 
 How BLOCK_TABLE was derived: 1000 blocks were built by
 pipeline._pack_block, as seal builds them, and their symbols counted;
@@ -293,24 +295,6 @@ class DecodedBlocks:
     tile_bits: list        # the payload bits of each tile, in stream order
 
 
-def _uncoded(rows: list) -> StreamError:
-    """The StreamError of the first symbol of `rows`, zig-zag tiles as
-    lists, that BLOCK_TABLE has no code for."""
-    previous = 0
-    for row in rows:
-        size = abs(row[0] - previous).bit_length()
-        previous = row[0]
-        if size > 11:
-            return StreamError(f"coefficient symbol {DC_SYMBOL + size:#x} has no code")
-        run = 0
-        for value in row[1:]:
-            size = abs(value).bit_length()
-            if size > 11:
-                return StreamError(f"coefficient symbol {(run & 15) << 4 | size:#x} has no code"
-                                   if size < 16 else f"coefficient category {size} has no code")
-            run = run + 1 if not value else 0
-
-
 def encode_blocks(coeffs) -> bytes:
     """Serialize integer coefficient tiles, shape (n, 8, 8), as a block stream."""
     arr = np.asarray(coeffs)
@@ -325,7 +309,8 @@ def encode_blocks(coeffs) -> bytes:
     previous = 0
     try:
         for row in rows:
-            append(dc_bits[row[0] - previous])
+            run, value = None, row[0] - previous      # run None: a DC symbol
+            append(dc_bits[value])
             previous = row[0]
             run = 0
             for value in row[1:]:
@@ -344,7 +329,10 @@ def encode_blocks(coeffs) -> bytes:
             if run:
                 append(codes[EOB])
     except KeyError:
-        raise _uncoded(rows) from None
+        size = abs(value).bit_length()
+        symbol = DC_SYMBOL + size if run is None else run << 4 | size
+        raise StreamError(f"coefficient symbol {symbol:#x} has no code" if run is None or size < 16
+                          else f"coefficient category {size} has no code") from None
     stream = "".join(bits)
     spare = -len(stream) % 8
     return (int(stream, 2) << spare).to_bytes((len(stream) + spare) // 8, "big")

@@ -20,10 +20,7 @@ an impulse that the DCT spreads over all 64 coefficients.
 The digest text writes nibble n as chr(0x30 + n), "0123456789:;<=>?".
 These 16 symbols are contiguous, where lowercase hex splits 0-9
 (0x30-0x39) from a-f (0x61-0x66) and so widens every AC amplitude of a
-digest tile. With the Huffman table fitted on these blocks, the paper
-example's stream takes 168 bytes; it took 229 with a decimal key and a
-hex digest, and 201 with the key letters and a hex digest. pipeline
-writes both texts and reads them back.
+digest tile. pipeline writes both texts and reads them back.
 
 For the transform stage the block is cut into consecutive 64-byte runs,
 each read row-major as one 8x8 tile: tile k holds bytes 64k..64k+63, and
@@ -53,9 +50,10 @@ def _row(text: str, row: int) -> bytes:
     return data.ljust(ROW_LENGTH, b"\x00")
 
 
-def pack(ciphertext: str, key_text: str, digest_hex: str) -> bytes:
-    """Build the block from ciphertext, key text and digest hex."""
-    return _row(ciphertext, 0) + _row(key_text, 1) + _row(digest_hex, 2)
+def pack(ciphertext: str, key_text: str, digest_row: str) -> bytes:
+    """Build the block from the texts of its rows: the ciphertext, the key
+    text and the digest row, one character per nibble."""
+    return _row(ciphertext, 0) + _row(key_text, 1) + _row(digest_row, 2)
 
 
 def unpack(block: bytes) -> tuple[str, str, str]:

@@ -32,10 +32,11 @@ out-of-band secret; anyone holding the image can decode and re-seal it.
 This mirrors the scheme's design and is an integrity mechanism only, not
 confidentiality. When a key is supplied for verification it is checked
 against the embedded one as an extra tamper signal. Row 1 holds one
-letter per key entry, each 8 times over (see payload): _key_text writes
-it, and _read_key_row takes exactly 1 or 9 groups of 8 equal letters A-Z
-and raises CipherError, so UNDECODABLE, on any other row. A --key is
-decimal text, read by parse_key_text.
+letter per key entry, each 8 times over (see payload). Verify checks it
+by writing it again: _read_key_row reads a key from every 8th letter and
+raises CipherError, so UNDECODABLE, unless _key_text writes that very
+row for it. A --key is decimal text, read by parse_key_text; both read
+their entries through _key.
 
 Row 2 holds the digest as one character per nibble, chr(0x30 + nibble),
 so "0123456789:;<=>?" (see payload). _pack_block writes it, and verify
@@ -58,8 +59,8 @@ embedded digest.
 
 from __future__ import annotations
 
+import contextlib
 import operator
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,40 +139,30 @@ class VerificationReport:
     mode: str = OVERWRITE
 
 
-def _decimal(text: str) -> int:
-    """`text` as an int when it is ASCII decimal digits only; int() alone
-    would also take a sign, spaces, underscores and other scripts' digits."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(text)
-    return int(text)
+def _key(entries: list):
+    """(kind, key) of 1 (Caesar) or 9 (Hill, row-major) key entries in
+    [0, 25]; ValueError for any other list."""
+    if len(entries) not in (1, 9) or not all(0 <= v <= 25 for v in entries):
+        raise ValueError(entries)
+    if len(entries) == 1:
+        return CAESAR, entries[0]
+    return HILL, np.array(entries, dtype=np.int64).reshape(3, 3)
 
 
 def parse_key_text(text: str):
-    """Parse a --key into ("caesar", shift) or ("hill", matrix)."""
-    if "," in text:
-        parts = text.split(",")
-        if len(parts) != 9:
-            raise CipherError(f"hill key has {len(parts)} entries, needs 9")
-        try:
-            vals = [_decimal(p) for p in parts]
-        except ValueError:
-            raise CipherError("hill key is not all integers") from None
-        if any(not 0 <= v <= 25 for v in vals):
-            raise CipherError("hill key entries must be in [0, 25]")
-        return HILL, np.array(vals, dtype=np.int64).reshape(3, 3)
-    try:
-        shift = _decimal(text)
-    except ValueError:
-        raise CipherError(f"key {text!r} is not an integer") from None
-    if not 0 <= shift <= 25:
-        raise CipherError(f"caesar key {shift} out of range")
-    return CAESAR, shift
+    """Parse a --key, 1 or 9 comma-separated entries of ASCII digits, into
+    ("caesar", shift) or ("hill", matrix). int() alone would also take a
+    sign, spaces, underscores and other scripts' digits."""
+    parts = text.split(",")
+    if all(part.isascii() and part.isdigit() for part in parts):
+        with contextlib.suppress(ValueError):  # from _key, or int() past the digit limit
+            return _key([int(part) for part in parts])
+    raise CipherError(f"key {text!r} is not 1 or 9 comma-separated integers in [0, 25]")
 
 
 # Payload row 1 holds one letter per key entry (A = 0 ... Z = 25), each
 # written _KEY_REPEAT times so that it fills one 8-byte row of a tile.
 _KEY_REPEAT = 8
-_KEY_ROW = re.compile(r"(?:([A-Z])\1{7})+")  # groups of _KEY_REPEAT equal letters
 
 
 def _key_text(kind: str, key) -> str:
@@ -181,15 +172,14 @@ def _key_text(kind: str, key) -> str:
 
 
 def _read_key_row(row: str):
-    """Payload row 1 back as (kind, key): exactly 1 (Caesar) or 9 (Hill,
-    row-major) groups of _KEY_REPEAT equal letters A-Z."""
-    if len(row) not in (_KEY_REPEAT, 9 * _KEY_REPEAT) or not _KEY_ROW.fullmatch(row):
-        raise CipherError(f"key row {row!r} is not 1 or 9 groups of "
-                          f"{_KEY_REPEAT} equal letters A-Z")
-    values = [ord(letter) - ord("A") for letter in row[::_KEY_REPEAT]]
-    if len(values) == 1:
-        return CAESAR, values[0]
-    return HILL, np.array(values, dtype=np.int64).reshape(3, 3)
+    """Payload row 1 back as (kind, key): the key of every _KEY_REPEAT-th
+    letter, when _key_text writes this very row for that key."""
+    with contextlib.suppress(ValueError):
+        kind, key = _key([ord(letter) - ord("A") for letter in row[::_KEY_REPEAT]])
+        if _key_text(kind, key) == row:
+            return kind, key
+    raise CipherError(f"key row {row!r} is not 1 or 9 groups of "
+                      f"{_KEY_REPEAT} equal letters A-Z")
 
 
 # Payload row 2 holds the digest as one character per nibble, chr(0x30 + nibble):
@@ -289,7 +279,7 @@ def verify(stego: GrayImage, config: SealConfig | None = None) -> VerificationRe
         problems.append("digest mismatch")
     elif not _is_sealed_form(block, message, kind, key, recomputed):
         problems.append("block differs from the one seal writes for its message")
-    if not _expected_key_matches(config, kind, key):
+    if config.key is not None and _key_text(config.cipher, config.key) != key_row:
         problems.append("embedded key differs from the expected key")
     verdict = VERIFIED if not problems else TAMPERED
     return VerificationReport(verdict, message, embedded_digest, recomputed,
@@ -334,8 +324,3 @@ def _decrypt_and_hash(ciphertext: str, kind: str, key, embedded_digest: str):
             if _digest.hash_message(candidate, algorithm) == embedded_digest:
                 return candidate, embedded_digest
     return full, recomputed
-
-
-def _expected_key_matches(config: SealConfig, kind: str, key) -> bool:
-    return config.key is None or (
-        (config.cipher, _key_text(config.cipher, config.key)) == (kind, _key_text(kind, key)))

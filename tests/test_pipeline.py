@@ -1,7 +1,10 @@
+import contextlib
 import gc
 import hashlib
 import random
+import re
 import string
+import sys
 import time
 import weakref
 
@@ -13,11 +16,11 @@ from stegoseal.cipher import (caesar_decrypt, caesar_encrypt, hill_encrypt,
 from stegoseal.digest import hash_message
 from stegoseal.entropy import block_stream_bound, decode_blocks, encode_blocks
 from stegoseal.errors import BlockError, CipherError, EmbedError
-from stegoseal.payload import from_tiles, pack, to_tiles
+from stegoseal.payload import from_tiles, pack, to_tiles, unpack
 from stegoseal.pgm import GrayImage
 from stegoseal.pipeline import (STREAM_BOUND, TAMPERED, UNDECODABLE, VERIFIED,
-                                SealConfig, parse_key_text, read_stream, seal,
-                                tamper, verify)
+                                SealConfig, _key_text, _read_key_row, parse_key_text,
+                                read_stream, seal, tamper, verify)
 from stegoseal.stego import LSB1, OVERWRITE, capacity, embed, extract
 from stegoseal.transform import int_dct2, int_idct2
 
@@ -455,6 +458,42 @@ def test_hill_key_row_has_one_valid_form(cover, key_row, verdict):
     assert report.reason.startswith(KEY_ROW_ERROR) if verdict == UNDECODABLE else report.reason == ""
 
 
+def sealed_key_row(config):
+    """Payload row 1 of "Attack at dawn" as seal writes it under `config`."""
+    sealed = seal("Attack at dawn", config, GrayImage(64, 64, np.zeros(64 * 64, np.uint8)))
+    _, decoded = read_stream(sealed, OVERWRITE)
+    return unpack(from_tiles(int_idct2(decoded.coeffs).astype(np.uint8)))[1]
+
+
+def test_key_text_and_key_row_read_back_the_same_key():
+    """parse_key_text of a --key and _read_key_row of the row seal writes
+    for that key give the same (kind, key): all 26 Caesar keys and 50
+    invertible Hill keys."""
+    rng = random.Random(2204)
+    hill_keys = [random_hill_key(rng) for _ in range(50)]
+    texts = [str(k) for k in range(26)] + [",".join(map(str, k.ravel())) for k in hill_keys]
+    for text in texts:
+        kind, key = parse_key_text(text)
+        row = sealed_key_row(SealConfig(cipher=kind, **{f"{kind}_key": key}))
+        read_kind, read_key = _read_key_row(row)
+        assert read_kind == kind and np.array_equal(read_key, key), text
+
+
+@pytest.mark.parametrize("config", [SealConfig(caesar_key=16),
+                                    SealConfig(cipher="hill", hill_key=HILL_KEY)],
+                         ids=["caesar-16", "hill"])
+def test_key_row_with_any_one_character_replaced_is_rejected(config):
+    """Every row one letter, digit or case away from seal's is a CipherError
+    naming the key row; only seal's own row reads back."""
+    row = sealed_key_row(config)
+    assert _key_text(*_read_key_row(row)) == row
+    for i, old in enumerate(row):
+        for new in string.ascii_letters + string.digits:
+            if new != old:
+                with pytest.raises(CipherError, match="^key row "):
+                    _read_key_row(row[:i] + new + row[i + 1:])
+
+
 @pytest.mark.parametrize("ciphertext, key_row", [
     (caesar_encrypt(PAPER_MESSAGE, 16), CAESAR_KEY_ROW),
     (hill_encrypt("ATTACKATDAWN", HILL_KEY), HILL_KEY_ROW),
@@ -709,17 +748,42 @@ def test_parse_key_text():
     assert np.array_equal(key, np.arange(1, 10).reshape(3, 3))
 
 
+def key_text_error(text):
+    """The one CipherError text of parse_key_text, as a full-match pattern."""
+    return f"^{re.escape(f'key {text!r} is not 1 or 9 comma-separated integers in [0, 25]')}$"
+
+
 def test_parse_key_text_errors():
-    for bad, message in (("", "key '' is not an integer"),
-                         ("abc", "key 'abc' is not an integer"),
-                         ("26", "caesar key 26 out of range"),
-                         ("1,2,3", "hill key has 3 entries, needs 9"),
-                         ("1,2,3,4,5,6,7,8,x", "hill key is not all integers"),
-                         ("1,2,3,4,5,6,7,8,99", r"hill key entries must be in \[0, 25\]"),
-                         ("+16", r"key '\+16' is not an integer"),
-                         ("16\t", r"key '16\\t' is not an integer"),
-                         ("\u0661\u0666", "is not an integer"),
-                         ("1" * 5000, "is not an integer"),
-                         ("1,2,3,4,5,6,7,8, 9", "hill key is not all integers")):
-        with pytest.raises(CipherError, match=message):
+    for bad in ("", "abc", "26", "1,2,3", "1,2,3,4,5,6,7,8,x", "1,2,3,4,5,6,7,8,99", "+16",
+                "16\t", "\u0661\u0666", "1" * 5000, "1,2,3,4,5,6,7,8, 9"):
+        with pytest.raises(CipherError, match=key_text_error(bad)):
             parse_key_text(bad)
+
+
+@pytest.mark.parametrize("text", ["16,", ",16", "1,2,3,4,5,6,7,8,9,", ",", "1,,2"])
+def test_parse_key_text_rejects_empty_entries(text):
+    with pytest.raises(CipherError, match=key_text_error(text)):
+        parse_key_text(text)
+
+
+@contextlib.contextmanager
+def no_int_digit_limit():
+    """int() reads a decimal text of any length inside, as under
+    PYTHONINTMAXSTRDIGITS=0 and on CPython before 3.10.7, which has no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_parse_key_text_error_does_not_follow_the_int_digit_limit():
+    """A long run of digits is out of range whether or not int() reads it."""
+    with no_int_digit_limit():
+        assert int("1" * 5000) % 10 == 1
+        with pytest.raises(CipherError, match=key_text_error("1" * 5000)):
+            parse_key_text("1" * 5000)
