@@ -49,13 +49,17 @@ def caesar_decrypt(ciphertext: str, shift: int) -> str:
     return caesar_encrypt(ciphertext, (ALPHABET_SIZE - k) % ALPHABET_SIZE)
 
 
+# Every ASCII byte but A-Z, for bytes.translate to delete
+_NOT_LETTERS = bytes(b for b in range(128) if not 0x41 <= b <= 0x5A)
+
+
 def normalize_letters(text: str) -> str:
     """Uppercase `text` and drop everything that is not A-Z.
 
     Mod-26 arithmetic is only defined on letters, so this is the canonical
     form the Hill cipher operates on.
     """
-    return "".join(ch for ch in text.upper() if "A" <= ch <= "Z")
+    return text.upper().encode("ascii", "ignore").translate(None, _NOT_LETTERS).decode()
 
 
 def _as_key(key) -> np.ndarray:
@@ -71,31 +75,21 @@ def _as_key(key) -> np.ndarray:
     return (k % ALPHABET_SIZE).astype(np.int64)
 
 
-def _adjugate3(k: np.ndarray) -> np.ndarray:
-    a, b, c = int(k[0, 0]), int(k[0, 1]), int(k[0, 2])
-    d, e, f = int(k[1, 0]), int(k[1, 1]), int(k[1, 2])
-    g, h, i = int(k[2, 0]), int(k[2, 1]), int(k[2, 2])
-    cof = [
-        [e * i - f * h, -(d * i - f * g), d * h - e * g],
-        [-(b * i - c * h), a * i - c * g, -(a * h - b * g)],
-        [b * f - c * e, -(a * f - c * d), a * e - b * d],
-    ]
-    return np.array(cof, dtype=np.int64).T
-
-
 def hill_key_inverse(key) -> np.ndarray:
     """Return the matrix inverse of `key` mod 26.
 
-    Computed as adjugate times the modular inverse of the determinant.
-    Raises CipherError when gcd(det mod 26, 26) != 1.
+    Computed as adjugate times the modular inverse of the determinant, on
+    Python integers. Raises CipherError when gcd(det mod 26, 26) != 1.
     """
-    k = _as_key(key)
-    adj = _adjugate3(k)
-    det = int(k[0] @ adj[:, 0]) % ALPHABET_SIZE   # cofactor expansion along row 0
+    a, b, c, d, e, f, g, h, i = _as_key(key).ravel().tolist()
+    adj = (e * i - f * h, c * h - b * i, b * f - c * e,
+           f * g - d * i, a * i - c * g, c * d - a * f,
+           d * h - e * g, b * g - a * h, a * e - b * d)
+    det = (a * adj[0] + b * adj[3] + c * adj[6]) % ALPHABET_SIZE  # along row 0
     if gcd(det, ALPHABET_SIZE) != 1:
         raise CipherError(f"det = {det} shares a factor with 26")
     det_inv = pow(det, -1, ALPHABET_SIZE)
-    return (det_inv * adj) % ALPHABET_SIZE
+    return np.array([det_inv * v % ALPHABET_SIZE for v in adj], np.int64).reshape(3, 3)
 
 
 def _hill(text: str, matrix: np.ndarray) -> str:

@@ -7,8 +7,9 @@ each character str.splitlines splits on print as Python escapes (\\\\, \\n,
     0   success (for verify: verdict VERIFIED)
     1   verify: verdict TAMPERED
     2   verify/inspect: verdict UNDECODABLE / no embedded stream found
-    64  usage error (unknown or missing flags, or a --key that
-        pipeline.parse_key_text rejects or --cipher does not match)
+    64  usage error (unknown or missing flags, a --key that
+        pipeline.parse_key_text rejects, or a --cipher that does not name
+        the kind of --key or comes without one)
     65  malformed input data (bad PGM, message too long, singular Hill key, ...)
     66  file cannot be read or written, or standard output was closed
         before the report was written (seal's --out is whole then)
@@ -118,6 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--in", dest="input", required=True, metavar="STEGO.pgm")
     verify.add_argument("--key", default=None,
                         help="optional expected key, cross-checked against the image")
+    verify.add_argument("--cipher", choices=pipeline.CIPHERS, default=None,
+                        help="optional; must name the kind of --key, as on seal")
 
     tamper = sub.add_parser("tamper", help="flip a single pixel bit")
     tamper.set_defaults(run=_cmd_tamper)
@@ -223,17 +226,22 @@ def _replace_file(path: str, chunks) -> None:
         os.unlink(aside)
 
 
-def _config(key_text: str | None, **fields) -> pipeline.SealConfig:
-    """A SealConfig with the cipher and key of --key, if given; a key that
-    pipeline.parse_key_text rejects is a usage error."""
-    if key_text is not None:
-        try:
-            cipher, key = pipeline.parse_key_text(key_text)
-        except CipherError:
-            raise _UsageError(f"--key {key_text!r} is neither a caesar shift 0-25 "
-                              "nor 9 comma-separated hill entries 0-25") from None
-        fields.update({"cipher": cipher, f"{cipher}_key": key})
-    return pipeline.SealConfig(**fields)
+def _config(key_text: str | None, cipher: str | None, **fields) -> pipeline.SealConfig:
+    """A SealConfig with the cipher and key of --key, if given. A key that
+    pipeline.parse_key_text rejects is a usage error, and so is a --cipher
+    (None when not given) that does not name the kind of the key."""
+    if key_text is None:
+        if cipher is not None:
+            raise _UsageError(f"--cipher {cipher} needs a --key")
+        return pipeline.SealConfig(**fields)
+    try:
+        kind, key = pipeline.parse_key_text(key_text)
+    except CipherError:
+        raise _UsageError(f"--key {key_text!r} is neither a caesar shift 0-25 "
+                          "nor 9 comma-separated hill entries 0-25") from None
+    if cipher not in (None, kind):
+        raise _UsageError(f"--key is a {kind} key but --cipher is {cipher}")
+    return pipeline.SealConfig(cipher=kind, **{f"{kind}_key": key}, **fields)
 
 
 def _emit(**fields) -> None:
@@ -246,9 +254,7 @@ def _cmd_seal(args) -> int:
     width, height, pixels = _read(args.input, sys.maxsize)  # before --out, which may be --in
     pixels = memoryview(pixels)
     cover, rest = _head(pixels[:_HEAD_PIXELS]), pixels[_HEAD_PIXELS:]
-    config = _config(args.key, digest_algorithm=args.digest, embed_mode=args.mode)
-    if config.cipher != args.cipher:
-        raise _UsageError(f"--key is a {config.cipher} key but --cipher is {args.cipher}")
+    config = _config(args.key, args.cipher, digest_algorithm=args.digest, embed_mode=args.mode)
     sealed = pipeline.seal(args.message, config, cover)
     _replace_file(args.output, (header(width, height), sealed.tobytes(), rest))
     _emit(wrote=args.output, mode=args.mode,
@@ -258,7 +264,7 @@ def _cmd_seal(args) -> int:
 
 def _cmd_verify(args) -> int:
     _, _, pixels = _read(args.input, _HEAD_PIXELS)
-    report = pipeline.verify(_head(pixels), _config(args.key, embed_mode=None))
+    report = pipeline.verify(_head(pixels), _config(args.key, args.cipher, embed_mode=None))
     _emit(verdict=report.verdict, mode=report.mode, message=report.recovered_message,
           embedded_digest=report.embedded_digest,
           recomputed_digest=report.recomputed_digest, reason=report.reason)

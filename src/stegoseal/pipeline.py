@@ -32,11 +32,13 @@ out-of-band secret; anyone holding the image can decode and re-seal it.
 This mirrors the scheme's design and is an integrity mechanism only, not
 confidentiality. When a key is supplied for verification it is checked
 against the embedded one as an extra tamper signal. Row 1 holds one
-letter per key entry, each 8 times over (see payload). Verify checks it
-by writing it again: _read_key_row reads a key from every 8th letter and
-raises CipherError, so UNDECODABLE, unless _key_text writes that very
-row for it. A --key is decimal text, read by parse_key_text; both read
-their entries through _key.
+letter per key entry, each 8 * (16 // entries) times over: a Caesar key
+fills the row with its letter and a Hill key writes 9 runs of 8 (see
+payload). Verify checks it by writing it again: _read_key_row takes the
+entry count from the row's length, reads a key from the first letter of
+each run and raises CipherError, so UNDECODABLE, unless _key_text writes
+that very row for it. A --key is decimal text, read by parse_key_text;
+both read their entries through _key.
 
 Row 2 holds the digest as one character per nibble, chr(0x30 + nibble),
 so "0123456789:;<=>?" (see payload). _pack_block writes it, and verify
@@ -72,7 +74,7 @@ from .cipher import (HILL_PAD, _as_key, _check_shift, caesar_decrypt,
 from .entropy import (DecodedBlocks, block_stream_bound, decode_blocks,
                       encode_blocks)
 from .errors import BlockError, CipherError, EmbedError, StegosealError
-from .payload import TILES, from_tiles, pack, to_tiles, unpack
+from .payload import ROW_LENGTH, TILES, from_tiles, pack, to_tiles, unpack
 from .pgm import GrayImage
 from .stego import MODES, OVERWRITE, capacity, embed, extract
 from .transform import int_dct2, int_idct2
@@ -160,26 +162,30 @@ def parse_key_text(text: str):
     raise CipherError(f"key {text!r} is not 1 or 9 comma-separated integers in [0, 25]")
 
 
-# Payload row 1 holds one letter per key entry (A = 0 ... Z = 25), each
-# written _KEY_REPEAT times so that it fills one 8-byte row of a tile.
-_KEY_REPEAT = 8
+def _key_repeat(entries: int) -> int:
+    """How often payload row 1 writes each of `entries` key letters
+    (A = 0 ... Z = 25): 8 for Hill, one 8-byte row of a tile each, and
+    128 for Caesar, both tiles of the row."""
+    return 8 * (16 // entries)
 
 
 def _key_text(kind: str, key) -> str:
     """Payload row 1 as seal writes it for `key`, the one form verify accepts."""
     values = [_check_shift(key)] if kind == CAESAR else _as_key(key).ravel().tolist()
-    return "".join(chr(ord("A") + v) * _KEY_REPEAT for v in values)
+    return "".join(chr(ord("A") + v) * _key_repeat(len(values)) for v in values)
 
 
 def _read_key_row(row: str):
-    """Payload row 1 back as (kind, key): the key of every _KEY_REPEAT-th
-    letter, when _key_text writes this very row for that key."""
+    """Payload row 1 back as (kind, key): a full row is one Caesar letter
+    and any other row 9 Hill letters, read at their repeat, when _key_text
+    writes this very row for that key."""
+    step = _key_repeat(1 if len(row) == ROW_LENGTH else 9)
     with contextlib.suppress(ValueError):
-        kind, key = _key([ord(letter) - ord("A") for letter in row[::_KEY_REPEAT]])
+        kind, key = _key([ord(letter) - ord("A") for letter in row[::step]])
         if _key_text(kind, key) == row:
             return kind, key
-    raise CipherError(f"key row {row!r} is not 1 or 9 groups of "
-                      f"{_KEY_REPEAT} equal letters A-Z")
+    raise CipherError(f"key row {row!r} is not 1 group of {_key_repeat(1)} or 9 groups "
+                      f"of {_key_repeat(9)} equal letters A-Z")
 
 
 # Payload row 2 holds the digest as one character per nibble, chr(0x30 + nibble):

@@ -257,3 +257,17 @@ def test_hill_decrypt_identity_key_passthrough():
 def test_normalize_letters():
     assert normalize_letters("I'm so proud!") == "IMSOPROUD"
     assert normalize_letters("123") == ""
+
+
+@pytest.mark.parametrize("text, letters", [
+    ("stra\u00dfe", "STRASSE"),   # sharp s uppercases to two letters
+    ("\u0131", "I"),              # dotless i
+    ("\u017f", "S"),              # long s
+    ("\ufb00", "FF"),             # the ff ligature
+    ("\u212a", ""),               # the Kelvin sign is its own uppercase, not A-Z
+    ("a\ud800b", "AB"),           # a lone surrogate is dropped
+], ids=["sharp s", "dotless i", "long s", "ff ligature", "kelvin sign", "lone surrogate"])
+def test_normalize_letters_keeps_the_ascii_letters_of_the_uppercase(text, letters):
+    """Uppercasing comes first, so a letter whose uppercase is A-Z counts;
+    every character whose uppercase is not A-Z is dropped."""
+    assert normalize_letters(text) == letters

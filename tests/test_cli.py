@@ -233,8 +233,8 @@ SHA256_RENDEZVOUS = "53a0357017c0f5342d219b2d72c7ec1730be7f69f606a954354c692b5b5
 # directory of the files.
 EXACT_STDOUT = {
     "seal-overwrite": (SEAL_OVERWRITE, 0,
-                       "wrote={dir}/stego.pgm\nmode=overwrite\npixels_changed=168\n"),
-    "seal-lsb1": (SEAL_LSB1, 0, "wrote={dir}/lsb1.pgm\nmode=lsb1\npixels_changed=518\n"),
+                       "wrote={dir}/stego.pgm\nmode=overwrite\npixels_changed=139\n"),
+    "seal-lsb1": (SEAL_LSB1, 0, "wrote={dir}/lsb1.pgm\nmode=lsb1\npixels_changed=436\n"),
     "verify-verified": (
         ["verify", "--in", "{dir}/stego.pgm"], 0,
         f"verdict=VERIFIED\nmode=overwrite\nmessage={PAPER_MESSAGE}\n"
@@ -254,14 +254,14 @@ EXACT_STDOUT = {
         "wrote={dir}/broken.pgm\npixel=40\nbit=0\n"),
     "inspect-overwrite": (
         ["inspect", "--in", "{dir}/stego.pgm"], 0,
-        "mode=overwrite\nelements=384\ncompressed_elements=168\nratio=2.2857\n"
-        "table_entries=190\nheader_bytes=3\npayload_bits=1320\nstream_bytes=168\n"
-        "embedded_pixels=168\nciphertext_bits=546\nkey_bits=130\ndigest_bits=644\n"),
+        "mode=overwrite\nelements=384\ncompressed_elements=139\nratio=2.7626\n"
+        "table_entries=190\nheader_bytes=3\npayload_bits=1081\nstream_bytes=139\n"
+        "embedded_pixels=139\nciphertext_bits=427\nkey_bits=36\ndigest_bits=618\n"),
     "inspect-lsb1": (
         ["inspect", "--in", "{dir}/lsb1.pgm"], 0,
-        "mode=lsb1\nelements=384\ncompressed_elements=128\nratio=3.0000\n"
-        "table_entries=190\nheader_bytes=3\npayload_bits=995\nstream_bytes=128\n"
-        "embedded_pixels=1024\nciphertext_bits=441\nkey_bits=211\ndigest_bits=343\n"),
+        "mode=lsb1\nelements=384\ncompressed_elements=109\nratio=3.5229\n"
+        "table_entries=190\nheader_bytes=3\npayload_bits=848\nstream_bytes=109\n"
+        "embedded_pixels=872\nciphertext_bits=329\nkey_bits=193\ndigest_bits=326\n"),
     "inspect-cover": (["inspect", "--in", "{dir}/cover.pgm"], 2,
                       "error=no embedded stream found\n"),
 }
@@ -379,7 +379,7 @@ def test_wrong_pixel_count_is_data_error(cover_file, tmp_path, capsys, command, 
 @pytest.mark.parametrize("mode", ["overwrite", "lsb1"])
 def test_cover_too_small_is_data_error(tmp_path, capsys, mode):
     small = tmp_path / "small.pgm"
-    small.write_bytes(write_pgm(make_cover(3, 12, 12)))
+    small.write_bytes(write_pgm(make_cover(3, 11, 11)))
     code = main(["seal", "--in", str(small), "--out", str(tmp_path / "out.pgm"),
                  "--message", PAPER_MESSAGE, "--key", "16", "--mode", mode])
     assert code == 65
@@ -681,6 +681,14 @@ HILL_KEY = "6,24,1,13,16,10,20,17,15"
     ("seal", ["--key", "\u0661\u0666"], 64),
     ("seal", ["--key", "6,24,1,13,16,10,20,17,+15", "--cipher", "hill"], 64),
     ("verify", ["--key", "+16"], 64),
+    # verify takes seal's --cipher, which must name the kind of --key
+    ("verify", ["--key", "16", "--cipher", "caesar"], 2),
+    ("verify", ["--key", HILL_KEY, "--cipher", "hill"], 2),
+    ("verify", ["--key", "16", "--cipher", "hill"], 64),
+    ("verify", ["--key", HILL_KEY, "--cipher", "caesar"], 64),
+    ("verify", ["--cipher", "caesar"], 64),
+    ("verify", ["--cipher", "hill"], 64),
+    ("verify", ["--key", "+16", "--cipher", "caesar"], 64),
 ])
 def test_key_exit_codes(cover_file, tmp_path, capsys, command, flags, code):
     """Every --key goes through pipeline.parse_key_text: a key it rejects,
@@ -691,3 +699,23 @@ def test_key_exit_codes(cover_file, tmp_path, capsys, command, flags, code):
         argv += ["--out", str(tmp_path / "out.pgm"), "--message", "m"]
     assert main(argv) == code
     assert (tmp_path / "out.pgm").exists() == (command == "seal" and code == 0)
+
+
+def test_verify_takes_the_key_flags_of_seal(cover_file, tmp_path, capsys):
+    """The --key and --cipher that sealed a Hill image verify it; a --cipher
+    that does not name the kind of --key, or one without a --key, is a
+    usage error that names the flags."""
+    hill = tmp_path / "hill.pgm"
+    flags = ["--key", HILL_KEY, "--cipher", "hill"]
+    assert main(["seal", "--in", str(cover_file), "--out", str(hill),
+                 "--message", "Attack at dawn"] + flags) == 0
+    capsys.readouterr()
+    assert main(["verify", "--in", str(hill)] + flags) == 0
+    out = parse_kv(capsys.readouterr().out)
+    assert (out["verdict"], out["message"]) == ("VERIFIED", "ATTACKATDAWN")
+    for flags, error in (
+            (["--key", "16", "--cipher", "hill"], "--key is a caesar key but --cipher is hill"),
+            (["--cipher", "hill"], "--cipher hill needs a --key")):
+        assert main(["verify", "--in", str(hill)] + flags) == 64
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {error}\n")

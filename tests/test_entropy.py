@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from stegoseal.cipher import normalize_letters
 from stegoseal.digest import hash_message
-from stegoseal.entropy import (BLOCK_MAGIC, BLOCK_TABLE, DC_SYMBOL, EOB,
-                               ZIGZAG_ORDER, ZRL, block_stream_bound,
+from stegoseal.entropy import (_ZIGZAG_FLAT, BLOCK_MAGIC, BLOCK_TABLE,
+                               DC_SYMBOL, EOB, ZRL, block_stream_bound,
                                build_table, decode_blocks, decode_prefix,
                                encode_blocks, zigzag_scan, zigzag_unscan)
 from stegoseal.errors import StegosealError, StreamError
@@ -38,6 +38,9 @@ def diagonal_walk_oracle():
 
 
 # --- zig-zag -------------------------------------------------------------
+
+# The (row, column) cells of the module's flat zig-zag indices, in scan order.
+ZIGZAG_ORDER = tuple(divmod(i, 8) for i in _ZIGZAG_FLAT.tolist())
 
 
 def test_zigzag_first_six_cells():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from stegoseal.errors import BlockError
-from stegoseal.payload import from_tiles, pack, to_tiles, unpack
+from stegoseal.payload import (_FROM_BLOCK, _TO_BLOCK, from_tiles, pack, to_tiles,
+                               unpack)
 
 
 def test_pack_has_384_elements_at_defaults():
@@ -15,11 +16,24 @@ def test_pack_has_384_elements_at_defaults():
 
 
 def test_pack_layout():
+    """Each row's bytes go through the byte map: A-Z are 1-26, a-z 27-52
+    and the digits 69-78."""
     block = pack("AB", "16", "ff")
-    assert block[:2] == b"AB"
+    assert block[:2] == bytes([1, 2])
     assert block[2:128] == bytes(126)
-    assert block[128:130] == b"16"
-    assert block[256:258] == b"ff"
+    assert block[128:130] == bytes([70, 75])
+    assert block[256:258] == bytes([32, 32])
+
+
+def test_byte_map_is_a_bijection_that_fixes_nul():
+    every = bytes(range(256))
+    mapped = every.translate(_TO_BLOCK)
+    assert mapped[0] == 0
+    assert sorted(mapped[1:]) == list(range(1, 256))
+    assert mapped.translate(_FROM_BLOCK) == every
+    assert mapped[ord("A"):ord("Z") + 1] == bytes(range(1, 27))
+    assert mapped[ord("a"):ord("z") + 1] == bytes(range(27, 53))
+    assert mapped[0x30:0x40] == bytes(range(69, 85))   # the digest row's 16 symbols
 
 
 def test_pack_empty_ciphertext():
@@ -43,6 +57,9 @@ def test_unpack_round_trip():
         ("YUUU Ydjuh", "16", "ab" * 32),
         ("ends with zero char 0", "25", "0" * 10),
         ("a0b00", "0", "00ff00"),
+        # bytes past ASCII go through the byte map as well
+        ("caf\u00e9 \u00df \u0131 \u017f", "\u2028\ufb00\u212a", "\u65e5\u672c\u8a9e"),
+        ("\U0001F600" * 32, "\u00e9" * 64, "\x7f\x01~ \x1b"),
     ]
     for c, k, d in cases:
         assert unpack(pack(c, k, d)) == (c, k, d)

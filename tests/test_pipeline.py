@@ -16,7 +16,7 @@ from stegoseal.cipher import (caesar_decrypt, caesar_encrypt, hill_encrypt,
 from stegoseal.digest import hash_message
 from stegoseal.entropy import block_stream_bound, decode_blocks, encode_blocks
 from stegoseal.errors import BlockError, CipherError, EmbedError
-from stegoseal.payload import from_tiles, pack, to_tiles, unpack
+from stegoseal.payload import _TO_BLOCK, from_tiles, pack, to_tiles, unpack
 from stegoseal.pgm import GrayImage
 from stegoseal.pipeline import (STREAM_BOUND, TAMPERED, UNDECODABLE, VERIFIED,
                                 SealConfig, _key_text, _read_key_row, parse_key_text,
@@ -60,19 +60,19 @@ def test_seal_is_deterministic(cover):
 # digests. A change to the cipher, the packing, the transform or the coder
 # that alters a single bit shows here.
 PINNED_STREAMS = [
-    ("I'm so proud to be Egyptian", SealConfig(caesar_key=16), 168,
-     "b2c4dcb0ac064e34c3b9dcec21ccf8ff7c50fbeac2a9ccb0b5fe777e1daffa5c"),
+    ("I'm so proud to be Egyptian", SealConfig(caesar_key=16), 139,
+     "2ba2b6242634d7fb8f2e8be366f3884172fffbe9beedb0ec8061351d68dc05c1"),
     ("oD. v2vaoV'Tpx1d. ,Twh-eK6D,Y?bS3M6x.OQt",
-     SealConfig(caesar_key=9, digest_algorithm="sha512"), 166,
-     "e4f90f32aa0ed7b9ac91ca8147186f59154e79cb9858d2eb6f79bd6661b641ba"),
+     SealConfig(caesar_key=9, digest_algorithm="sha512"), 149,
+     "b13b806f121c62ea52d6e6fdd6c56f5dd64126b74861d10a46ac713a7fb530b6"),
     ("f3M?k0FCf14vazy6hK'yp9OSCiM5cOoynm'HjcRaPP??G1L24h?7.Q4'xmo?Up?x0OJhexzXeOe",
-     SealConfig(cipher="hill", hill_key=[[6, 24, 1], [13, 16, 10], [20, 17, 15]]), 173,
-     "5b97e1fda444c7ab5ef4d132eb6837dcc2ca9ebe62aed62637a6263dd487d25c"),
+     SealConfig(cipher="hill", hill_key=[[6, 24, 1], [13, 16, 10], [20, 17, 15]]), 150,
+     "0b97af319211cf18fa23d8d8cb117313febf5e97ae396612b2748590f2dcc45b"),
     ("H5U0QfVxNhwr'jR62y!zY9JzLuemn,0UevU62p4A2QJ29P84rmenjK9a2xyE4Kzm0'0Cu4,"
      "y-XJWO00MS1bwm-W4Tm8cxLdB-4.f2uTXH,bARN",
      SealConfig(cipher="hill", hill_key=[[3, 10, 20], [20, 9, 17], [9, 4, 17]],
-                digest_algorithm="sha512"), 211,
-     "590b572e30bb095a5543075b462a7f809c5520ae3479b4c87ccee56992200a69"),
+                digest_algorithm="sha512"), 186,
+     "a8710d776fed46c74c8add7aa54db109b5f786e78a33e4a437dd5c08268712d6"),
 ]
 
 
@@ -135,7 +135,7 @@ def test_seal_requires_key(cover):
 
 def test_seal_too_small_cover():
     tiny = GrayImage(8, 8, bytes(64))
-    with pytest.raises(EmbedError, match="payload needs 168 bytes, image holds 64"):
+    with pytest.raises(EmbedError, match="payload needs 139 bytes, image holds 64"):
         seal(PAPER_MESSAGE, paper_config(), tiny)
 
 
@@ -324,9 +324,9 @@ def test_verify_hill_every_bit_flip(cover):
 
 HILL_KEY = [[3, 3, 0], [2, 5, 0], [0, 0, 1]]
 # Payload row 1 as seal writes it: one letter per key entry, A = 0 ... Z = 25,
-# each 8 times over, NUL-padded by pack.
+# each 8 * (16 // entries) times over, NUL-padded by pack.
 HILL_KEY_ROW = "".join(8 * letter for letter in "DDACFAAAB")  # HILL_KEY
-CAESAR_KEY_ROW = 8 * "Q"                                      # key 16
+CAESAR_KEY_ROW = 128 * "Q"                                    # key 16
 
 
 def digest_row(message, algorithm="sha512"):
@@ -374,25 +374,27 @@ def test_verify_rejects_blocks_seal_would_not_write(cover):
     key_row = "".join(8 * letter for letter in "GYBNQKURP")
     hill_block = pack(hill_encrypt("ATTACKATDAWN", key), key_row, digest)
     assert verify(embed_block(hill_block, cover)).verdict == VERIFIED
-    padded = hill_block[:40] + b"\x01" + hill_block[41:]   # a byte in the ciphertext padding
+    # a control byte in the ciphertext padding, written through pack's byte map
+    padded = hill_block[:40] + b"\x01".translate(_TO_BLOCK) + hill_block[41:]
     lowercase = pack(hill_encrypt("ATTACKATDAWN", key).lower(), key_row, digest)
     for block in (padded, lowercase):
         report = verify(embed_block(block, cover))
         assert (report.verdict, report.reason) == (TAMPERED, SEALED_FORM)
         assert report.recovered_message == "ATTACKATDAWN"
-    caesar = pack(caesar_encrypt(PAPER_MESSAGE, 16), CAESAR_KEY_ROW + "\t",
+    caesar = pack(caesar_encrypt(PAPER_MESSAGE, 16), CAESAR_KEY_ROW[:-1] + "\t",
                   digest_row(PAPER_MESSAGE))
     assert verify(embed_block(caesar, cover)).verdict == UNDECODABLE
 
 
 def test_digest_row_holds_one_character_per_nibble(cover):
     """Seal writes row 2 in the 16 contiguous characters 0-9 and :;<=>?,
-    and verify reports the digest in lowercase hex."""
+    which pack's byte map keeps contiguous as block bytes 69-84, and verify
+    reports the digest in lowercase hex."""
     sealed = seal(PAPER_MESSAGE, paper_config(), cover)
     _, decoded = read_stream(sealed, OVERWRITE)
-    row = from_tiles(int_idct2(decoded.coeffs).astype(np.uint8))[256:].rstrip(b"\x00")
-    assert row.decode() == digest_row(PAPER_MESSAGE)
-    assert set(row) <= set(range(0x30, 0x40))
+    block = from_tiles(int_idct2(decoded.coeffs).astype(np.uint8))
+    assert unpack(block)[2] == digest_row(PAPER_MESSAGE)
+    assert set(block[256:].rstrip(b"\x00")) <= set(range(69, 85))
     report = verify(sealed)
     assert report.embedded_digest == report.recomputed_digest == hash_message(PAPER_MESSAGE)
 
@@ -422,15 +424,20 @@ KEY_ROW_ERROR = "CipherError: key row "
     pytest.param(9 * "Q", UNDECODABLE, id="9 repeats"),
     pytest.param(7 * "Q" + "R", UNDECODABLE, id="odd letter"),
     pytest.param(8 * "q", UNDECODABLE, id="lowercase"),
-    pytest.param(2 * CAESAR_KEY_ROW, UNDECODABLE, id="2 entries"),
-    pytest.param(8 * CAESAR_KEY_ROW, UNDECODABLE, id="8 entries"),
+    pytest.param(16 * "Q", UNDECODABLE, id="2 entries"),
+    pytest.param(64 * "Q", UNDECODABLE, id="8 entries"),
+    # the 8 repeats seal wrote before, and near misses of the full row
+    pytest.param(8 * "Q", UNDECODABLE, id="8 repeats"),
+    pytest.param(127 * "Q", UNDECODABLE, id="127 repeats"),
+    pytest.param(127 * "Q" + "R", UNDECODABLE, id="127 repeats and R"),
     # the decimal form seal wrote before, and spellings int() reads as 16
     ("16", UNDECODABLE), (" 16", UNDECODABLE), ("16 ", UNDECODABLE), ("+16", UNDECODABLE),
     ("1_6", UNDECODABLE), ("016", UNDECODABLE), ("\u0661\u0666", UNDECODABLE),
 ])
 def test_caesar_key_row_has_one_valid_form(cover, key_row, verdict):
-    """Row 1 is exactly 1 or 9 groups of 8 equal letters A-Z; each near
-    miss of seal's form is rejected before any decryption."""
+    """Row 1 is exactly 128 equal letters A-Z for Caesar or 9 groups of 8
+    for Hill; each near miss of seal's form is rejected before any
+    decryption."""
     block = pack(caesar_encrypt(PAPER_MESSAGE, 16), key_row, digest_row(PAPER_MESSAGE))
     report = verify(embed_block(block, cover))
     assert report.verdict == verdict
@@ -530,7 +537,7 @@ def test_rebuild_that_raises_is_not_the_sealed_form(cover):
     ciphertext = "a\x00b"
     digest = hash_message(caesar_decrypt(ciphertext, 16))
     caesar = b"".join(row.encode().ljust(128, b"\x00")
-                      for row in (ciphertext, CAESAR_KEY_ROW, digest))
+                      for row in (ciphertext, CAESAR_KEY_ROW, digest)).translate(_TO_BLOCK)
     report = verify(embed_block(caesar, cover))
     assert (report.verdict, report.reason) == (TAMPERED, SEALED_FORM)
 
@@ -628,12 +635,12 @@ def test_verify_never_raises_on_noise():
 
 
 def test_stream_under_the_old_magic_is_undecodable(cover):
-    """A stream with magic 0x4A, from the table before the digest row's
-    nibble characters, is rejected at its first byte."""
+    """A stream with magic 0x4B, from the table before pack's byte map and
+    the full Caesar key row, is rejected at its first byte."""
     sealed = seal(PAPER_MESSAGE, paper_config(), cover)
     stream = extract(sealed, stream_length(sealed), OVERWRITE)
-    assert stream[0] == 0x4B
-    report = verify(embed(cover, b"\x4a" + stream[1:], OVERWRITE))
+    assert stream[0] == 0x4C
+    report = verify(embed(cover, b"\x4b" + stream[1:], OVERWRITE))
     assert (report.verdict, report.reason) == (UNDECODABLE,
                                                "StreamError: missing block stream header")
 
@@ -659,12 +666,12 @@ def test_verify_forged_stream_header_is_undecodable(cover):
 
 
 @pytest.mark.parametrize("stream, reason", [
-    (bytes.fromhex("4B 0005") + bytes(64), "StreamError: stream declares 5 tiles"),
+    (bytes.fromhex("4C 0005") + bytes(64), "StreamError: stream declares 5 tiles"),
     (block_stream_of(pack(caesar_encrypt(PAPER_MESSAGE, 16), CAESAR_KEY_ROW,
                           hash_message(PAPER_MESSAGE)))[:-8], "StreamError: bits ran out"),
     (block_stream_of(b"\xff" + bytes(383)), "BlockError: row is not valid UTF-8"),
     (block_stream_of(pack("KHOOR", "abc", hash_message("HELLO"))),
-     "CipherError: key row 'abc' is not 1 or 9 groups of 8 equal letters A-Z"),
+     "CipherError: key row 'abc' is not 1 group of 128 or 9 groups of 8 equal letters A-Z"),
     (block_stream_of(pack("ABCD", HILL_KEY_ROW, hash_message("ABCD"))),
      "CipherError: ciphertext has 4 letters, not a multiple of 3"),
 ], ids=["forged header", "truncated stream", "row not utf-8", "bad key row", "hill length"])
@@ -683,8 +690,8 @@ def test_verify_time_does_not_follow_the_cover():
     zero = GrayImage(2048, 2048, np.zeros(2048 * 2048, np.uint8))
     headers = {
         "general stream of 2**32 - 1 symbols": bytes.fromhex("48 0001 00 01 FFFFFFFF"),
-        "65535 tiles": bytes.fromhex("4B FFFF"),
-        "6 tiles of random bits": bytes.fromhex("4B 0006") + np.random.default_rng(62).bytes(2048),
+        "65535 tiles": bytes.fromhex("4C FFFF"),
+        "6 tiles of random bits": bytes.fromhex("4C 0006") + np.random.default_rng(62).bytes(2048),
     }
     for mode in (OVERWRITE, LSB1):
         for name, header in headers.items():
