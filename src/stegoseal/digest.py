@@ -2,8 +2,8 @@
 
 Backed by hashlib; correctness is pinned by published FIPS 180 test
 vectors in the test suite. hash_message returns the digest as lowercase
-hex text, which is what the payload block stores. The sealing pipeline
-defaults to SHA-512 so the hex digest fills a whole 128-byte payload row.
+hex text, which is what payload row 2 stores, as it is. The sealing
+pipeline defaults to SHA-512 so the hex digest fills the whole 128-byte row.
 """
 
 from __future__ import annotations

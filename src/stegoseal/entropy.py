@@ -4,7 +4,7 @@ The block stream is what the sealing pipeline embeds. It codes a stack
 of 8x8 integer coefficient tiles the way baseline JPEG codes its blocks
 (ITU-T T.81, Annex F.1.2):
 
-    magic byte 0x4C
+    magic byte 0x4D
     tile count, 2 bytes big-endian (>= 1)
     per tile, in zig-zag order:
         DC  the category of the difference from the previous tile's DC
@@ -68,9 +68,10 @@ derivation and checks that it gives this table.
 Each refit of the table moves the magic, so that a stream coded under an
 older table fails at its first byte instead of decoding under this one.
 The table of magic 0x4A had been fitted on blocks with a decimal key row
-and a hex digest row, and that of 0x4B on blocks written without
-payload's byte map and with a Caesar key row of 8 letters. 0x4C is the
-table of today's blocks.
+and a hex digest row, that of 0x4B on blocks written without payload's
+byte map and with a Caesar key row of 8 letters, and that of 0x4C on
+blocks whose digest row wrote the hex letters a-f as the six characters
+after 9. 0x4D is the table of today's blocks.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ import numpy as np
 
 from .errors import StreamError
 
-BLOCK_MAGIC = 0x4C
+BLOCK_MAGIC = 0x4D
 
 # Standard JPEG zig-zag traversal of an 8x8 block, as flat row-major indices.
 _ZIGZAG_FLAT = np.array((
@@ -177,24 +178,25 @@ _BLOCK_CODE_LENGTHS = {
     4: (0x05,),
     5: (0x06, 0x13,),
     6: (0x00, 0x11, 0x12,),
-    7: (0x14, 0x107, 0x10A,),
-    8: (0x07, 0x15, 0x100, 0x106, 0x108, 0x109,),
-    9: (0x16, 0x21, 0x22, 0x54, 0x55, 0x94, 0x95, 0xD1,),
-    10: (0x08, 0x23, 0x51, 0xD3, 0xD4, 0xD5, 0x103, 0x104, 0x105,),
-    11: (0x24, 0x53, 0x56, 0x91, 0x93, 0x96, 0xD6, 0x101, 0x102,),
-    13: (0x17, 0x31, 0x32, 0x33, 0x65,),
-    14: (0x25, 0x26, 0x41, 0x64, 0x66, 0xA3, 0xA4, 0xA5, 0xA6, 0xE4, 0xE5,),
-    15: (0x34, 0x42, 0x61, 0x63, 0x71, 0xA1,),
-    16: (0x43, 0x44, 0x75, 0x81, 0x83, 0xB4, 0xB5, 0xD7, 0xE3, 0xE6,),
-    17: (0x2A, 0x2B, 0x35, 0x36, 0x37, 0x38, 0x39, 0x3A, 0x3B, 0x45, 0x46, 0x47, 0x48,
-         0x49, 0x4A, 0x4B, 0x52, 0x57, 0x58, 0x59, 0x5A, 0x5B, 0x62, 0x67, 0x68, 0x69,
-         0x6A, 0x6B, 0x72, 0x73, 0x74, 0x76, 0x77, 0x78, 0x79, 0x7A, 0x7B, 0x82, 0x84,
-         0x85, 0x86, 0x87, 0x88, 0x89, 0x8A, 0x8B, 0x92, 0x97, 0x98, 0x99, 0x9A, 0x9B,
-         0xA2, 0xA7, 0xA8, 0xA9, 0xAA, 0xAB, 0xB1, 0xB2, 0xB3, 0xB6, 0xB7, 0xB8, 0xB9,
-         0xBA, 0xBB, 0xC1, 0xC2, 0xC3, 0xC4, 0xC5, 0xC6, 0xC7, 0xC8, 0xC9, 0xCA, 0xCB,
-         0xD2, 0xD8, 0xD9, 0xDA, 0xDB, 0xE1, 0xE2, 0xE7, 0xE8, 0xE9, 0xEA, 0xEB, 0xF0,
-         0xF1, 0xF2, 0xF3, 0xF4, 0xF5, 0xF6, 0xF7, 0xF8, 0xF9, 0xFA, 0xFB, 0x10B,),
-    18: (0x09, 0x0A, 0x0B, 0x18, 0x19, 0x1A, 0x1B, 0x27, 0x28, 0x29,),
+    7: (0x14, 0x107, 0x108, 0x109,),
+    8: (0x07, 0x15, 0x100, 0x106,),
+    9: (0x16, 0x21, 0x23, 0x54, 0x55, 0x94, 0x95, 0xD1,),
+    10: (0x22, 0x51, 0xD3, 0xD4, 0xD5, 0x102, 0x103, 0x104, 0x105,),
+    11: (0x08, 0x24, 0x53, 0x56, 0x91, 0x93, 0x96, 0xD6, 0x101,),
+    13: (0x31, 0x32, 0x33, 0x65,),
+    14: (0x17, 0x25, 0x26, 0x34, 0x41, 0x64, 0x66, 0xA3, 0xA4, 0xA5, 0xA6, 0xE4, 0xE5,),
+    15: (0x61, 0x63, 0x71, 0xA1,),
+    16: (0x18, 0x42, 0x43, 0x52, 0x75, 0x81, 0x83, 0xB4, 0xB5, 0xD7, 0xE3, 0xE6,),
+    17: (0x0B, 0x19, 0x1A, 0x1B, 0x27, 0x28, 0x29, 0x2A, 0x2B, 0x35, 0x36, 0x37, 0x38,
+         0x39, 0x3A, 0x3B, 0x44, 0x45, 0x46, 0x47, 0x48, 0x49, 0x4A, 0x4B, 0x57, 0x58,
+         0x59, 0x5A, 0x5B, 0x62, 0x67, 0x68, 0x69, 0x6A, 0x6B, 0x72, 0x73, 0x74, 0x76,
+         0x77, 0x78, 0x79, 0x7A, 0x7B, 0x82, 0x84, 0x85, 0x86, 0x87, 0x88, 0x89, 0x8A,
+         0x8B, 0x92, 0x97, 0x98, 0x99, 0x9A, 0x9B, 0xA2, 0xA7, 0xA8, 0xA9, 0xAA, 0xAB,
+         0xB1, 0xB2, 0xB3, 0xB6, 0xB7, 0xB8, 0xB9, 0xBA, 0xBB, 0xC1, 0xC2, 0xC3, 0xC4,
+         0xC5, 0xC6, 0xC7, 0xC8, 0xC9, 0xCA, 0xCB, 0xD2, 0xD8, 0xD9, 0xDA, 0xDB, 0xE1,
+         0xE2, 0xE7, 0xE8, 0xE9, 0xEA, 0xEB, 0xF0, 0xF1, 0xF2, 0xF3, 0xF4, 0xF5, 0xF6,
+         0xF7, 0xF8, 0xF9, 0xFA, 0xFB, 0x10A, 0x10B,),
+    18: (0x09, 0x0A,),
 }
 
 BLOCK_TABLE = HuffmanTable.from_lengths(

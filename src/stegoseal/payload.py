@@ -5,7 +5,7 @@ row after row:
 
     row 0: ciphertext, NUL-padded
     row 1: key text, NUL-padded
-    row 2: digest text, one character per nibble, NUL-padded
+    row 2: digest, as lowercase hex, NUL-padded
 
 Byte 0 is reserved for padding and therefore forbidden inside the row
 content, which makes stripping unambiguous.
@@ -17,22 +17,19 @@ times, so it fills both tiles of the row. A tile whose rows are each
 constant keeps its energy in the first column of its DCT coefficients,
 and a flat tile in its DC coefficient alone.
 
-The digest text writes nibble n as chr(0x30 + n), "0123456789:;<=>?".
-These 16 symbols are contiguous, where lowercase hex splits 0-9
-(0x30-0x39) from a-f (0x61-0x66) and so widens every AC amplitude of a
-digest tile. pipeline writes both texts and reads them back.
-
 pack writes the UTF-8 bytes of the rows through one fixed bijection of
 the byte values, and unpack inverts it before it decodes them. Byte 0
-stays 0. The other values are numbered 1-255 in this order: A-Z, a-z,
-the rest of printable ASCII (0x20-0x7E) ascending, then every other
+stays 0. The other values are numbered 1-255 in this order: A-Z, 0-9,
+a-z, the rest of printable ASCII (0x20-0x7E) ascending, then every other
 nonzero byte ascending. So key letters and Hill ciphertext become 1-26,
-Caesar text 1-52 and the few values above, and the 16 digest symbols
-stay contiguous at 69-84. This pays because the DCT is orthonormal: the
-energy of a tile's coefficients is the sum of its squared bytes, so
-letters moved from 65-122 down next to the NUL padding leave smaller
-coefficients, fewer category bits and shorter codes. JPEG level-shifts
-its samples for the same reason (ITU-T T.81, Annex A.3.1).
+Caesar text 1-62 and the few values above, and the 16 hex digits of the
+digest row, 0-9 and a-f, become the contiguous 27-42. This pays because
+the DCT is orthonormal: the energy of a tile's coefficients is the sum
+of its squared bytes, so letters and digits moved from 48-122 down next
+to the NUL padding leave smaller coefficients, fewer category bits and
+shorter codes, and a contiguous digest alphabet narrows every AC
+amplitude of a digest tile. JPEG level-shifts its samples for the same
+reason (ITU-T T.81, Annex A.3.1).
 
 For the transform stage the block is cut into consecutive 64-byte runs,
 each read row-major as one 8x8 tile: tile k holds bytes 64k..64k+63, and
@@ -55,10 +52,10 @@ BLOCK_BYTES = ROWS * ROW_LENGTH
 TILES = BLOCK_BYTES // 64
 
 # Block byte i stands for source byte _FROM_BLOCK[i] (see the module docstring).
-_LETTERS = (string.ascii_uppercase + string.ascii_lowercase).encode()
-_PRINTABLE = bytes(b for b in range(0x20, 0x7F) if b not in _LETTERS)
-_FROM_BLOCK = b"\x00" + _LETTERS + _PRINTABLE + bytes(
-    b for b in range(1, 256) if b not in _LETTERS and b not in _PRINTABLE)
+_ALNUM = (string.ascii_uppercase + string.digits + string.ascii_lowercase).encode()
+_PRINTABLE = bytes(b for b in range(0x20, 0x7F) if b not in _ALNUM)
+_FROM_BLOCK = b"\x00" + _ALNUM + _PRINTABLE + bytes(
+    b for b in range(1, 256) if b not in _ALNUM and b not in _PRINTABLE)
 _TO_BLOCK = bytes.maketrans(_FROM_BLOCK, bytes(range(256)))
 
 
@@ -71,10 +68,10 @@ def _row(text: str, row: int) -> bytes:
     return data.ljust(ROW_LENGTH, b"\x00")
 
 
-def pack(ciphertext: str, key_text: str, digest_row: str) -> bytes:
+def pack(ciphertext: str, key_text: str, digest_hex: str) -> bytes:
     """Build the block from the texts of its rows: the ciphertext, the key
-    text and the digest row, one character per nibble."""
-    return (_row(ciphertext, 0) + _row(key_text, 1) + _row(digest_row, 2)).translate(_TO_BLOCK)
+    text and the hex digest."""
+    return (_row(ciphertext, 0) + _row(key_text, 1) + _row(digest_hex, 2)).translate(_TO_BLOCK)
 
 
 def unpack(block: bytes) -> tuple[str, str, str]:

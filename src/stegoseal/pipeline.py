@@ -40,13 +40,8 @@ each run and raises CipherError, so UNDECODABLE, unless _key_text writes
 that very row for it. A --key is decimal text, read by parse_key_text;
 both read their entries through _key.
 
-Row 2 holds the digest as one character per nibble, chr(0x30 + nibble),
-so "0123456789:;<=>?" (see payload). _pack_block writes it, and verify
-maps it back to lowercase hex in one str.translate right after unpack;
-the report and the CLI print that hex. The map passes every other
-character through, so a row with a hex letter where seal writes its
-symbol reads as the same digest: _is_sealed_form then finds that the
-block is not the one seal writes, and the verdict is TAMPERED.
+Row 2 holds the digest as the lowercase hex that hash_message returns,
+and the report and the CLI print that row as it is.
 
 Verify needs no embed mode either: with embed_mode=None it takes the first
 of stego.MODES whose stream decodes and names it in report.mode (the first
@@ -188,18 +183,11 @@ def _read_key_row(row: str):
                       f"of {_key_repeat(9)} equal letters A-Z")
 
 
-# Payload row 2 holds the digest as one character per nibble, chr(0x30 + nibble):
-# hex digits 0-9 stay, a-f become :;<=>?, so the row's 16 symbols are contiguous.
-_DIGEST_ROW = str.maketrans("abcdef", ":;<=>?")
-_DIGEST_HEX = str.maketrans(":;<=>?", "abcdef")
-
-
 def _pack_block(protected: str, kind: str, key, digest_hex: str) -> bytes:
     """The block seal writes for the protected message under `key`, with
-    row 2 written from the lowercase hex digest_hex."""
+    the lowercase hex digest_hex as row 2."""
     encrypt = caesar_encrypt if kind == CAESAR else hill_encrypt
-    return pack(encrypt(protected, key), _key_text(kind, key),
-                digest_hex.translate(_DIGEST_ROW))
+    return pack(encrypt(protected, key), _key_text(kind, key), digest_hex)
 
 
 def _is_sealed_form(block: bytes, message: str, kind: str, key,
@@ -208,10 +196,8 @@ def _is_sealed_form(block: bytes, message: str, kind: str, key,
 
     This catches the changes that decryption ignores, such as a nonzero
     byte in the zero padding of a Hill ciphertext or a lowercase letter in
-    it, which normalize_letters would drop or fold, and the changes the
-    digest row's map to hex ignores, such as a hex "a" where seal writes
-    ":". The key row needs no such check: _read_key_row accepts only the
-    form _key_text writes.
+    it, which normalize_letters would drop or fold. The key row needs no
+    such check: _read_key_row accepts only the form _key_text writes.
     """
     try:
         return _pack_block(message, kind, key, digest_hex) == block
@@ -272,9 +258,8 @@ def verify(stego: GrayImage, config: SealConfig | None = None) -> VerificationRe
     try:
         mode, decoded = read_stream(stego, config.embed_mode)
         block = _recover_block(decoded.coeffs)
-        ciphertext, key_row, digest_row = unpack(block)
+        ciphertext, key_row, embedded_digest = unpack(block)
         kind, key = _read_key_row(key_row)
-        embedded_digest = digest_row.translate(_DIGEST_HEX)
         message, recomputed = _decrypt_and_hash(ciphertext, kind, key, embedded_digest)
     except StegosealError as exc:
         return VerificationReport(UNDECODABLE, reason=f"{type(exc).__name__}: {exc}",

@@ -233,8 +233,8 @@ SHA256_RENDEZVOUS = "53a0357017c0f5342d219b2d72c7ec1730be7f69f606a954354c692b5b5
 # directory of the files.
 EXACT_STDOUT = {
     "seal-overwrite": (SEAL_OVERWRITE, 0,
-                       "wrote={dir}/stego.pgm\nmode=overwrite\npixels_changed=139\n"),
-    "seal-lsb1": (SEAL_LSB1, 0, "wrote={dir}/lsb1.pgm\nmode=lsb1\npixels_changed=436\n"),
+                       "wrote={dir}/stego.pgm\nmode=overwrite\npixels_changed=140\n"),
+    "seal-lsb1": (SEAL_LSB1, 0, "wrote={dir}/lsb1.pgm\nmode=lsb1\npixels_changed=403\n"),
     "verify-verified": (
         ["verify", "--in", "{dir}/stego.pgm"], 0,
         f"verdict=VERIFIED\nmode=overwrite\nmessage={PAPER_MESSAGE}\n"
@@ -254,14 +254,14 @@ EXACT_STDOUT = {
         "wrote={dir}/broken.pgm\npixel=40\nbit=0\n"),
     "inspect-overwrite": (
         ["inspect", "--in", "{dir}/stego.pgm"], 0,
-        "mode=overwrite\nelements=384\ncompressed_elements=139\nratio=2.7626\n"
-        "table_entries=190\nheader_bytes=3\npayload_bits=1081\nstream_bytes=139\n"
-        "embedded_pixels=139\nciphertext_bits=427\nkey_bits=36\ndigest_bits=618\n"),
+        "mode=overwrite\nelements=384\ncompressed_elements=140\nratio=2.7429\n"
+        "table_entries=190\nheader_bytes=3\npayload_bits=1094\nstream_bytes=140\n"
+        "embedded_pixels=140\nciphertext_bits=449\nkey_bits=35\ndigest_bits=610\n"),
     "inspect-lsb1": (
         ["inspect", "--in", "{dir}/lsb1.pgm"], 0,
         "mode=lsb1\nelements=384\ncompressed_elements=109\nratio=3.5229\n"
         "table_entries=190\nheader_bytes=3\npayload_bits=848\nstream_bytes=109\n"
-        "embedded_pixels=872\nciphertext_bits=329\nkey_bits=193\ndigest_bits=326\n"),
+        "embedded_pixels=872\nciphertext_bits=328\nkey_bits=193\ndigest_bits=327\n"),
     "inspect-cover": (["inspect", "--in", "{dir}/cover.pgm"], 2,
                       "error=no embedded stream found\n"),
 }

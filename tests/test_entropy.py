@@ -18,7 +18,7 @@ from stegoseal.entropy import (_ZIGZAG_FLAT, BLOCK_MAGIC, BLOCK_TABLE,
                                build_table, decode_blocks, decode_prefix,
                                encode_blocks, zigzag_scan, zigzag_unscan)
 from stegoseal.errors import StegosealError, StreamError
-from stegoseal.payload import TILES, to_tiles
+from stegoseal.payload import TILES, pack, to_tiles
 from stegoseal.pipeline import _pack_block
 from stegoseal.transform import int_dct2
 
@@ -556,11 +556,7 @@ def test_concatenated_streams_are_self_delimiting():
 def test_skewed_payload_block_compresses():
     """A zero-heavy 384-byte block, the shape the sealing pipeline packs,
     comes out smaller than its raw size, header included."""
-    block = bytearray(384)
-    block[0:27] = b"Y'c ie fhekt je ru Uwofjyqd"
-    block[128:136] = b"QQQQQQQQ"
-    block[256:384] = b"0123456789:;<=>?" * 8
-    tiles = np.frombuffer(bytes(block), np.uint8).reshape(6, 8, 8)
+    tiles = to_tiles(pack("Y'c ie fhekt je ru Uwofjyqd", 128 * "Q", "0123456789abcdef" * 8))
     data = encode_blocks(int_dct2(tiles))
     assert len(data) < 384
     assert np.array_equal(decode_blocks(data).coeffs, int_dct2(tiles))

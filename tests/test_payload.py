@@ -16,13 +16,13 @@ def test_pack_has_384_elements_at_defaults():
 
 
 def test_pack_layout():
-    """Each row's bytes go through the byte map: A-Z are 1-26, a-z 27-52
-    and the digits 69-78."""
+    """Each row's bytes go through the byte map: A-Z are 1-26, the digits
+    27-36 and a-z 37-62."""
     block = pack("AB", "16", "ff")
     assert block[:2] == bytes([1, 2])
     assert block[2:128] == bytes(126)
-    assert block[128:130] == bytes([70, 75])
-    assert block[256:258] == bytes([32, 32])
+    assert block[128:130] == bytes([28, 33])
+    assert block[256:258] == bytes([42, 42])
 
 
 def test_byte_map_is_a_bijection_that_fixes_nul():
@@ -32,8 +32,9 @@ def test_byte_map_is_a_bijection_that_fixes_nul():
     assert sorted(mapped[1:]) == list(range(1, 256))
     assert mapped.translate(_FROM_BLOCK) == every
     assert mapped[ord("A"):ord("Z") + 1] == bytes(range(1, 27))
-    assert mapped[ord("a"):ord("z") + 1] == bytes(range(27, 53))
-    assert mapped[0x30:0x40] == bytes(range(69, 85))   # the digest row's 16 symbols
+    assert mapped[ord("0"):ord("9") + 1] == bytes(range(27, 37))
+    assert mapped[ord("a"):ord("z") + 1] == bytes(range(37, 63))
+    assert b"0123456789abcdef".translate(_TO_BLOCK) == bytes(range(27, 43))  # hex digits
 
 
 def test_pack_empty_ciphertext():

@@ -14,7 +14,8 @@ import pytest
 from stegoseal.cipher import (caesar_decrypt, caesar_encrypt, hill_encrypt,
                               normalize_letters)
 from stegoseal.digest import hash_message
-from stegoseal.entropy import block_stream_bound, decode_blocks, encode_blocks
+from stegoseal.entropy import (BLOCK_MAGIC, block_stream_bound, decode_blocks,
+                               encode_blocks)
 from stegoseal.errors import BlockError, CipherError, EmbedError
 from stegoseal.payload import _TO_BLOCK, from_tiles, pack, to_tiles, unpack
 from stegoseal.pgm import GrayImage
@@ -60,19 +61,19 @@ def test_seal_is_deterministic(cover):
 # digests. A change to the cipher, the packing, the transform or the coder
 # that alters a single bit shows here.
 PINNED_STREAMS = [
-    ("I'm so proud to be Egyptian", SealConfig(caesar_key=16), 139,
-     "2ba2b6242634d7fb8f2e8be366f3884172fffbe9beedb0ec8061351d68dc05c1"),
+    ("I'm so proud to be Egyptian", SealConfig(caesar_key=16), 140,
+     "645aee5467c919c62dbc1bc6d18e99b5861d0d1f09c3e2f1ff857f7cd50cbdfc"),
     ("oD. v2vaoV'Tpx1d. ,Twh-eK6D,Y?bS3M6x.OQt",
      SealConfig(caesar_key=9, digest_algorithm="sha512"), 149,
-     "b13b806f121c62ea52d6e6fdd6c56f5dd64126b74861d10a46ac713a7fb530b6"),
+     "ac5b9200c648bd3301cdd54cea90f69c3f7ff553a4bdfbf881e4c6bffc5fa501"),
     ("f3M?k0FCf14vazy6hK'yp9OSCiM5cOoynm'HjcRaPP??G1L24h?7.Q4'xmo?Up?x0OJhexzXeOe",
-     SealConfig(cipher="hill", hill_key=[[6, 24, 1], [13, 16, 10], [20, 17, 15]]), 150,
-     "0b97af319211cf18fa23d8d8cb117313febf5e97ae396612b2748590f2dcc45b"),
+     SealConfig(cipher="hill", hill_key=[[6, 24, 1], [13, 16, 10], [20, 17, 15]]), 152,
+     "0e69d25e4e2a1e11da972594e26f38837c36693220d5c0855be29fde779e8469"),
     ("H5U0QfVxNhwr'jR62y!zY9JzLuemn,0UevU62p4A2QJ29P84rmenjK9a2xyE4Kzm0'0Cu4,"
      "y-XJWO00MS1bwm-W4Tm8cxLdB-4.f2uTXH,bARN",
      SealConfig(cipher="hill", hill_key=[[3, 10, 20], [20, 9, 17], [9, 4, 17]],
-                digest_algorithm="sha512"), 186,
-     "a8710d776fed46c74c8add7aa54db109b5f786e78a33e4a437dd5c08268712d6"),
+                digest_algorithm="sha512"), 187,
+     "5437d6ea55c19d9f383a15972507e9378d6642c7680865aa23df5acb6b9c056f"),
 ]
 
 
@@ -135,7 +136,7 @@ def test_seal_requires_key(cover):
 
 def test_seal_too_small_cover():
     tiny = GrayImage(8, 8, bytes(64))
-    with pytest.raises(EmbedError, match="payload needs 139 bytes, image holds 64"):
+    with pytest.raises(EmbedError, match="payload needs 140 bytes, image holds 64"):
         seal(PAPER_MESSAGE, paper_config(), tiny)
 
 
@@ -145,6 +146,19 @@ def test_seal_rejects_lossy_scale(cover, monkeypatch):
     exact = pipeline.int_idct2
     monkeypatch.setattr(pipeline, "int_idct2", lambda coeffs: exact(coeffs) // 2 * 2)
     with pytest.raises(ValueError):
+        seal(PAPER_MESSAGE, paper_config(), cover)
+
+
+def test_seal_rejects_an_inexact_inverse_transform(cover, monkeypatch):
+    """An inverse transform whose offset column is 2**-20 low, as from an
+    inexact float product, fails seal's self-check on the real int_idct2.
+    The error is negative because every pre-floor value is a multiple of
+    2**-14: a rise of 2**-20 never reaches the next integer and floor
+    absorbs it, while a fall takes each integer value down by one."""
+    import stegoseal.transform as transform
+    first, offset, rest = transform._INVERSE
+    monkeypatch.setattr(transform, "_INVERSE", (first, offset - 2 ** -20, rest))
+    with pytest.raises(ValueError, match="the inverse transform does not reconstruct the payload"):
         seal(PAPER_MESSAGE, paper_config(), cover)
 
 
@@ -329,11 +343,6 @@ HILL_KEY_ROW = "".join(8 * letter for letter in "DDACFAAAB")  # HILL_KEY
 CAESAR_KEY_ROW = 128 * "Q"                                    # key 16
 
 
-def digest_row(message, algorithm="sha512"):
-    """Payload row 2 as seal writes it: the digest's nibbles as chr(0x30 + n)."""
-    return "".join(chr(0x30 + int(nibble, 16)) for nibble in hash_message(message, algorithm))
-
-
 FLIP_CASES = {
     **{f"{cipher}-{i}": spec for cipher in ("caesar", "hill")
        for i, spec in enumerate(random_specs(cipher, 2))},
@@ -370,7 +379,7 @@ def embed_block(block, cover):
 
 def test_verify_rejects_blocks_seal_would_not_write(cover):
     key = [[6, 24, 1], [13, 16, 10], [20, 17, 15]]
-    digest = digest_row("ATTACKATDAWN")
+    digest = hash_message("ATTACKATDAWN")
     key_row = "".join(8 * letter for letter in "GYBNQKURP")
     hill_block = pack(hill_encrypt("ATTACKATDAWN", key), key_row, digest)
     assert verify(embed_block(hill_block, cover)).verdict == VERIFIED
@@ -382,35 +391,28 @@ def test_verify_rejects_blocks_seal_would_not_write(cover):
         assert (report.verdict, report.reason) == (TAMPERED, SEALED_FORM)
         assert report.recovered_message == "ATTACKATDAWN"
     caesar = pack(caesar_encrypt(PAPER_MESSAGE, 16), CAESAR_KEY_ROW[:-1] + "\t",
-                  digest_row(PAPER_MESSAGE))
+                  hash_message(PAPER_MESSAGE))
     assert verify(embed_block(caesar, cover)).verdict == UNDECODABLE
 
 
-def test_digest_row_holds_one_character_per_nibble(cover):
-    """Seal writes row 2 in the 16 contiguous characters 0-9 and :;<=>?,
-    which pack's byte map keeps contiguous as block bytes 69-84, and verify
-    reports the digest in lowercase hex."""
-    sealed = seal(PAPER_MESSAGE, paper_config(), cover)
-    _, decoded = read_stream(sealed, OVERWRITE)
+def test_digest_row_is_the_hex_digest_in_one_form():
+    """Seal writes row 2 as hash_message's lowercase hex, which pack's byte
+    map places at the contiguous block bytes 27-42. Each of its characters
+    replaced by another hex digit in either case, or by one of :;<=>?
+    that once stood for a-f, is TAMPERED with a digest mismatch."""
+    row = hash_message(PAPER_MESSAGE)
+    small = GrayImage(64, 64, np.zeros(64 * 64, np.uint8))
+    _, decoded = read_stream(seal(PAPER_MESSAGE, paper_config(), small), OVERWRITE)
     block = from_tiles(int_idct2(decoded.coeffs).astype(np.uint8))
-    assert unpack(block)[2] == digest_row(PAPER_MESSAGE)
-    assert set(block[256:].rstrip(b"\x00")) <= set(range(69, 85))
-    report = verify(sealed)
-    assert report.embedded_digest == report.recomputed_digest == hash_message(PAPER_MESSAGE)
-
-
-@pytest.mark.parametrize("row", [
-    digest_row(PAPER_MESSAGE).replace(":", "a", 1),
-    hash_message(PAPER_MESSAGE),
-], ids=["one hex a", "hex row"])
-def test_digest_row_in_hex_is_not_the_sealed_form(cover, row):
-    """A hex letter where seal writes its nibble character reads as the same
-    digest, but the block is not the one seal writes: TAMPERED."""
-    assert row != digest_row(PAPER_MESSAGE)
-    block = pack(caesar_encrypt(PAPER_MESSAGE, 16), CAESAR_KEY_ROW, row)
-    report = verify(embed_block(block, cover))
-    assert (report.verdict, report.reason) == (TAMPERED, SEALED_FORM)
-    assert report.embedded_digest == report.recomputed_digest == hash_message(PAPER_MESSAGE)
+    assert unpack(block)[2] == row
+    assert set(block[256:].rstrip(b"\x00")) <= set(range(27, 43))
+    ciphertext = caesar_encrypt(PAPER_MESSAGE, 16)
+    for i, old in enumerate(row):
+        for new in "0123456789abcdefABCDEF:;<=>?":
+            if new != old:
+                block = pack(ciphertext, CAESAR_KEY_ROW, row[:i] + new + row[i + 1:])
+                report = verify(embed_block(block, small))
+                assert (report.verdict, report.reason) == (TAMPERED, "digest mismatch"), (i, new)
 
 
 SEALED_FORM = "block differs from the one seal writes for its message"
@@ -438,7 +440,7 @@ def test_caesar_key_row_has_one_valid_form(cover, key_row, verdict):
     """Row 1 is exactly 128 equal letters A-Z for Caesar or 9 groups of 8
     for Hill; each near miss of seal's form is rejected before any
     decryption."""
-    block = pack(caesar_encrypt(PAPER_MESSAGE, 16), key_row, digest_row(PAPER_MESSAGE))
+    block = pack(caesar_encrypt(PAPER_MESSAGE, 16), key_row, hash_message(PAPER_MESSAGE))
     report = verify(embed_block(block, cover))
     assert report.verdict == verdict
     assert report.reason.startswith(KEY_ROW_ERROR) if verdict == UNDECODABLE else report.reason == ""
@@ -459,7 +461,7 @@ def test_caesar_key_row_has_one_valid_form(cover, key_row, verdict):
 ])
 def test_hill_key_row_has_one_valid_form(cover, key_row, verdict):
     message = normalize_letters(PAPER_MESSAGE)
-    block = pack(hill_encrypt(message, HILL_KEY), key_row, digest_row(message))
+    block = pack(hill_encrypt(message, HILL_KEY), key_row, hash_message(message))
     report = verify(embed_block(block, cover))
     assert report.verdict == verdict
     assert report.reason.startswith(KEY_ROW_ERROR) if verdict == UNDECODABLE else report.reason == ""
@@ -634,13 +636,22 @@ def test_verify_never_raises_on_noise():
         assert report.verdict == UNDECODABLE
 
 
+# The paper example's 139-byte stream as seal wrote it under magic 0x4C,
+# when row 2 held a-f as :;<=>? and the table was fitted on those blocks.
+STREAM_0X4C = bytes.fromhex(
+    "4c0006f689c9fe115a818d5860f0185c6e3d435b62ae48eee6ec258851d3672b"
+    "b0ec641d5b58fecb8eb140ea4d39a146b20122b825cfb3b71ed11c7a71efdb44"
+    "4a1275530d65bd87cccc0568afd308435ef99b32f6103c4a16a74115364c8c02"
+    "d498048ffad8b63ae7e38e484abc218869360c2b4f6799880ae0a037315d17da"
+    "baac1151758ac1ea24f580")
+
+
 def test_stream_under_the_old_magic_is_undecodable(cover):
-    """A stream with magic 0x4B, from the table before pack's byte map and
-    the full Caesar key row, is rejected at its first byte."""
+    """The paper example's stream under the table before this one is
+    rejected at its first byte."""
     sealed = seal(PAPER_MESSAGE, paper_config(), cover)
-    stream = extract(sealed, stream_length(sealed), OVERWRITE)
-    assert stream[0] == 0x4C
-    report = verify(embed(cover, b"\x4b" + stream[1:], OVERWRITE))
+    assert extract(sealed, 1, OVERWRITE) == b"\x4d"
+    report = verify(embed(cover, STREAM_0X4C, OVERWRITE))
     assert (report.verdict, report.reason) == (UNDECODABLE,
                                                "StreamError: missing block stream header")
 
@@ -666,7 +677,7 @@ def test_verify_forged_stream_header_is_undecodable(cover):
 
 
 @pytest.mark.parametrize("stream, reason", [
-    (bytes.fromhex("4C 0005") + bytes(64), "StreamError: stream declares 5 tiles"),
+    (bytes.fromhex("4D 0005") + bytes(64), "StreamError: stream declares 5 tiles"),
     (block_stream_of(pack(caesar_encrypt(PAPER_MESSAGE, 16), CAESAR_KEY_ROW,
                           hash_message(PAPER_MESSAGE)))[:-8], "StreamError: bits ran out"),
     (block_stream_of(b"\xff" + bytes(383)), "BlockError: row is not valid UTF-8"),
@@ -690,8 +701,9 @@ def test_verify_time_does_not_follow_the_cover():
     zero = GrayImage(2048, 2048, np.zeros(2048 * 2048, np.uint8))
     headers = {
         "general stream of 2**32 - 1 symbols": bytes.fromhex("48 0001 00 01 FFFFFFFF"),
-        "65535 tiles": bytes.fromhex("4C FFFF"),
-        "6 tiles of random bits": bytes.fromhex("4C 0006") + np.random.default_rng(62).bytes(2048),
+        "65535 tiles": bytes([BLOCK_MAGIC]) + bytes.fromhex("FFFF"),
+        "6 tiles of random bits": (bytes([BLOCK_MAGIC]) + bytes.fromhex("0006")
+                                   + np.random.default_rng(62).bytes(2048)),
     }
     for mode in (OVERWRITE, LSB1):
         for name, header in headers.items():
