@@ -28,7 +28,7 @@ for mode in ("overwrite", "lsb1"):
     (OUT / f"sealed_{mode}.pgm").write_bytes(write_pgm(sealed))
 
     delta = sealed.pixels.astype(int) - cover.pixels.astype(int)
-    consumed = pipeline.read_stream(sealed, mode)[1].consumed
+    consumed = pipeline.read_stream(sealed, mode).consumed
     pixels_used = stego.pixels_for(consumed, mode)
 
     print(f"mode {mode}:")

@@ -264,7 +264,7 @@ def _cmd_seal(args) -> int:
 
 def _cmd_verify(args) -> int:
     _, _, pixels = _read(args.input, _HEAD_PIXELS)
-    report = pipeline.verify(_head(pixels), _config(args.key, args.cipher, embed_mode=None))
+    report = pipeline.verify(_head(pixels), _config(args.key, args.cipher))
     _emit(verdict=report.verdict, mode=report.mode, message=report.recovered_message,
           embedded_digest=report.embedded_digest,
           recomputed_digest=report.recomputed_digest, reason=report.reason)
@@ -281,8 +281,10 @@ def _cmd_tamper(args) -> int:
 
 def _cmd_inspect(args) -> int:
     _, _, pixels = _read(args.input, _HEAD_PIXELS)
+    head = _head(pixels)
+    mode = pipeline.stream_mode(head)
     try:
-        mode, decoded = pipeline.read_stream(_head(pixels), None)
+        decoded = pipeline.read_stream(head, mode)
     except StegosealError:
         _emit(error="no embedded stream found")
         return EX_UNDECODABLE

@@ -43,10 +43,11 @@ both read their entries through _key.
 Row 2 holds the digest as the lowercase hex that hash_message returns,
 and the report and the CLI print that row as it is.
 
-Verify needs no embed mode either: with embed_mode=None it takes the first
-of stego.MODES whose stream decodes and names it in report.mode (the first
-mode when none does). At most one can: overwrite puts 0x00 in pixel 1,
-and lsb1 makes pixel 1 odd. Seal needs a mode.
+Verify reads the embed mode from the image, as it reads the digest
+algorithm: stream_mode names lsb1 when pixel 1 is odd and overwrite
+otherwise. Only that mode can hold a stream: overwrite writes the tile
+count's high byte, 0x00, to pixel 1, and lsb1 writes bit 6 of
+BLOCK_MAGIC, a 1, to its lowest bit.
 
 With the Hill cipher the protected message is its normalized form
 (uppercase letters only); 'X' padding added for the 3-letter blocks is
@@ -71,7 +72,7 @@ from .entropy import (DecodedBlocks, block_stream_bound, decode_blocks,
 from .errors import BlockError, CipherError, EmbedError, StegosealError
 from .payload import ROW_LENGTH, TILES, from_tiles, pack, to_tiles, unpack
 from .pgm import GrayImage
-from .stego import MODES, OVERWRITE, capacity, embed, extract
+from .stego import LSB1, MODES, OVERWRITE, capacity, embed, extract
 from .transform import int_dct2, int_idct2
 
 CAESAR = "caesar"
@@ -97,27 +98,26 @@ class SealConfig:
     caesar_key: int | None = None
     hill_key: object = None
     digest_algorithm: str = _digest.DEFAULT_ALGORITHM
-    embed_mode: str | None = OVERWRITE  # None: verify detects the mode
+    embed_mode: str = OVERWRITE  # seal only: verify reads it with stream_mode
 
     @property
     def key(self):
         """The key of the chosen cipher: caesar_key or hill_key."""
         return self.caesar_key if self.cipher == CAESAR else self.hill_key
 
-    def validate(self, sealing: bool = False) -> None:
+    def validate(self) -> None:
         if self.cipher not in CIPHERS:
             raise ValueError(f"unknown cipher {self.cipher!r}")
         if self.digest_algorithm not in _digest.ALGORITHMS:
             raise ValueError(f"unknown digest algorithm {self.digest_algorithm!r}")
-        if self.embed_mode not in MODES and (sealing or self.embed_mode is not None):
+        if self.embed_mode not in MODES:
             raise ValueError(f"unknown embed mode {self.embed_mode!r}")
         other = HILL if self.cipher == CAESAR else CAESAR
         if getattr(self, f"{other}_key") is not None:
             raise ValueError(f"{other} key given but cipher is {self.cipher}")
         if self.key is None:
-            if sealing:
-                raise ValueError(f"sealing with the {self.cipher} cipher needs {self.cipher}_key")
-        elif self.cipher == CAESAR:
+            return
+        if self.cipher == CAESAR:
             _check_shift(self.key)
         else:
             hill_key_inverse(self.key)  # raises CipherError early
@@ -217,7 +217,9 @@ def seal(message: str, config: SealConfig, cover: GrayImage) -> GrayImage:
     """Seal `message` into `cover`; the result verifies under the same config."""
     if not message:
         raise CipherError("refusing to seal an empty message")
-    config.validate(sealing=True)
+    config.validate()
+    if config.key is None:
+        raise ValueError(f"sealing with the {config.cipher} cipher needs {config.cipher}_key")
     protected = message if config.cipher == CAESAR else normalize_letters(message)
     digest_hex = _digest.hash_message(protected, config.digest_algorithm)
     block = _pack_block(protected, config.cipher, config.key, digest_hex)
@@ -229,34 +231,27 @@ def seal(message: str, config: SealConfig, cover: GrayImage) -> GrayImage:
     return embed(cover, encode_blocks(coeffs), config.embed_mode)
 
 
-def read_stream(stego: GrayImage, embed_mode: str | None) -> tuple[str, DecodedBlocks]:
-    """Decode the block stream as (mode, stream), from `embed_mode` or, when
-    that is None, from the first of MODES that holds one.
+def stream_mode(stego: GrayImage) -> str:
+    """The embed mode that can hold a stream in `stego`: LSB1 when pixel 1
+    is odd, OVERWRITE otherwise (see the module docstring)."""
+    pixel_1 = stego.tobytes()[1:2]  # empty in a 1-pixel image
+    return LSB1 if pixel_1 and pixel_1[0] & 1 else OVERWRITE
 
-    Reads at most STREAM_BOUND bytes a mode and rejects a header that
-    declares another tile count than the block's. Raises the first mode's
-    StegosealError when no such stream decodes.
-    """
-    first_error = None
-    for mode in MODES if embed_mode is None else (embed_mode,):
-        length = min(capacity(stego, mode), STREAM_BOUND)
-        try:
-            return mode, decode_blocks(extract(stego, length, mode), TILES)
-        except StegosealError as exc:
-            first_error = first_error or exc
-    try:
-        raise first_error
-    finally:
-        del first_error  # its traceback holds this frame, which holds the image
+
+def read_stream(stego: GrayImage, mode: str) -> DecodedBlocks:
+    """Decode the block stream embedded in `mode`, reading at most
+    STREAM_BOUND bytes, and reject a header that declares another tile
+    count than the block's."""
+    return decode_blocks(extract(stego, min(capacity(stego, mode), STREAM_BOUND), mode), TILES)
 
 
 def verify(stego: GrayImage, config: SealConfig | None = None) -> VerificationReport:
     """Extract, decode and check a sealed image. Never raises on bad data."""
     config = config if config is not None else SealConfig()
     config.validate()
-    mode = config.embed_mode or MODES[0]
+    mode = stream_mode(stego)
     try:
-        mode, decoded = read_stream(stego, config.embed_mode)
+        decoded = read_stream(stego, mode)
         block = _recover_block(decoded.coeffs)
         ciphertext, key_row, embedded_digest = unpack(block)
         kind, key = _read_key_row(key_row)

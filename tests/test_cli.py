@@ -229,6 +229,10 @@ SHA512_PAPER = ("343c69e5308bacdd1f532961118fde684f8efc72795901a1e40b45fa3e730df
                 "9ef70d72bc632a501f2435fccc457439e0b7056d2bcd7e3eaa717ca5af2a56db")
 SHA256_RENDEZVOUS = "53a0357017c0f5342d219b2d72c7ec1730be7f69f606a954354c692b5b5035cd"
 
+# Images too small for a stream, each starting with the stream magic; 1x1
+# has no pixel 1 to read the embed mode from, and pixel 1 of 2x1 is odd.
+TINY = {"1x1": (1, 1, b"\x4d"), "2x1": (2, 1, b"\x4d\x01"), "1x2": (1, 2, b"\x4d\x00")}
+
 # Each command's whole stdout, line order included, with {dir} for the
 # directory of the files.
 EXACT_STDOUT = {
@@ -264,14 +268,23 @@ EXACT_STDOUT = {
         "embedded_pixels=872\nciphertext_bits=328\nkey_bits=193\ndigest_bits=327\n"),
     "inspect-cover": (["inspect", "--in", "{dir}/cover.pgm"], 2,
                       "error=no embedded stream found\n"),
+    **{f"inspect-{shape}": (["inspect", "--in", f"{{dir}}/{shape}.pgm"], 2,
+                            "error=no embedded stream found\n") for shape in TINY},
+    "verify-1x1": (
+        ["verify", "--in", "{dir}/1x1.pgm"], 2,
+        "verdict=UNDECODABLE\nmode=overwrite\nmessage=\nembedded_digest=\n"
+        "recomputed_digest=\nreason=StreamError: missing block stream header\n"),
 }
 
 
 @pytest.fixture(scope="module")
 def pinned_dir(tmp_path_factory):
-    """A cover and its two sealed images, as SEAL_OVERWRITE and SEAL_LSB1 write them."""
+    """A cover, its two sealed images, as SEAL_OVERWRITE and SEAL_LSB1 write
+    them, and the TINY images."""
     path = tmp_path_factory.mktemp("pinned")
     (path / "cover.pgm").write_bytes(write_pgm(make_cover(0x515)))
+    for shape, (width, height, pixels) in TINY.items():
+        (path / f"{shape}.pgm").write_bytes(write_pgm(GrayImage(width, height, pixels)))
     for argv in (SEAL_OVERWRITE, SEAL_LSB1):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main([arg.format(dir=path) for arg in argv]) == 0

@@ -75,7 +75,7 @@ def test_verify_never_raises_on_random_covers(head, mode, header, keyed):
         else:
             bits = np.unpackbits(np.frombuffer(bytes([BLOCK_MAGIC, 0, 6]), np.uint8))
             pixels[:24] = bytes((p & 0xFE) | b for p, b in zip(pixels[:24], bits))
-    config = SealConfig(caesar_key=16, embed_mode=mode) if keyed else SealConfig(embed_mode=mode)
+    config = SealConfig(caesar_key=16) if keyed else SealConfig()
     report = verify(GrayImage(64, 64, np.frombuffer(bytes(pixels), np.uint8)), config)
     assert report.verdict in (VERIFIED, TAMPERED, UNDECODABLE)
     if report.verdict == UNDECODABLE:
@@ -94,7 +94,7 @@ def test_verify_never_raises_on_flipped_seals(mode, bits):
     for bit in bits:
         pixels[bit // 8] ^= 1 << (bit % 8)
     image = GrayImage(64, 64, np.frombuffer(bytes(pixels), np.uint8))
-    report = verify(image, SealConfig(caesar_key=16, embed_mode=mode))
+    report = verify(image, SealConfig(caesar_key=16))
     assert report.verdict in (VERIFIED, TAMPERED, UNDECODABLE)
     if report.verdict == VERIFIED:
         assert report.recovered_message == "I'm so proud to be Egyptian"

@@ -16,12 +16,12 @@ from stegoseal.cipher import (caesar_decrypt, caesar_encrypt, hill_encrypt,
 from stegoseal.digest import hash_message
 from stegoseal.entropy import (BLOCK_MAGIC, block_stream_bound, decode_blocks,
                                encode_blocks)
-from stegoseal.errors import BlockError, CipherError, EmbedError
+from stegoseal.errors import BlockError, CipherError, EmbedError, StegosealError
 from stegoseal.payload import _TO_BLOCK, from_tiles, pack, to_tiles, unpack
 from stegoseal.pgm import GrayImage
 from stegoseal.pipeline import (STREAM_BOUND, TAMPERED, UNDECODABLE, VERIFIED,
                                 SealConfig, _key_text, _read_key_row, parse_key_text,
-                                read_stream, seal, tamper, verify)
+                                read_stream, seal, stream_mode, tamper, verify)
 from stegoseal.stego import LSB1, OVERWRITE, capacity, embed, extract
 from stegoseal.transform import int_dct2, int_idct2
 
@@ -112,7 +112,7 @@ def test_every_random_message_codes_at_ratio_1_5():
     """The paper's measure, block elements per stream byte, reaches 1.5 for
     each of 300 Caesar and 300 Hill messages, not only for the paper example."""
     cover = make_cover(99)
-    ratios = {(cipher, i): 384 / read_stream(seal(message, config, cover), OVERWRITE)[1].consumed
+    ratios = {(cipher, i): 384 / read_stream(seal(message, config, cover), OVERWRITE).consumed
               for cipher in ("caesar", "hill")
               for i, (message, config) in enumerate(random_specs(cipher))}
     assert len(ratios) == 600
@@ -172,7 +172,7 @@ def test_config_validation():
     with pytest.raises(CipherError, match="det = 8 shares a factor with 26"):
         SealConfig(cipher="hill", hill_key=2 * np.eye(3, dtype=int)).validate()
     with pytest.raises(ValueError, match="sealing with the hill cipher needs hill_key"):
-        SealConfig(cipher="hill").validate(sealing=True)
+        seal(PAPER_MESSAGE, SealConfig(cipher="hill"), make_cover(7))
     with pytest.raises(ValueError, match="unknown digest algorithm"):
         SealConfig(digest_algorithm="md5").validate()
 
@@ -222,7 +222,7 @@ def test_stream_bound_holds_the_sealed_stream():
     bytes."""
     assert STREAM_BOUND == block_stream_bound(6)
     config = SealConfig(caesar_key=5, digest_algorithm="sha256")
-    _, stream = read_stream(seal("Seal me", config, make_cover(5)), config.embed_mode)
+    stream = read_stream(seal("Seal me", config, make_cover(5)), config.embed_mode)
     assert len(stream.coeffs) == 6
     assert stream.consumed <= STREAM_BOUND
 
@@ -402,7 +402,7 @@ def test_digest_row_is_the_hex_digest_in_one_form():
     that once stood for a-f, is TAMPERED with a digest mismatch."""
     row = hash_message(PAPER_MESSAGE)
     small = GrayImage(64, 64, np.zeros(64 * 64, np.uint8))
-    _, decoded = read_stream(seal(PAPER_MESSAGE, paper_config(), small), OVERWRITE)
+    decoded = read_stream(seal(PAPER_MESSAGE, paper_config(), small), OVERWRITE)
     block = from_tiles(int_idct2(decoded.coeffs).astype(np.uint8))
     assert unpack(block)[2] == row
     assert set(block[256:].rstrip(b"\x00")) <= set(range(27, 43))
@@ -470,7 +470,7 @@ def test_hill_key_row_has_one_valid_form(cover, key_row, verdict):
 def sealed_key_row(config):
     """Payload row 1 of "Attack at dawn" as seal writes it under `config`."""
     sealed = seal("Attack at dawn", config, GrayImage(64, 64, np.zeros(64 * 64, np.uint8)))
-    _, decoded = read_stream(sealed, OVERWRITE)
+    decoded = read_stream(sealed, OVERWRITE)
     return unpack(from_tiles(int_idct2(decoded.coeffs).astype(np.uint8)))[1]
 
 
@@ -575,53 +575,74 @@ def test_verify_lsb1_flips_inside_region(cover):
 
 @pytest.mark.parametrize("mode", [OVERWRITE, LSB1])
 def test_verify_detects_the_embed_mode(cover, mode):
+    """Verify reads the mode from the image, whatever mode its config names."""
+    other = LSB1 if mode == OVERWRITE else OVERWRITE
     sealed = seal(PAPER_MESSAGE, paper_config(embed_mode=mode), cover)
-    report = verify(sealed, SealConfig(embed_mode=None))
-    assert (report.verdict, report.mode) == (VERIFIED, mode)
-    assert read_stream(sealed, None)[0] == mode
-    assert verify(sealed, paper_config(embed_mode=mode)).mode == mode
+    assert stream_mode(sealed) == mode
+    for config in (SealConfig(), paper_config(embed_mode=mode), paper_config(embed_mode=other)):
+        report = verify(sealed, config)
+        assert (report.verdict, report.mode) == (VERIFIED, mode)
 
 
 def test_seal_needs_an_embed_mode(cover):
     with pytest.raises(ValueError, match="embed mode"):
         seal(PAPER_MESSAGE, paper_config(embed_mode=None), cover)
     with pytest.raises(ValueError, match="embed mode"):
-        paper_config(embed_mode=None).validate(sealing=True)
-    paper_config(embed_mode=None).validate()
-
-
-def test_undetected_mode_reports_the_first_modes_error(cover):
-    """With no stream in any mode, verify reports what the first mode's read
-    raised, even when a later mode got further."""
-    # a 3-tile lsb1 stream: overwrite finds no header, lsb1 the wrong tile count
-    sealed = embed(cover, encode_blocks(np.zeros((3, 8, 8), np.int64)), LSB1)
-    reasons = {mode: verify(sealed, SealConfig(embed_mode=mode)).reason for mode in (OVERWRITE, LSB1)}
-    assert "expected 6" in reasons[LSB1] and "expected 6" not in reasons[OVERWRITE]
-    report = verify(sealed, SealConfig(embed_mode=None))
-    assert (report.verdict, report.mode, report.reason) == (UNDECODABLE, OVERWRITE,
-                                                            reasons[OVERWRITE])
+        paper_config(embed_mode=None).validate()
 
 
 def test_the_two_stream_headers_exclude_each_other(cover):
     """Overwrite puts 0x00 in pixel 1 and lsb1 makes it odd, so no image
-    holds a stream in both modes and detection cannot pick the wrong one."""
+    holds a stream in both modes and stream_mode cannot pick the wrong one."""
     stream = encode_blocks(np.zeros((6, 8, 8), np.int64))
     assert stream[1] == 0
     assert np.unpackbits(np.frombuffer(stream[:1], np.uint8))[1] == 1
     for mode, other in ((OVERWRITE, LSB1), (LSB1, OVERWRITE)):
         sealed = seal(PAPER_MESSAGE, paper_config(embed_mode=mode), cover)
-        assert verify(sealed, paper_config(embed_mode=other)).verdict == UNDECODABLE
+        with pytest.raises(StegosealError):
+            read_stream(sealed, other)
 
 
-@pytest.mark.parametrize("mode", [OVERWRITE, None])
+def decoding_modes(image):
+    modes = set()
+    for mode in (OVERWRITE, LSB1):
+        with contextlib.suppress(StegosealError):
+            read_stream(image, mode)
+            modes.add(mode)
+    return modes
+
+
+def test_only_the_mode_stream_mode_names_decodes():
+    """At most one mode decodes, and it is stream_mode's: on sealed images
+    in both modes, every single-bit flip of their first 24 pixels, and
+    noise covers."""
+    cover = make_cover(25, 64, 64)
+    images = [GrayImage(64, 64, np.random.default_rng(seed).integers(0, 256, 64 * 64, np.uint8))
+              for seed in range(4)]
+    for mode in (OVERWRITE, LSB1):
+        sealed = seal(PAPER_MESSAGE, paper_config(embed_mode=mode), cover)
+        images += [tamper(sealed, pixel, bit) for pixel in range(24) for bit in range(8)]
+        images.append(sealed)
+    decoded = set()
+    for image in images:
+        modes = decoding_modes(image)
+        assert modes <= {stream_mode(image)}, modes
+        decoded |= modes
+    assert decoded == {OVERWRITE, LSB1}
+
+
+@pytest.mark.parametrize("mode", [OVERWRITE, LSB1])
 def test_rejected_image_is_freed_when_verify_returns(mode):
-    """No reference cycle keeps the image alive until the next cyclic
-    collection: an error kept across modes holds the reading frame."""
-    image = GrayImage(64, 64, np.zeros(64 * 64, dtype=np.uint8))
+    """No reference cycle keeps a rejected image alive until the next
+    cyclic collection, in either mode verify reads."""
+    pixels = np.zeros(64 * 64, dtype=np.uint8)
+    pixels[1] = mode == LSB1
+    image = GrayImage(64, 64, pixels)
     freed = weakref.ref(image)
     gc.disable()
     try:
-        assert verify(image, SealConfig(embed_mode=mode)).verdict == UNDECODABLE
+        report = verify(image)
+        assert (report.verdict, report.mode) == (UNDECODABLE, mode)
         del image
         assert freed() is None
     finally:
@@ -629,9 +650,12 @@ def test_rejected_image_is_freed_when_verify_returns(mode):
 
 
 def test_verify_never_raises_on_noise():
+    """Noise covers, and images of 1 and 2 pixels, which have no pixel 1
+    or no room for a stream."""
     rng = np.random.default_rng(6)
-    for i in range(50):
-        noise = GrayImage(64, 64, rng.integers(0, 256, 64 * 64, dtype=np.uint8))
+    shapes = [(64, 64)] * 50 + [(1, 1), (2, 1), (1, 2)]
+    for width, height in shapes:
+        noise = GrayImage(width, height, rng.integers(0, 256, width * height, dtype=np.uint8))
         report = verify(noise, SealConfig())
         assert report.verdict == UNDECODABLE
 
@@ -709,7 +733,7 @@ def test_verify_time_does_not_follow_the_cover():
         for name, header in headers.items():
             image = embed(zero, header, mode)
             start = time.perf_counter()
-            report = verify(image, SealConfig(embed_mode=mode))
+            report = verify(image)
             elapsed = time.perf_counter() - start
             assert report.verdict != VERIFIED, (mode, name)
             assert elapsed < 0.05, (mode, name, elapsed)
