@@ -24,8 +24,8 @@ stream that still decodes yields a changed block. The digest alone does
 not catch every changed block: the integer transform can turn one
 flipped bit into a change of a few bytes by 1, and Hill decryption drops
 non-letters. So verify rebuilds the block from the recovered message
-and requires it to match. Seal checks that the inverse transform gives
-back the block before it embeds anything.
+and requires it to match. Seal checks that both inverse transform passes
+give back their input, so the block, before it embeds anything.
 
 The key travels inside the payload (row 1), so verification needs no
 out-of-band secret; anyone holding the image can decode and re-seal it.
@@ -73,7 +73,7 @@ from .errors import BlockError, CipherError, EmbedError, StegosealError
 from .payload import ROW_LENGTH, TILES, from_tiles, pack, to_tiles, unpack
 from .pgm import GrayImage
 from .stego import LSB1, MODES, OVERWRITE, capacity, embed, extract
-from .transform import int_dct2, int_idct2
+from .transform import int_dct2_checked, int_idct2
 
 CAESAR = "caesar"
 HILL = "hill"
@@ -224,10 +224,7 @@ def seal(message: str, config: SealConfig, cover: GrayImage) -> GrayImage:
     digest_hex = _digest.hash_message(protected, config.digest_algorithm)
     block = _pack_block(protected, config.cipher, config.key, digest_hex)
 
-    tiles = to_tiles(block)
-    coeffs = int_dct2(tiles)
-    if not np.array_equal(int_idct2(coeffs), tiles):
-        raise ValueError("the inverse transform does not reconstruct the payload")
+    coeffs = int_dct2_checked(to_tiles(block))
     return embed(cover, encode_blocks(coeffs), config.embed_mode)
 
 

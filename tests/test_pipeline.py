@@ -142,23 +142,53 @@ def test_seal_too_small_cover():
 
 def test_seal_rejects_lossy_scale(cover, monkeypatch):
     # seal must never embed a stream that does not rebuild the payload
-    import stegoseal.pipeline as pipeline
-    exact = pipeline.int_idct2
-    monkeypatch.setattr(pipeline, "int_idct2", lambda coeffs: exact(coeffs) // 2 * 2)
+    import stegoseal.transform as transform
+    exact = transform._pass
+
+    def lossy(x, chain):
+        return exact(x, chain) // 2 * 2 if chain is transform._INVERSE else exact(x, chain)
+
+    monkeypatch.setattr(transform, "_pass", lossy)
     with pytest.raises(ValueError):
         seal(PAPER_MESSAGE, paper_config(), cover)
 
 
+INEXACT = "the inverse transform does not reconstruct the payload"
+
+
 def test_seal_rejects_an_inexact_inverse_transform(cover, monkeypatch):
     """An inverse transform whose offset column is 2**-20 low, as from an
-    inexact float product, fails seal's self-check on the real int_idct2.
+    inexact float product, fails seal's self-check on the real inverse pass.
     The error is negative because every pre-floor value is a multiple of
     2**-14: a rise of 2**-20 never reaches the next integer and floor
     absorbs it, while a fall takes each integer value down by one."""
     import stegoseal.transform as transform
     first, offset, rest = transform._INVERSE
     monkeypatch.setattr(transform, "_INVERSE", (first, offset - 2 ** -20, rest))
-    with pytest.raises(ValueError, match="the inverse transform does not reconstruct the payload"):
+    with pytest.raises(ValueError, match=INEXACT):
+        seal(PAPER_MESSAGE, paper_config(), cover)
+
+
+def test_seal_rejects_an_inexact_forward_transform(cover, monkeypatch):
+    """The same fault in the forward pass's offset column: the coefficients
+    are no longer int_dct2's, and the exact inverse does not take them back."""
+    import stegoseal.transform as transform
+    first, offset, rest = transform._FORWARD
+    monkeypatch.setattr(transform, "_FORWARD", (first, offset - 2 ** -20, rest))
+    with pytest.raises(ValueError, match=INEXACT):
+        seal(PAPER_MESSAGE, paper_config(), cover)
+
+
+def test_seal_rejects_an_inexact_middle_inverse_step(cover, monkeypatch):
+    """The fault in the offsets of one middle inverse step, rows 0-7 only:
+    unlike the first step's, it keeps the row of ones that later steps
+    take their offsets from."""
+    import stegoseal.transform as transform
+    first, offset, rest = transform._INVERSE
+    step = rest[5].copy()
+    step[:8, 8] -= 2 ** -20
+    monkeypatch.setattr(transform, "_INVERSE", (first, offset, rest[:5] + (step,) + rest[6:]))
+    with pytest.raises(ValueError, match=INEXACT):
         seal(PAPER_MESSAGE, paper_config(), cover)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from stegoseal.entropy import encode_blocks
 from stegoseal.errors import BlockError
-from stegoseal.transform import dct2, idct2, int_dct2, int_idct2
+from stegoseal.transform import dct2, idct2, int_dct2, int_dct2_checked, int_idct2
 
 
 def dct2_by_summation(tile):
@@ -204,6 +204,19 @@ def test_int_dct2_stack_matches_single_tiles():
         assert np.array_equal(int_dct2(tile), coeffs)
         assert np.array_equal(int_idct2(coeffs), tile)
     assert np.array_equal(tiles, before)
+
+
+def test_int_dct2_checked_returns_int_dct2_bit_for_bit():
+    """The checked forward that seal calls passes its own check and returns
+    int_dct2's array, same dtype and shape, on a stack, the extreme tiles,
+    one tile and no tiles."""
+    rng = np.random.default_rng(24)
+    for tiles in (byte_tiles(25), np.array(extreme_tiles()),
+                  rng.integers(0, 256, (8, 8), dtype=np.uint8), np.zeros((0, 8, 8), np.uint8)):
+        expected, checked = int_dct2(tiles), int_dct2_checked(tiles)
+        assert checked.shape == expected.shape == tiles.shape
+        assert checked.dtype == expected.dtype == np.int64
+        assert np.array_equal(checked, expected)
 
 
 def test_int_dct2_rejects_bad_input():
