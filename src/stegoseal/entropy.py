@@ -38,19 +38,21 @@ become bytes in one int(bits, 2). A value the dicts lack has no code:
 its KeyError stops the encoder at the first symbol without a code, and
 the StreamError names that symbol from the loop's state, the value and
 the run of zeros before it (None at a DC). The decoder keeps the next
-bits of the stream in an integer and indexes a 4096-entry token table
-with the next 12 of them, as the fast paths of zlib's inflate and
-libjpeg do. An entry gives the symbol, its code length, its amplitude
-size and, when code and amplitude both fit in the 12 bits, the signed
-amplitude, so most symbols cost one lookup. The codes longer than 12
-bits (a few rare symbols) fall back to a map from codeword, with its
-length, to symbol, which the decoder probes with the stream's next 13,
-14, ... 18 bits; as the code is prefix-free, the first hit is the only
-one. DC and AC symbols go through this one read, as in libjpeg's
-decode_mcu (ITU-T T.81, Annex F.2.2), and the position in the tile says
-which kind belongs there. The checks run in a fixed order: truncation of
-a code, then the kind of the symbol and its run, then truncation of an
-amplitude, then the padding.
+bits of the stream in an integer, refilled 8 bytes at a time, and
+indexes 4096-entry tables with the next 12 of them, as the fast paths of
+zlib's inflate and libjpeg do. At an AC position, where those bits start
+with one or two whole AC values of size >= 1, one lookup writes both if
+both land inside the tile and the stream. All else, and so every
+rejection, takes the symbol path, whose token table gives the symbol,
+its code length, its amplitude size and, when code and amplitude both
+fit in the 12 bits, the signed amplitude. Codes longer than 12 bits (a
+few rare symbols) fall back to a map from codeword, with its length, to
+symbol, probed with the stream's next 13, 14, ... 18 bits; as the code
+is prefix-free, the first hit is the only one. DC and AC symbols share
+this read, as in libjpeg's decode_mcu (ITU-T T.81, Annex F.2.2), and the
+position in the tile says which kind belongs there. The checks run in a
+fixed order: truncation of a code, then the kind of the symbol and its
+run, then truncation of an amplitude, then the padding.
 
 How BLOCK_TABLE was derived: 1000 blocks were built by
 pipeline._pack_block, as seal builds them, and their symbols counted;
@@ -262,6 +264,32 @@ def _tokens() -> list:
 
 
 _TOKENS = _tokens()
+
+
+def _pairs() -> list:
+    """The decoder's AC value table, indexed like _TOKENS. An entry is (bits,
+    symbols, run1, value1, run2, value2), with run2 = -1 where the window
+    starts with one value token, not two. Equal entries share one tuple."""
+    # (bits, code and amplitude as an integer, symbol, value), shortest first
+    tokens = sorted((length + size, int(BLOCK_TABLE.codes[symbol] + _AMPLITUDE[value], 2),
+                     symbol, value) for symbol, length, size, value in
+                    {t for t in _TOKENS if t and t[0] < DC_SYMBOL and t[3]})
+    table = [None] * (1 << _WINDOW)
+    for used, bits, symbol, value in tokens:
+        room = _WINDOW - used
+        start, end = bits << room, (bits + 1) << room
+        table[start:end] = [(used, (symbol,), symbol >> 4, value, -1, value)] * (end - start)
+        for used2, bits2, symbol2, value2 in tokens:     # the second token, in the room left
+            if used2 > room:
+                break
+            span = 1 << (room - used2)
+            first = start | bits2 << (room - used2)
+            table[first:first + span] = [(used + used2, (symbol, symbol2), symbol >> 4, value,
+                                          symbol2 >> 4, value2)] * span
+    return table
+
+
+_PAIRS = _pairs()
 # Codes longer than the window, keyed by the codeword with a 1 bit in front.
 _LONG_CODES = {int("1" + code, 2): sym
                for sym, code in BLOCK_TABLE.codes.items() if len(code) > _WINDOW}
@@ -362,21 +390,31 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
     # read, and a read that leaves `have` below `slack` ran past nbits
     acc = have = i = dc = 0
     slack = -nbits
-    tokens, window, refill = _TOKENS, _WINDOW, _LONGEST + 11
+    tokens, pairs, window, refill = _TOKENS, _PAIRS, _WINDOW, _LONGEST + 11
     symbols = []
     append = symbols.append
-    zz = [0] * (64 * count)
-    ends = []             # the bit after each tile
-    for base in range(0, 64 * count, 64):
+    rows, ends = [], []   # each decoded tile's zig-zag values, and the bit after it
+    for _ in range(count):
+        zz = [0] * 64
+        rows.append(zz)
         k = 0
         while k < 64:
             if have < refill:
-                acc = (acc & ((1 << have) - 1)) << 32 | int.from_bytes(body[i:i + 4], "big")
-                i += 4
-                have += 32
-                slack += 32
-            symbol, length, size, value = (tokens[(acc >> (have - window)) & 0xFFF]
-                                           or _long_token(acc, have))
+                acc = (acc & ((1 << have) - 1)) << 64 | int.from_bytes(body[i:i + 8], "big")
+                i += 8
+                have += 64
+                slack += 64
+            index = (acc >> (have - window)) & 0xFFF
+            if k and (entry := pairs[index]):        # one or two whole AC values
+                bits, pair, run1, value1, run2, value2 = entry
+                if k + run1 + run2 < 63 and have - bits >= slack:
+                    zz[k + run1] = value1
+                    k += run1 + run2 + 2
+                    zz[k - 1] = value2
+                    have -= bits
+                    symbols += pair
+                    continue
+            symbol, length, size, value = tokens[index] or _long_token(acc, have)
             have -= length
             if have < slack:
                 raise StreamError(f"bits ran out after {len(symbols)} symbols")
@@ -391,7 +429,7 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
                         raise StreamError("bits ran out inside an amplitude")
                     if value is None:
                         value = _signed((acc >> have) & ((1 << size) - 1), size)
-                    zz[base + k] = value
+                    zz[k] = value
                     k += 1
                 elif symbol == EOB:
                     if symbols[-2] == ZRL:
@@ -413,13 +451,13 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
                     if value is None:
                         value = _signed((acc >> have) & ((1 << size) - 1), size)
                     dc += value
-                zz[base] = dc
+                zz[0] = dc
                 k = 1
         ends.append(slack + nbits - have)
     pos = ends[-1]
     if pos & 7 and body[pos >> 3] & ((0x100 >> (pos & 7)) - 1):
         raise StreamError("padding bits after the last block are not zero")
-    coeffs = np.array(zz, dtype=np.int64).reshape(count, 64)[:, _UNZIGZAG]
+    coeffs = np.array(rows, dtype=np.int64)[:, _UNZIGZAG]
     return DecodedBlocks(coeffs.reshape(count, 8, 8), symbols, pos,
                          BLOCK_HEADER_BYTES + (pos + 7) // 8,
                          [end - start for start, end in zip([0] + ends, ends)])

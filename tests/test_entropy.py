@@ -3,6 +3,7 @@ import random
 import re
 import string
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from stegoseal.cipher import normalize_letters
 from stegoseal.digest import hash_message
-from stegoseal.entropy import (_ZIGZAG_FLAT, BLOCK_MAGIC, BLOCK_TABLE,
+from stegoseal.entropy import (_AMPLITUDE, _PAIRS, _ZIGZAG_FLAT, BLOCK_MAGIC, BLOCK_TABLE,
                                DC_SYMBOL, EOB, ZRL, block_stream_bound,
                                build_table, decode_blocks, decode_prefix,
                                encode_blocks, zigzag_scan, zigzag_unscan)
@@ -631,3 +632,246 @@ def test_encode_blocks_raises_at_the_first_symbol_without_a_code(tiles):
             encode_blocks(tiles)
     else:
         assert encode_blocks(tiles) == expected
+
+
+# --- block stream: the decoder against a reference ---------------------------
+
+
+AMPLITUDE_VALUES = {amplitude_bits(v): v for v in range(-2047, 2048) if v}
+SYMBOL_OF = {code: symbol for symbol, code in CODES.items()}
+
+
+def reference_decode(data, tiles=None):
+    """decode_blocks as the module docstring describes it, symbol by symbol
+    from BLOCK_TABLE.codes, with the checks in the same order. Returns
+    (coeffs, symbols, payload_bits, consumed, tile_bits)."""
+    if len(data) < 3 or data[0] != BLOCK_MAGIC:
+        raise StreamError("missing block stream header")
+    count = int.from_bytes(data[1:3], "big")
+    if count == 0:
+        raise StreamError("block stream with zero tiles")
+    if tiles is not None and count != tiles:
+        raise StreamError(f"stream declares {count} tiles, expected {tiles}")
+    bits = "".join(format(byte, "08b") for byte in data[3:])
+    pos, dc, symbols, coeffs, ends = 0, 0, [], [], []
+    for _ in range(count):
+        zz, k = [0] * 64, 0
+        while k < 64:
+            length = 1
+            while bits[pos:pos + length] not in SYMBOL_OF:
+                length += 1
+                if pos + length > len(bits):
+                    raise StreamError(f"bits ran out after {len(symbols)} symbols")
+            symbol = SYMBOL_OF[bits[pos:pos + length]]
+            pos += length
+            symbols.append(symbol)
+            if not k and symbol < DC_SYMBOL:
+                raise StreamError("AC symbol where a DC category belongs")
+            if k and symbol >= DC_SYMBOL:
+                raise StreamError("DC category where an AC symbol belongs")
+            if k and symbol == EOB:
+                if symbols[-2] == ZRL:
+                    raise StreamError("ZRL before the end of a block")
+                break
+            if k:
+                k += 16 if symbol == ZRL else symbol >> 4
+                if k >= 64:
+                    raise StreamError("zero run past the end of a block")
+                if symbol == ZRL:
+                    continue
+            size = symbol_size(symbol)
+            if pos + size > len(bits):
+                raise StreamError("bits ran out inside an amplitude")
+            value = AMPLITUDE_VALUES[bits[pos:pos + size]] if size else 0
+            pos += size
+            if k:
+                zz[k] = value
+                k += 1
+            else:
+                dc += value
+                zz[0], k = dc, 1
+        tile = np.zeros((8, 8), np.int64)
+        for value, (r, c) in zip(zz, diagonal_walk_oracle()):
+            tile[r, c] = value
+        coeffs.append(tile)
+        ends.append(pos)
+    if "1" in bits[pos:-(-pos // 8) * 8]:
+        raise StreamError("padding bits after the last block are not zero")
+    return (np.array(coeffs), symbols, pos, 3 + (pos + 7) // 8,
+            [end - start for start, end in zip([0] + ends, ends)])
+
+
+def decodes_as_the_reference(data, tiles=None):
+    """Require decode_blocks to give the reference's fields or raise its
+    exact StreamError text; returns the DecodedBlocks or the text."""
+    try:
+        coeffs, *fields = reference_decode(data, tiles)
+    except StreamError as exc:
+        with pytest.raises(StreamError, match=f"^{re.escape(str(exc))}$"):
+            decode_blocks(data, tiles)
+        return str(exc)
+    decoded = decode_blocks(data, tiles)
+    assert decoded.coeffs.dtype == np.int64
+    assert np.array_equal(decoded.coeffs, coeffs) and decoded.coeffs.shape == coeffs.shape
+    assert [decoded.symbols, decoded.payload_bits, decoded.consumed, decoded.tile_bits] == fields
+    return decoded
+
+
+@st.composite
+def edited_streams(draw):
+    """The block stream of a coefficient stack, as it is, with one bit
+    flipped, or cut at a byte."""
+    data = encode_blocks(draw(coefficient_stacks(AC_VALUES | st.integers(-15, 15).filter(bool),
+                                                 DC_STEPS)))
+    edit = draw(st.sampled_from(["none", "flip", "cut"]))
+    if edit == "flip":
+        bit = draw(st.integers(0, 8 * len(data) - 1))
+        data = bytearray(data)
+        data[bit // 8] ^= 0x80 >> (bit % 8)
+    elif edit == "cut":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    return bytes(data)
+
+
+@settings(FUZZ, max_examples=200)
+@given(edited_streams(), st.sampled_from([None, 1, 6]))
+def test_decode_blocks_matches_the_reference(data, tiles):
+    decodes_as_the_reference(data, tiles)
+
+
+@settings(FUZZ)
+@given(st.integers(1, 8), st.binary(max_size=300))
+def test_decode_blocks_matches_the_reference_on_random_bodies(count, body):
+    decodes_as_the_reference(bytes([BLOCK_MAGIC]) + count.to_bytes(2, "big") + body)
+
+
+def test_decode_memory_follows_the_data_not_the_declared_tiles():
+    """A header that declares 65535 tiles and no body is rejected at its
+    first symbol without first allocating room for every declared tile."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(StreamError, match="^bits ran out after 0 symbols$"):
+            decode_blocks(bytes([BLOCK_MAGIC]) + b"\xff\xff")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# --- block stream: the decoder's two-token path ------------------------------
+
+
+def window_at(data, bit):
+    """The decoder's 12-bit window at payload bit `bit` of a block stream,
+    with zeros past its end, as an index into _PAIRS."""
+    body = "".join(format(byte, "08b") for byte in data[3:]) + "0" * 12
+    return int(body[bit:bit + 12], 2)
+
+
+def token(symbol, value):
+    return CODES[symbol] + amplitude_bits(value)
+
+
+def test_value_table_holds_the_whole_value_tokens_of_each_window():
+    """Each entry spells the first one or two tokens of its window: codes
+    from BLOCK_TABLE.codes and amplitudes from _AMPLITUDE. A window has
+    an entry exactly when it starts with a whole AC value token (size >=
+    1), and a second token when one follows whole; equal entries are one
+    tuple."""
+
+    def value_token(bits):
+        """(symbol, value, length) of the whole AC value token that
+        starts `bits`, or None."""
+        code = next((bits[:n] for n in range(1, len(bits) + 1) if bits[:n] in SYMBOL_OF), None)
+        symbol = SYMBOL_OF.get(code)
+        if symbol is None or symbol >= DC_SYMBOL or not symbol & 15:
+            return None
+        end = len(code) + (symbol & 15)
+        return (symbol, AMPLITUDE_VALUES[bits[len(code):end]], end) if end <= len(bits) else None
+
+    kinds = Counter()
+    for window, entry in enumerate(_PAIRS):
+        bits = format(window, "012b")
+        first = value_token(bits)
+        if first is None:
+            assert entry is None, bits
+            continue
+        second = value_token(bits[first[2]:])
+        length, symbols, run1, value1, run2, value2 = entry
+        strings = [CODES[s] + _AMPLITUDE[v] for s, v in zip(symbols, (value1, value2))]
+        assert length == sum(map(len, strings)) and bits.startswith("".join(strings))
+        assert (symbols[0], value1, run1) == (first[0], first[1], first[0] >> 4)
+        if second is None:
+            assert (len(symbols), run2, value2) == (1, -1, value1), bits
+        else:
+            assert (symbols[1:], value2, run2) == ((second[0],), second[1], second[0] >> 4)
+        kinds[len(symbols)] += 1
+    assert kinds[1] and kinds[2]
+    entries = [entry for entry in _PAIRS if entry]
+    assert len({id(entry) for entry in entries}) == len(set(entries))
+
+
+def test_a_value_at_index_63_is_not_paired_with_what_follows():
+    """Tile 0 ends on a value at zig-zag index 63, with no EOB, and that
+    token and the next tile's DC code fill one window: the entry there
+    holds the one value, and the DC is read as a DC. When an AC value
+    follows instead, the window holds a pair whose second write would
+    land at 64, so the decoder reads the one value through the symbol
+    path and then rejects the AC symbol at the next tile's DC. A pair
+    whose second write lands on 63 is taken."""
+    zrls = [CODES[ZRL]] * 3                          # zig-zag 1-48 are zero
+    start = len(CODES[DC_SYMBOL]) + 3 * len(CODES[ZRL]) + len(token(0xD1, 1))
+    assert len(token(0x01, 1) + CODES[DC_SYMBOL]) == 12
+    tiles = np.zeros((2, 64), np.int64)
+    tiles[0, 62:] = 1
+    tiles = np.array([zigzag_unscan(row) for row in tiles])
+    data = block_stream(2, CODES[DC_SYMBOL], *zrls, token(0xD1, 1), token(0x01, 1),
+                        CODES[DC_SYMBOL], CODES[EOB])
+    assert data == encode_blocks(tiles)
+    assert _PAIRS[window_at(data, start)][1:] == ((0x01,), 0, 1, -1, 1)
+    assert np.array_equal(decodes_as_the_reference(data).coeffs, tiles)
+
+    data = block_stream(2, CODES[DC_SYMBOL], *zrls, token(0xD1, 1), token(0x01, 1),
+                        token(0x01, 1), CODES[EOB])
+    assert _PAIRS[window_at(data, start)][1:] == ((0x01, 0x01), 0, 1, 0, 1)
+    assert decodes_as_the_reference(data) == "AC symbol where a DC category belongs"
+
+    # the value at 62 is read through the symbol path (its code is 17 bits)
+    data = block_stream(2, CODES[DC_SYMBOL], *zrls, token(0xC1, 1), token(0x01, 1),
+                        token(0x01, 1), CODES[DC_SYMBOL], CODES[EOB])
+    start = len(CODES[DC_SYMBOL]) + 3 * len(CODES[ZRL]) + len(token(0xC1, 1))
+    assert len(CODES[0xC1]) > 12
+    assert _PAIRS[window_at(data, start)][1:] == ((0x01, 0x01), 0, 1, 0, 1)
+    assert decodes_as_the_reference(data).tile_bits[0] == start + 2 * len(token(0x01, 1))
+
+
+def test_a_pair_whose_second_run_passes_63_raises():
+    """At zig-zag index 62 the window holds a value and then a value after
+    one zero, which would land at 64: the decoder writes the first and
+    rejects the run of the second, as symbol by symbol."""
+    data = block_stream(1, CODES[DC_SYMBOL], *[CODES[ZRL]] * 3, token(0xC1, 1),
+                        token(0x01, 1), token(0x11, 1))
+    start = len(CODES[DC_SYMBOL]) + 3 * len(CODES[ZRL]) + len(token(0xC1, 1))
+    assert _PAIRS[window_at(data, start)][1:] == ((0x01, 0x11), 0, 1, 1, 1)
+    assert decodes_as_the_reference(data) == "zero run past the end of a block"
+
+
+@pytest.mark.parametrize("second, message", [
+    ((0x02, 3, 0x11, 1), "bits ran out after 4 symbols"),
+    ((0x03, 4, 0x04, 8), "bits ran out inside an amplitude"),
+], ids=["in a code", "in an amplitude"])
+def test_a_stream_cut_inside_a_pairs_second_token(second, message):
+    """A cut after payload byte 3 falls in the second token of the pair
+    at bit 16: in its code, or in its amplitude. The decoder raises at
+    the same symbol as symbol by symbol."""
+    symbol1, value1, symbol2, value2 = second
+    pair = token(symbol1, value1) + token(symbol2, value2)
+    data = block_stream(1, CODES[DC_SYMBOL], token(0x01, 1), token(0x01, -1), pair, CODES[EOB])
+    assert len(CODES[DC_SYMBOL] + token(0x01, 1) + token(0x01, -1)) == 16
+    code_end = 16 + len(token(symbol1, value1) + CODES[symbol2])
+    assert (code_end > 24) == message.startswith("bits ran out after")
+    assert 24 < 16 + len(pair) <= 28
+    assert _PAIRS[window_at(data, 16)][1:] == ((symbol1, symbol2), symbol1 >> 4, value1,
+                                               symbol2 >> 4, value2)
+    assert len(decodes_as_the_reference(data).symbols) == 6
+    assert decodes_as_the_reference(data[:6]) == message

@@ -14,8 +14,8 @@ import pytest
 from stegoseal.cipher import (caesar_decrypt, caesar_encrypt, hill_encrypt,
                               normalize_letters)
 from stegoseal.digest import hash_message
-from stegoseal.entropy import (BLOCK_MAGIC, block_stream_bound, decode_blocks,
-                               encode_blocks)
+from stegoseal.entropy import (BLOCK_MAGIC, BLOCK_TABLE, DC_SYMBOL, block_stream_bound,
+                               decode_blocks, encode_blocks)
 from stegoseal.errors import BlockError, CipherError, EmbedError, StegosealError
 from stegoseal.payload import _TO_BLOCK, from_tiles, pack, to_tiles, unpack
 from stegoseal.pgm import GrayImage
@@ -767,6 +767,25 @@ def test_verify_time_does_not_follow_the_cover():
             elapsed = time.perf_counter() - start
             assert report.verdict != VERIFIED, (mode, name)
             assert elapsed < 0.05, (mode, name, elapsed)
+
+
+def test_dense_forged_stream_decodes_in_full_and_fails_the_block_check(cover):
+    """Six tiles with every coefficient nonzero and AC magnitudes 1000-1999
+    take 1341 of the STREAM_BOUND bytes. No AC token of theirs fits the
+    decoder's 12-bit window, so each one is read through the symbol path;
+    the stream decodes in full and the block check rejects it."""
+    rng = np.random.default_rng(0)
+    tiles = rng.integers(1000, 2000, (6, 8, 8)) * rng.choice([-1, 1], (6, 8, 8))
+    tiles[:, 0, 0] = np.abs(tiles[:, 0, 0])
+    stream = encode_blocks(tiles)
+    assert (len(stream), STREAM_BOUND) == (1341, 1482)
+    image = embed(cover, stream, OVERWRITE)
+    decoded = read_stream(image, OVERWRITE)
+    assert np.array_equal(decoded.coeffs, tiles)
+    assert all(len(BLOCK_TABLE.codes[s]) + (s & 15) > 12 for s in decoded.symbols if s < DC_SYMBOL)
+    report = verify(image)
+    assert (report.verdict, report.reason) == (
+        UNDECODABLE, "BlockError: reconstructed bytes fall outside [0, 255]")
 
 
 # --- tamper --------------------------------------------------------------
