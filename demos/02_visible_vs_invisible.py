@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from stegoseal import GrayImage, SealConfig, seal, verify, write_pgm
-from stegoseal import pipeline, stego
+from stegoseal import stego
 from stegoseal.entropy import BLOCK_MAGIC
 
 OUT = Path(__file__).parent / "output"
@@ -28,7 +28,8 @@ for mode in ("overwrite", "lsb1"):
     (OUT / f"sealed_{mode}.pgm").write_bytes(write_pgm(sealed))
 
     delta = sealed.pixels.astype(int) - cover.pixels.astype(int)
-    consumed = pipeline.read_stream(sealed, mode).consumed
+    report = verify(sealed, config)
+    consumed = report.stream.consumed
     pixels_used = stego.pixels_for(consumed, mode)
 
     print(f"mode {mode}:")
@@ -36,7 +37,7 @@ for mode in ("overwrite", "lsb1"):
     print(f"  pixels changed       {int(np.count_nonzero(delta))}")
     print(f"  max pixel deviation  {int(np.abs(delta).max())}")
     print(f"  mean abs deviation   {np.abs(delta).mean():.4f}")
-    print(f"  verdict              {verify(sealed, config).verdict}")
+    print(f"  verdict              {report.verdict}")
     print()
 
 sealed = seal(message, SealConfig(caesar_key=7), cover)

@@ -21,7 +21,7 @@ HILL_PAD = "X"
 
 def _check_shift(shift: int) -> int:
     value = operator.index(shift) if hasattr(type(shift), "__index__") else None
-    if value is None or not 0 <= value < ALPHABET_SIZE:
+    if value is None or isinstance(shift, bool) or not 0 <= value < ALPHABET_SIZE:
         raise ValueError(f"caesar shift must be an integer in [0, 25], got {shift!r}")
     return value
 

@@ -18,12 +18,13 @@ What each command reads: a stream starts at the first pixel in raster
 order and takes at most pipeline.STREAM_BOUND bytes, which lsb1 mode
 spreads over 8 pixels each (11 856 pixels in all). verify and inspect
 read the PGM header and only the first min(width * height, 11 856)
-pixels, the head. seal and tamper read all the pixels, in one read. Every
-command reads through one helper, which checks the pixel byte count
-against the file size first, so a truncated or over-long file is rejected
-without reading its pixels. seal seals the head and writes the canonical
-header, the sealed head and the remaining pixels as they were read.
-tamper writes the whole image with its one flipped bit.
+pixels, the head; inspect is verify's read with the sizes of the stream
+printed, whatever the verdict. seal and tamper read all the pixels, in
+one read. Every command reads through one helper, which checks the pixel
+byte count against the file size first, so a truncated or over-long file
+is rejected without reading its pixels. seal seals the head and writes
+the canonical header, the sealed head and the remaining pixels as they
+were read. tamper writes the whole image with its one flipped bit.
 
 How seal and tamper write --out: both read all of --in first, so --in may
 name the same file as --out. The output goes to a new file in the
@@ -60,7 +61,7 @@ from . import pipeline, stego
 from .digest import ALGORITHMS, DEFAULT_ALGORITHM
 from .entropy import BLOCK_HEADER_BYTES, BLOCK_TABLE
 from .errors import CipherError, StegosealError
-from .payload import ROWS, TILES
+from .payload import ROWS
 from .pgm import GrayImage, header, read_pgm_head
 
 EX_OK = 0
@@ -281,17 +282,15 @@ def _cmd_tamper(args) -> int:
 
 def _cmd_inspect(args) -> int:
     _, _, pixels = _read(args.input, _HEAD_PIXELS)
-    head = _head(pixels)
-    mode = pipeline.stream_mode(head)
-    try:
-        decoded = pipeline.read_stream(head, mode)
-    except StegosealError:
+    report = pipeline.verify(_head(pixels))
+    decoded, mode = report.stream, report.mode
+    if decoded is None:
         _emit(error="no embedded stream found")
         return EX_UNDECODABLE
-    elements, consumed = decoded.coeffs.size, decoded.consumed
-    per_row = TILES // ROWS
+    elements, consumed, tile_bits = decoded.coeffs.size, decoded.consumed, decoded.tile_bits
+    per_row = len(tile_bits) // ROWS
     ciphertext_bits, key_bits, digest_bits = (
-        sum(decoded.tile_bits[start:start + per_row]) for start in range(0, TILES, per_row))
+        sum(tile_bits[start:start + per_row]) for start in range(0, len(tile_bits), per_row))
     _emit(mode=mode, elements=elements, compressed_elements=consumed,
           ratio=f"{elements / consumed:.4f}", table_entries=len(BLOCK_TABLE.codes),
           header_bytes=BLOCK_HEADER_BYTES, payload_bits=decoded.payload_bits,

@@ -90,9 +90,10 @@ TAMPERED = "TAMPERED"
 UNDECODABLE = "UNDECODABLE"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SealConfig:
-    """Everything the pipeline needs besides the message and the cover."""
+    """Everything the pipeline needs besides the message and the cover. It is
+    checked once, when built, and frozen, so no field can be set after that."""
 
     cipher: str = CAESAR
     caesar_key: int | None = None
@@ -105,7 +106,7 @@ class SealConfig:
         """The key of the chosen cipher: caesar_key or hill_key."""
         return self.caesar_key if self.cipher == CAESAR else self.hill_key
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.cipher not in CIPHERS:
             raise ValueError(f"unknown cipher {self.cipher!r}")
         if self.digest_algorithm not in _digest.ALGORITHMS:
@@ -126,7 +127,8 @@ class SealConfig:
 @dataclass
 class VerificationReport:
     """The verdict on an image. An UNDECODABLE reason reads
-    "<stage class>: <detail>", as in "StreamError: missing block stream header"."""
+    "<stage class>: <detail>", as in "StreamError: missing block stream header".
+    `stream` is the one decoded in `mode`, whatever the verdict, or None if none did."""
 
     verdict: str
     recovered_message: str = ""
@@ -134,6 +136,7 @@ class VerificationReport:
     recomputed_digest: str = ""
     reason: str = ""
     mode: str = OVERWRITE
+    stream: DecodedBlocks | None = None
 
 
 def _key(entries: list):
@@ -217,7 +220,6 @@ def seal(message: str, config: SealConfig, cover: GrayImage) -> GrayImage:
     """Seal `message` into `cover`; the result verifies under the same config."""
     if not message:
         raise CipherError("refusing to seal an empty message")
-    config.validate()
     if config.key is None:
         raise ValueError(f"sealing with the {config.cipher} cipher needs {config.cipher}_key")
     protected = message if config.cipher == CAESAR else normalize_letters(message)
@@ -243,10 +245,9 @@ def read_stream(stego: GrayImage, mode: str) -> DecodedBlocks:
 
 
 def verify(stego: GrayImage, config: SealConfig | None = None) -> VerificationReport:
-    """Extract, decode and check a sealed image. Never raises on bad data."""
-    config = config if config is not None else SealConfig()
-    config.validate()
-    mode = stream_mode(stego)
+    """Extract, decode and check a sealed image. Never raises on bad data.
+    Of a config, only a key is read: the embedded key must equal it."""
+    mode, decoded = stream_mode(stego), None
     try:
         decoded = read_stream(stego, mode)
         block = _recover_block(decoded.coeffs)
@@ -255,18 +256,18 @@ def verify(stego: GrayImage, config: SealConfig | None = None) -> VerificationRe
         message, recomputed = _decrypt_and_hash(ciphertext, kind, key, embedded_digest)
     except StegosealError as exc:
         return VerificationReport(UNDECODABLE, reason=f"{type(exc).__name__}: {exc}",
-                                  mode=mode)
+                                  mode=mode, stream=decoded)
 
     problems = []
     if recomputed != embedded_digest:
         problems.append("digest mismatch")
     elif not _is_sealed_form(block, message, kind, key, recomputed):
         problems.append("block differs from the one seal writes for its message")
-    if config.key is not None and _key_text(config.cipher, config.key) != key_row:
+    if config and config.key is not None and _key_text(config.cipher, config.key) != key_row:
         problems.append("embedded key differs from the expected key")
     verdict = VERIFIED if not problems else TAMPERED
     return VerificationReport(verdict, message, embedded_digest, recomputed,
-                              "; ".join(problems), mode)
+                              "; ".join(problems), mode, decoded)
 
 
 def tamper(image: GrayImage, pixel_index: int, bit: int) -> GrayImage:

@@ -24,6 +24,16 @@ def make_cover(seed, width=256, height=256):
     return GrayImage(width, height, rng.integers(0, 256, width * height, dtype=np.uint8))
 
 
+def dense_forged_tiles():
+    """Six tiles with every coefficient nonzero, DC positive and AC
+    magnitudes 1000-1999: their stream decodes in full, and the inverse
+    transform gives bytes outside [0, 255]."""
+    rng = np.random.default_rng(0)
+    tiles = rng.integers(1000, 2000, (6, 8, 8)) * rng.choice([-1, 1], (6, 8, 8))
+    tiles[:, 0, 0] = np.abs(tiles[:, 0, 0])
+    return tiles
+
+
 def kraft_sum(table):
     """Sum of 2**-length over the codewords of a HuffmanTable, exactly."""
     return sum((Fraction(1, 2 ** len(c)) for c in table.codes.values()), Fraction(0))

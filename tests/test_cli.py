@@ -20,7 +20,7 @@ from stegoseal.entropy import BLOCK_TABLE, encode_blocks
 from stegoseal.pgm import GrayImage, read_pgm, write_pgm
 from stegoseal.stego import embed
 
-from conftest import make_cover
+from conftest import dense_forged_tiles, make_cover
 
 PAPER_MESSAGE = "I'm so proud to be Egyptian"
 
@@ -268,6 +268,12 @@ EXACT_STDOUT = {
         "embedded_pixels=872\nciphertext_bits=328\nkey_bits=193\ndigest_bits=327\n"),
     "inspect-cover": (["inspect", "--in", "{dir}/cover.pgm"], 2,
                       "error=no embedded stream found\n"),
+    # a stream that decodes in full and that verify rejects at the block check
+    "inspect-dense": (
+        ["inspect", "--in", "{dir}/dense.pgm"], 0,
+        "mode=overwrite\nelements=384\ncompressed_elements=1341\nratio=0.2864\n"
+        "table_entries=190\nheader_bytes=3\npayload_bits=10700\nstream_bytes=1341\n"
+        "embedded_pixels=1341\nciphertext_bits=3571\nkey_bits=3570\ndigest_bits=3559\n"),
     **{f"inspect-{shape}": (["inspect", "--in", f"{{dir}}/{shape}.pgm"], 2,
                             "error=no embedded stream found\n") for shape in TINY},
     "verify-1x1": (
@@ -280,9 +286,12 @@ EXACT_STDOUT = {
 @pytest.fixture(scope="module")
 def pinned_dir(tmp_path_factory):
     """A cover, its two sealed images, as SEAL_OVERWRITE and SEAL_LSB1 write
-    them, and the TINY images."""
+    them, the cover with the dense forged stream and the TINY images."""
     path = tmp_path_factory.mktemp("pinned")
-    (path / "cover.pgm").write_bytes(write_pgm(make_cover(0x515)))
+    cover = make_cover(0x515)
+    (path / "cover.pgm").write_bytes(write_pgm(cover))
+    dense = embed(cover, encode_blocks(dense_forged_tiles()))
+    (path / "dense.pgm").write_bytes(write_pgm(dense))
     for shape, (width, height, pixels) in TINY.items():
         (path / f"{shape}.pgm").write_bytes(write_pgm(GrayImage(width, height, pixels)))
     for argv in (SEAL_OVERWRITE, SEAL_LSB1):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import random
@@ -25,7 +26,7 @@ from stegoseal.pipeline import (STREAM_BOUND, TAMPERED, UNDECODABLE, VERIFIED,
 from stegoseal.stego import LSB1, OVERWRITE, capacity, embed, extract
 from stegoseal.transform import int_dct2, int_idct2
 
-from conftest import make_cover
+from conftest import dense_forged_tiles, make_cover
 
 PAPER_MESSAGE = "I'm so proud to be Egyptian"
 
@@ -193,40 +194,42 @@ def test_seal_rejects_an_inexact_middle_inverse_step(cover, monkeypatch):
 
 
 def test_config_validation():
+    """A config is checked when it is built, and frozen, so no field can be set after that."""
     with pytest.raises(ValueError):
-        SealConfig(cipher="rot13").validate()
+        SealConfig(cipher="rot13")
     with pytest.raises(ValueError):
-        SealConfig(caesar_key=26).validate()
+        SealConfig(caesar_key=26)
     with pytest.raises(ValueError):
-        SealConfig(caesar_key=3, hill_key=np.eye(3, dtype=int)).validate()
+        SealConfig(caesar_key=3, hill_key=np.eye(3, dtype=int))
     with pytest.raises(CipherError, match="det = 8 shares a factor with 26"):
-        SealConfig(cipher="hill", hill_key=2 * np.eye(3, dtype=int)).validate()
+        SealConfig(cipher="hill", hill_key=2 * np.eye(3, dtype=int))
     with pytest.raises(ValueError, match="sealing with the hill cipher needs hill_key"):
         seal(PAPER_MESSAGE, SealConfig(cipher="hill"), make_cover(7))
     with pytest.raises(ValueError, match="unknown digest algorithm"):
-        SealConfig(digest_algorithm="md5").validate()
+        SealConfig(digest_algorithm="md5")
+    config = paper_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.caesar_key = 26
 
 
-@pytest.mark.parametrize("config, message", [
-    (SealConfig(caesar_key=3, hill_key=np.eye(3, dtype=int)), "hill key given but cipher is caesar"),
-    (SealConfig(cipher="hill", caesar_key=3, hill_key=np.eye(3, dtype=int)),
+@pytest.mark.parametrize("fields, message", [
+    ({"caesar_key": 3, "hill_key": np.eye(3, dtype=int)}, "hill key given but cipher is caesar"),
+    ({"cipher": "hill", "caesar_key": 3, "hill_key": np.eye(3, dtype=int)},
      "caesar key given but cipher is hill"),
 ], ids=["caesar", "hill"])
-def test_config_rejects_the_other_ciphers_key(config, message):
+def test_config_rejects_the_other_ciphers_key(fields, message):
     with pytest.raises(ValueError, match=message):
-        config.validate()
-    with pytest.raises(ValueError, match=message):
-        seal("HELLO", config, make_cover(7))
+        SealConfig(**fields)
 
 
-@pytest.mark.parametrize("key", [3.7, 16.0, "16"])
-def test_caesar_key_must_be_an_integer(cover, key):
+@pytest.mark.parametrize("key", [3.7, 16.0, "16", True])
+def test_caesar_key_must_be_an_integer(key):
     """A key that is not an integer would be written as the key row "3.7"
-    or "16.0", which verify cannot read back."""
+    or "16.0", which verify cannot read back; True would seal as shift 1."""
     with pytest.raises(ValueError, match="must be an integer"):
-        SealConfig(caesar_key=key).validate()
+        SealConfig(caesar_key=key)
     with pytest.raises(ValueError, match="must be an integer"):
-        seal(PAPER_MESSAGE, SealConfig(caesar_key=key), cover)
+        caesar_encrypt(PAPER_MESSAGE, key)
 
 
 def test_numpy_integer_caesar_key_seals_as_an_int(cover):
@@ -237,14 +240,11 @@ def test_numpy_integer_caesar_key_seals_as_an_int(cover):
 
 @pytest.mark.parametrize("key", [1.9 * np.eye(3), [[2**70, 0, 0], [0, 1, 0], [0, 0, 1]]],
                          ids=["float", "past-int64"])
-def test_hill_key_must_be_an_integer_matrix(cover, key):
+def test_hill_key_must_be_an_integer_matrix(key):
     """A float key would seal as its truncation, and a key past int64 would
     raise OverflowError from verify."""
-    config = SealConfig(cipher="hill", hill_key=key)
     with pytest.raises(ValueError, match="integer matrix"):
-        seal(PAPER_MESSAGE, config, cover)
-    with pytest.raises(ValueError, match="integer matrix"):
-        verify(cover, config)
+        SealConfig(cipher="hill", hill_key=key)
 
 
 def test_stream_bound_holds_the_sealed_stream():
@@ -614,11 +614,9 @@ def test_verify_detects_the_embed_mode(cover, mode):
         assert (report.verdict, report.mode) == (VERIFIED, mode)
 
 
-def test_seal_needs_an_embed_mode(cover):
+def test_seal_needs_an_embed_mode():
     with pytest.raises(ValueError, match="embed mode"):
-        seal(PAPER_MESSAGE, paper_config(embed_mode=None), cover)
-    with pytest.raises(ValueError, match="embed mode"):
-        paper_config(embed_mode=None).validate()
+        paper_config(embed_mode=None)
 
 
 def test_the_two_stream_headers_exclude_each_other(cover):
@@ -774,9 +772,7 @@ def test_dense_forged_stream_decodes_in_full_and_fails_the_block_check(cover):
     take 1341 of the STREAM_BOUND bytes. No AC token of theirs fits the
     decoder's 12-bit window, so each one is read through the symbol path;
     the stream decodes in full and the block check rejects it."""
-    rng = np.random.default_rng(0)
-    tiles = rng.integers(1000, 2000, (6, 8, 8)) * rng.choice([-1, 1], (6, 8, 8))
-    tiles[:, 0, 0] = np.abs(tiles[:, 0, 0])
+    tiles = dense_forged_tiles()
     stream = encode_blocks(tiles)
     assert (len(stream), STREAM_BOUND) == (1341, 1482)
     image = embed(cover, stream, OVERWRITE)
@@ -786,6 +782,24 @@ def test_dense_forged_stream_decodes_in_full_and_fails_the_block_check(cover):
     report = verify(image)
     assert (report.verdict, report.reason) == (
         UNDECODABLE, "BlockError: reconstructed bytes fall outside [0, 255]")
+    assert report.stream.consumed == 1341
+
+
+def test_report_carries_the_stream_whatever_the_verdict(cover):
+    """verify reports the stream read_stream decodes, on a VERIFIED and a
+    TAMPERED image alike, and None where no stream decodes."""
+    assert verify(cover).stream is None
+    verified = seal(PAPER_MESSAGE, paper_config(), cover)
+    wrong_digest = pack(caesar_encrypt(PAPER_MESSAGE, 16), CAESAR_KEY_ROW, hash_message("HELLO"))
+    tampered = embed_block(wrong_digest, cover)
+    for image, verdict in ((verified, VERIFIED), (tampered, TAMPERED)):
+        report = verify(image)
+        assert report.verdict == verdict
+        expected = read_stream(image, report.mode)
+        assert report.stream.consumed == expected.consumed
+        assert report.stream.payload_bits == expected.payload_bits
+        assert report.stream.tile_bits == expected.tile_bits
+        assert np.array_equal(report.stream.coeffs, expected.coeffs)
 
 
 # --- tamper --------------------------------------------------------------
