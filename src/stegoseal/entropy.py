@@ -44,11 +44,11 @@ zlib's inflate and libjpeg do. At an AC position, where those bits start
 with one or two whole AC values of size >= 1, one lookup writes both if
 both land inside the tile and the stream. All else, and so every
 rejection, takes the symbol path, whose token table gives the symbol,
-its code length, its amplitude size and, when code and amplitude both
-fit in the 12 bits, the signed amplitude. Codes longer than 12 bits (a
-few rare symbols) fall back to a map from codeword, with its length, to
-symbol, probed with the stream's next 13, 14, ... 18 bits; as the code
-is prefix-free, the first hit is the only one. DC and AC symbols share
+its code length and its amplitude size; that path reads the amplitude
+bits from the stream. Codes longer than 12 bits (a few rare symbols)
+fall back to a map from codeword, with its length, to symbol, probed
+with the stream's next 13, 14, ... 18 bits; as the code is prefix-free,
+the first hit is the only one. DC and AC symbols share
 this read, as in libjpeg's decode_mcu (ITU-T T.81, Annex F.2.2), and the
 position in the tile says which kind belongs there. The checks run in a
 fixed order: truncation of a code, then the kind of the symbol and its
@@ -237,29 +237,15 @@ _AC_BITS = {v: BLOCK_TABLE.codes[len(a)] + a for v, a in _AMPLITUDE.items()}
 
 
 def _tokens() -> list:
-    """The decoder's lookup table, indexed by the next _WINDOW bits.
-
-    Its entry is (symbol, code length, amplitude size, value), where value
-    is the signed amplitude when code and amplitude both fit in the
-    window, 0 for a symbol without amplitude and None otherwise. Windows
-    that start with a code longer than the window hold None.
-    """
+    """The decoder's symbol table, indexed by the next _WINDOW bits. Its
+    entry is (symbol, code length, amplitude size) of the code the window
+    starts with, or None where that code is longer than the window."""
     table = [None] * (1 << _WINDOW)
     for sym, code in BLOCK_TABLE.codes.items():
-        length = len(code)
-        if length > _WINDOW:
-            continue
-        size = _size(sym)
-        start = int(code, 2) << (_WINDOW - length)
-        spare = _WINDOW - length - size
-        if spare < 0 or not size:
-            span = 1 << (_WINDOW - length)
-            table[start:start + span] = [(sym, length, size, None if size else 0)] * span
-            continue
-        for bits in range(1 << size):
-            first = start | (bits << spare)
-            span = 1 << spare
-            table[first:first + span] = [(sym, length, size, _signed(bits, size))] * span
+        room = _WINDOW - len(code)
+        if room >= 0:
+            start = int(code, 2) << room
+            table[start:start + (1 << room)] = [(sym, len(code), _size(sym))] * (1 << room)
     return table
 
 
@@ -269,11 +255,18 @@ _TOKENS = _tokens()
 def _pairs() -> list:
     """The decoder's AC value table, indexed like _TOKENS. An entry is (bits,
     symbols, run1, value1, run2, value2), with run2 = -1 where the window
-    starts with one value token, not two. Equal entries share one tuple."""
-    # (bits, code and amplitude as an integer, symbol, value), shortest first
-    tokens = sorted((length + size, int(BLOCK_TABLE.codes[symbol] + _AMPLITUDE[value], 2),
-                     symbol, value) for symbol, length, size, value in
-                    {t for t in _TOKENS if t and t[0] < DC_SYMBOL and t[3]})
+    starts with one value token, not two. The tokens are the codes of
+    BLOCK_TABLE with the amplitudes of _AMPLITUDE. Equal entries share one
+    tuple."""
+    amplitudes = {}     # amplitude size -> [(amplitude bits, value)]
+    for value, amplitude in _AMPLITUDE.items():
+        amplitudes.setdefault(len(amplitude), []).append((amplitude, value))
+    # (bits, code and amplitude as an integer, symbol, value) of each AC
+    # value token that fits the window, shortest first
+    tokens = sorted((len(code) + len(amplitude), int(code + amplitude, 2), symbol, value)
+                    for symbol, code in BLOCK_TABLE.codes.items()
+                    if symbol < DC_SYMBOL and 0 < symbol & 15 <= _WINDOW - len(code)
+                    for amplitude, value in amplitudes[symbol & 15])
     table = [None] * (1 << _WINDOW)
     for used, bits, symbol, value in tokens:
         room = _WINDOW - used
@@ -296,13 +289,14 @@ _LONG_CODES = {int("1" + code, 2): sym
 
 
 def _long_token(acc: int, have: int) -> tuple:
-    """Token of the code longer than the window at the top of the `have`
-    low bits of acc: its one 13-18 bit prefix that is a code."""
+    """(symbol, code length, amplitude size) of the code longer than the
+    window at the top of the `have` low bits of acc: its one 13-18 bit
+    prefix that is a code."""
     top = (acc >> (have - _LONGEST)) & ((1 << _LONGEST) - 1) | (1 << _LONGEST)
     for length in range(_WINDOW + 1, _LONGEST + 1):
         sym = _LONG_CODES.get(top >> (_LONGEST - length))
         if sym is not None:
-            return sym, length, _size(sym), None
+            return sym, length, _size(sym)
     raise AssertionError("BLOCK_TABLE is a complete code")
 
 
@@ -414,7 +408,7 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
                     have -= bits
                     symbols += pair
                     continue
-            symbol, length, size, value = tokens[index] or _long_token(acc, have)
+            symbol, length, size = tokens[index] or _long_token(acc, have)
             have -= length
             if have < slack:
                 raise StreamError(f"bits ran out after {len(symbols)} symbols")
@@ -427,9 +421,7 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
                     have -= size
                     if have < slack:
                         raise StreamError("bits ran out inside an amplitude")
-                    if value is None:
-                        value = _signed((acc >> have) & ((1 << size) - 1), size)
-                    zz[k] = value
+                    zz[k] = _signed((acc >> have) & ((1 << size) - 1), size)
                     k += 1
                 elif symbol == EOB:
                     if symbols[-2] == ZRL:
@@ -448,9 +440,7 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
                     have -= size
                     if have < slack:
                         raise StreamError("bits ran out inside an amplitude")
-                    if value is None:
-                        value = _signed((acc >> have) & ((1 << size) - 1), size)
-                    dc += value
+                    dc += _signed((acc >> have) & ((1 << size) - 1), size)
                 zz[0] = dc
                 k = 1
         ends.append(slack + nbits - have)

@@ -93,7 +93,8 @@ UNDECODABLE = "UNDECODABLE"
 @dataclass(frozen=True)
 class SealConfig:
     """Everything the pipeline needs besides the message and the cover. It is
-    checked once, when built, and frozen, so no field can be set after that."""
+    checked once, when built, and frozen, so no field can be set after that;
+    a hill_key is kept as a read-only copy, reduced mod 26."""
 
     cipher: str = CAESAR
     caesar_key: int | None = None
@@ -121,7 +122,10 @@ class SealConfig:
         if self.cipher == CAESAR:
             _check_shift(self.key)
         else:
-            hill_key_inverse(self.key)  # raises CipherError early
+            key = _as_key(self.key)
+            hill_key_inverse(key)  # raises CipherError early
+            key.flags.writeable = False
+            object.__setattr__(self, "hill_key", key)
 
 
 @dataclass
@@ -273,10 +277,13 @@ def verify(stego: GrayImage, config: SealConfig | None = None) -> VerificationRe
 def tamper(image: GrayImage, pixel_index: int, bit: int) -> GrayImage:
     """Flip one bit of one pixel; bit 0 is the least significant.
 
-    Both are read through operator.index: numpy would take a numpy bool as
-    a mask and flip every pixel or none, so it, like a float, is a ValueError.
+    Both are read through operator.index, and neither may be a bool: numpy
+    would take a numpy bool as a mask and flip every pixel or none, and True
+    would name pixel 1, so either, like a float, is a ValueError.
     """
     try:
+        if isinstance(pixel_index, bool) or isinstance(bit, bool):
+            raise TypeError
         pixel_index, bit = operator.index(pixel_index), operator.index(bit)
     except TypeError:
         raise ValueError(f"pixel and bit must be integers, got {pixel_index!r} "

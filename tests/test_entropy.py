@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from stegoseal.cipher import normalize_letters
 from stegoseal.digest import hash_message
-from stegoseal.entropy import (_AMPLITUDE, _PAIRS, _ZIGZAG_FLAT, BLOCK_MAGIC, BLOCK_TABLE,
-                               DC_SYMBOL, EOB, ZRL, block_stream_bound,
+from stegoseal.entropy import (_AMPLITUDE, _PAIRS, _TOKENS, _ZIGZAG_FLAT, _long_token,
+                               BLOCK_MAGIC, BLOCK_TABLE, DC_SYMBOL, EOB, ZRL, block_stream_bound,
                                build_table, decode_blocks, decode_prefix,
                                encode_blocks, zigzag_scan, zigzag_unscan)
 from stegoseal.errors import StegosealError, StreamError
@@ -770,6 +770,45 @@ def window_at(data, bit):
 
 def token(symbol, value):
     return CODES[symbol] + amplitude_bits(value)
+
+
+def amplitude_size(symbol):
+    """The amplitude bits the module docstring gives a symbol: its DC
+    category, or the low nibble of an AC symbol."""
+    return symbol - DC_SYMBOL if symbol >= DC_SYMBOL else symbol & 15
+
+
+def test_token_table_holds_the_code_that_starts_each_window():
+    """Each window holds (symbol, code length, amplitude size) of the one
+    code of BLOCK_TABLE that starts it, and None exactly where that code
+    is longer than the window's 12 bits."""
+    long_codes = [code for code in CODES.values() if len(code) > 12]
+    assert len(_TOKENS) == 4096
+    for window, entry in enumerate(_TOKENS):
+        bits = format(window, "012b")
+        codes = [bits[:n] for n in range(1, 13) if bits[:n] in SYMBOL_OF]
+        if not codes:
+            assert entry is None and any(code.startswith(bits) for code in long_codes), bits
+            continue
+        (code,) = codes
+        symbol = SYMBOL_OF[code]
+        assert entry == (symbol, len(code), amplitude_size(symbol)), bits
+    assert {entry[0] for entry in _TOKENS if entry} == {
+        symbol for symbol, code in CODES.items() if len(code) <= 12}
+
+
+def test_long_token_reads_the_code_at_the_top_of_the_held_bits():
+    """_long_token gives (symbol, code length, amplitude size) for each
+    13-18 bit code at the top of the `have` low bits of acc, whatever the
+    bits below it and the spent bits above it."""
+    rng = random.Random(29)
+    long_codes = {symbol: code for symbol, code in CODES.items() if len(code) > 12}
+    assert {len(code) for code in long_codes.values()} == set(range(13, 19))
+    for symbol, code in long_codes.items():
+        for have in (18, 29, 93):
+            below = have - len(code)
+            acc = rng.getrandbits(16) << have | int(code, 2) << below | rng.getrandbits(below)
+            assert _long_token(acc, have) == (symbol, len(code), amplitude_size(symbol))
 
 
 def test_value_table_holds_the_whole_value_tokens_of_each_window():

@@ -247,6 +247,21 @@ def test_hill_key_must_be_an_integer_matrix(key):
         SealConfig(cipher="hill", hill_key=key)
 
 
+def test_hill_key_is_fixed_when_the_config_is_built(cover):
+    """A config keeps a read-only copy of the key it checked: a later change
+    to the array or the nested list it was built from (here to keys whose
+    determinants 8 and 4 share a factor with 26) does not reach the seal."""
+    array, nested = np.array(HILL_KEY), [list(row) for row in HILL_KEY]
+    configs = [SealConfig(cipher="hill", hill_key=key) for key in (array, nested)]
+    array[:] = 2 * np.eye(3, dtype=int)
+    nested[0][0] = 2
+    for config in configs:
+        sealed = seal("Attack at dawn", config, cover)
+        assert verify(sealed, SealConfig(cipher="hill", hill_key=HILL_KEY)).verdict == VERIFIED
+    with pytest.raises(ValueError, match="read-only"):
+        configs[0].hill_key[0, 0] = 1
+
+
 def test_stream_bound_holds_the_sealed_stream():
     """Seal writes a stream of the block's 6 tiles that fits in STREAM_BOUND
     bytes."""
@@ -829,7 +844,7 @@ def test_tamper_out_of_range(cover):
         tamper(cover, -1, 0)
 
 
-@pytest.mark.parametrize("pixel, bit, flipped", [(True, 0, 1), (np.int64(3), np.uint8(2), 3)])
+@pytest.mark.parametrize("pixel, bit, flipped", [(1, 0, 1), (np.int64(3), np.uint8(2), 3)])
 def test_tamper_flips_the_pixel_it_names(pixel, bit, flipped):
     """Indices are read as integers, never as a numpy bool mask."""
     out = tamper(GrayImage(4, 4, bytes(16)), pixel, bit)
@@ -837,7 +852,8 @@ def test_tamper_flips_the_pixel_it_names(pixel, bit, flipped):
 
 
 @pytest.mark.parametrize("pixel, bit", [(np.bool_(False), 0), (np.bool_(True), 0),
-                                        (1.0, 0), (0, 1.5), ("1", 0)])
+                                        (1.0, 0), (0, 1.5), ("1", 0), (True, 0),
+                                        (0, False)])
 def test_tamper_rejects_non_integer_indices(pixel, bit):
     with pytest.raises(ValueError, match="must be integers"):
         tamper(GrayImage(4, 4, bytes(16)), pixel, bit)
