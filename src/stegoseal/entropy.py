@@ -42,17 +42,24 @@ bits of the stream in an integer, refilled 8 bytes at a time, and
 indexes 4096-entry tables with the next 12 of them, as the fast paths of
 zlib's inflate and libjpeg do. At an AC position, where those bits start
 with one or two whole AC values of size >= 1, one lookup writes both if
-both land inside the tile and the stream. All else, and so every
+both land inside the tile and the stream: its entry holds the last index
+it may start at and how far it moves the index. All else, and so every
 rejection, takes the symbol path, whose token table gives the symbol,
 its code length and its amplitude size; that path reads the amplitude
-bits from the stream. Codes longer than 12 bits (a few rare symbols)
-fall back to a map from codeword, with its length, to symbol, probed
-with the stream's next 13, 14, ... 18 bits; as the code is prefix-free,
-the first hit is the only one. DC and AC symbols share
-this read, as in libjpeg's decode_mcu (ITU-T T.81, Annex F.2.2), and the
-position in the tile says which kind belongs there. The checks run in a
-fixed order: truncation of a code, then the kind of the symbol and its
-run, then truncation of an amplitude, then the padding.
+bits from the stream. The decoder counts the symbols it reads, for the
+error of a stream that runs out, and lists none: DecodedBlocks.symbols
+works them out from the coefficients by the encoder's rules when read,
+as a stream is the only encoding of its coefficients. So the ZRL check
+reads the tile: an EOB at index k follows a ZRL exactly when k > 1 and
+index k - 1 holds zero, since a value leaves a nonzero there and the DC
+leaves k at 1. Codes longer than 12 bits (a few rare symbols) fall back
+to a map from codeword, with its length, to symbol, probed with the
+stream's next 13, 14, ... 18 bits; as the code is prefix-free, the first
+hit is the only one. DC and AC symbols share this read, as in libjpeg's
+decode_mcu (ITU-T T.81, Annex F.2.2), and the position in the tile says
+which kind belongs there. The checks run in a fixed order: truncation of
+a code, then the kind of the symbol and its run, then truncation of an
+amplitude, then the padding.
 
 How BLOCK_TABLE was derived: 1000 blocks were built by
 pipeline._pack_block, as seal builds them, and their symbols counted;
@@ -80,6 +87,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -254,31 +262,35 @@ _TOKENS = _tokens()
 
 def _pairs() -> list:
     """The decoder's AC value table, indexed like _TOKENS. An entry is (bits,
-    symbols, run1, value1, run2, value2), with run2 = -1 where the window
-    starts with one value token, not two. The tokens are the codes of
-    BLOCK_TABLE with the amplitudes of _AMPLITUDE. Equal entries share one
-    tuple."""
+    symbols, last, step, run1, value1, value2): the window starts with
+    `symbols` (1 or 2) whole value tokens, which write value1 at k + run1
+    and value2 at k + step - 1 and leave the tile at k + step, so they fit
+    the tile from every start k <= last = 64 - step. One token has step
+    run1 + 1 and value2 = value1; two have step run1 + run2 + 2. The
+    tokens are the codes of BLOCK_TABLE with the amplitudes of _AMPLITUDE.
+    Equal entries share one tuple."""
     amplitudes = {}     # amplitude size -> [(amplitude bits, value)]
     for value, amplitude in _AMPLITUDE.items():
         amplitudes.setdefault(len(amplitude), []).append((amplitude, value))
-    # (bits, code and amplitude as an integer, symbol, value) of each AC
-    # value token that fits the window, shortest first
-    tokens = sorted((len(code) + len(amplitude), int(code + amplitude, 2), symbol, value)
+    # (bits, code and amplitude as an integer, run, value) of each AC value
+    # token that fits the window, shortest first
+    tokens = sorted((len(code) + len(amplitude), int(code + amplitude, 2), symbol >> 4, value)
                     for symbol, code in BLOCK_TABLE.codes.items()
                     if symbol < DC_SYMBOL and 0 < symbol & 15 <= _WINDOW - len(code)
                     for amplitude, value in amplitudes[symbol & 15])
     table = [None] * (1 << _WINDOW)
-    for used, bits, symbol, value in tokens:
+    for used, bits, run, value in tokens:
         room = _WINDOW - used
         start, end = bits << room, (bits + 1) << room
-        table[start:end] = [(used, (symbol,), symbol >> 4, value, -1, value)] * (end - start)
-        for used2, bits2, symbol2, value2 in tokens:     # the second token, in the room left
+        table[start:end] = [(used, 1, 63 - run, run + 1, run, value, value)] * (end - start)
+        for used2, bits2, run2, value2 in tokens:     # the second token, in the room left
             if used2 > room:
                 break
             span = 1 << (room - used2)
             first = start | bits2 << (room - used2)
-            table[first:first + span] = [(used + used2, (symbol, symbol2), symbol >> 4, value,
-                                          symbol2 >> 4, value2)] * span
+            step = run + run2 + 2
+            table[first:first + span] = [(used + used2, 2, 64 - step, step, run, value,
+                                          value2)] * span
     return table
 
 
@@ -314,10 +326,29 @@ class DecodedBlocks:
     """What decode_blocks read from the start of a buffer."""
 
     coeffs: np.ndarray     # int64, shape (tiles, 8, 8), natural order
-    symbols: list          # the Huffman symbols, in stream order
     payload_bits: int      # bits after the header, padding excluded
     consumed: int          # bytes of the whole stream
     tile_bits: list        # the payload bits of each tile, in stream order
+
+    @cached_property
+    def symbols(self) -> list:
+        """The Huffman symbols, in stream order, worked out from coeffs on
+        first access by encode_blocks' rules: a stream that decodes is the
+        only encoding of its coefficients."""
+        symbols, previous = [], 0
+        for row in self.coeffs.reshape(-1, 64)[:, _ZIGZAG_FLAT].tolist():
+            symbols.append(DC_SYMBOL + abs(row[0] - previous).bit_length())
+            previous, run = row[0], 0
+            for value in row[1:]:
+                if value:
+                    symbols += [ZRL] * (run >> 4)
+                    symbols.append((run & 15) << 4 | abs(value).bit_length())
+                    run = 0
+                else:
+                    run += 1
+            if run:
+                symbols.append(EOB)
+        return symbols
 
 
 def encode_blocks(coeffs) -> bytes:
@@ -382,11 +413,9 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
     body += bytes(12)     # zeros to read past the end; the checks below stop there
     # acc holds the next `have` bits in its low bits; i bytes of body are
     # read, and a read that leaves `have` below `slack` ran past nbits
-    acc = have = i = dc = 0
+    acc = have = i = dc = read = 0     # read: the symbols decoded so far
     slack = -nbits
     tokens, pairs, window, refill = _TOKENS, _PAIRS, _WINDOW, _LONGEST + 11
-    symbols = []
-    append = symbols.append
     rows, ends = [], []   # each decoded tile's zig-zag values, and the bit after it
     for _ in range(count):
         zz = [0] * 64
@@ -400,19 +429,19 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
                 slack += 64
             index = (acc >> (have - window)) & 0xFFF
             if k and (entry := pairs[index]):        # one or two whole AC values
-                bits, pair, run1, value1, run2, value2 = entry
-                if k + run1 + run2 < 63 and have - bits >= slack:
+                bits, symbols, last, step, run1, value1, value2 = entry
+                if k <= last and have - bits >= slack:
                     zz[k + run1] = value1
-                    k += run1 + run2 + 2
+                    k += step
                     zz[k - 1] = value2
                     have -= bits
-                    symbols += pair
+                    read += symbols
                     continue
             symbol, length, size = tokens[index] or _long_token(acc, have)
             have -= length
             if have < slack:
-                raise StreamError(f"bits ran out after {len(symbols)} symbols")
-            append(symbol)
+                raise StreamError(f"bits ran out after {read} symbols")
+            read += 1
             if symbol < DC_SYMBOL and k:
                 if size:
                     k += symbol >> 4
@@ -424,7 +453,7 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
                     zz[k] = _signed((acc >> have) & ((1 << size) - 1), size)
                     k += 1
                 elif symbol == EOB:
-                    if symbols[-2] == ZRL:
+                    if k > 1 and not zz[k - 1]:         # a ZRL came last
                         raise StreamError("ZRL before the end of a block")
                     break
                 else:                                   # ZRL
@@ -448,7 +477,7 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
     if pos & 7 and body[pos >> 3] & ((0x100 >> (pos & 7)) - 1):
         raise StreamError("padding bits after the last block are not zero")
     coeffs = np.array(rows, dtype=np.int64)[:, _UNZIGZAG]
-    return DecodedBlocks(coeffs.reshape(count, 8, 8), symbols, pos,
+    return DecodedBlocks(coeffs.reshape(count, 8, 8), pos,
                          BLOCK_HEADER_BYTES + (pos + 7) // 8,
                          [end - start for start, end in zip([0] + ends, ends)])
 

@@ -126,8 +126,8 @@ def read_pgm_head(f, limit: int) -> tuple[int, int, bytes]:
     positioned right after them. The header is read in chunks that double
     until it parses, so long comments cost no more than their length. The
     file size is checked against the header before any pixel is read: a
-    file with too few or too many pixel bytes raises PgmError. `f` must be
-    seekable.
+    file with too few or too many pixel bytes raises PgmError, as does a
+    read that returns fewer pixels than asked. `f` must be seekable.
     """
     size = f.seek(0, 2)
     f.seek(0)
@@ -147,7 +147,11 @@ def read_pgm_head(f, limit: int) -> tuple[int, int, bytes]:
     if found > expected:
         raise PgmError(f"{found - expected} bytes after the pixel data")
     f.seek(offset)
-    return width, height, f.read(min(limit, expected))
+    wanted = min(limit, expected)
+    pixels = f.read(wanted)
+    if len(pixels) < wanted:  # the file shrank after its size was read
+        raise PgmError(f"need {expected} pixel bytes, found {len(pixels)}")
+    return width, height, pixels
 
 
 def header(width: int, height: int) -> bytes:

@@ -94,7 +94,8 @@ UNDECODABLE = "UNDECODABLE"
 class SealConfig:
     """Everything the pipeline needs besides the message and the cover. It is
     checked once, when built, and frozen, so no field can be set after that;
-    a hill_key is kept as a read-only copy, reduced mod 26."""
+    a hill_key is kept as a read-only copy, reduced mod 26, and compared and
+    hashed by its entries."""
 
     cipher: str = CAESAR
     caesar_key: int | None = None
@@ -126,6 +127,19 @@ class SealConfig:
             hill_key_inverse(key)  # raises CipherError early
             key.flags.writeable = False
             object.__setattr__(self, "hill_key", key)
+
+    def _fields(self) -> tuple:
+        """The fields, with a hill_key as the tuple of its entries."""
+        key = self.hill_key if self.hill_key is None else tuple(self.hill_key.ravel().tolist())
+        return self.cipher, self.caesar_key, key, self.digest_algorithm, self.embed_mode
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SealConfig):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 @dataclass
@@ -215,7 +229,7 @@ def _is_sealed_form(block: bytes, message: str, kind: str, key,
 def _recover_block(coeffs) -> bytes:
     """Inverse transform: coefficient tiles back to the byte block."""
     tiles = int_idct2(coeffs)
-    if (tiles < 0).any() or (tiles > 255).any():
+    if tiles.min() < 0 or tiles.max() > 255:
         raise BlockError("reconstructed bytes fall outside [0, 255]")
     return from_tiles(tiles.astype(np.uint8))
 

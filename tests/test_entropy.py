@@ -23,7 +23,7 @@ from stegoseal.payload import TILES, pack, to_tiles
 from stegoseal.pipeline import _pack_block
 from stegoseal.transform import int_dct2
 
-from conftest import FUZZ, kraft_sum
+from conftest import FUZZ, dense_forged_tiles, kraft_sum
 
 
 def diagonal_walk_oracle():
@@ -836,15 +836,18 @@ def test_value_table_holds_the_whole_value_tokens_of_each_window():
             assert entry is None, bits
             continue
         second = value_token(bits[first[2]:])
-        length, symbols, run1, value1, run2, value2 = entry
-        strings = [CODES[s] + _AMPLITUDE[v] for s, v in zip(symbols, (value1, value2))]
+        length, symbols, last, step, run1, value1, value2 = entry
+        run2 = step - run1 - 2                       # of the second token, if any
+        runs_values = [(run1, value1), (run2, value2)][:symbols]
+        strings = [CODES[run << 4 | abs(v).bit_length()] + _AMPLITUDE[v] for run, v in runs_values]
         assert length == sum(map(len, strings)) and bits.startswith("".join(strings))
-        assert (symbols[0], value1, run1) == (first[0], first[1], first[0] >> 4)
+        assert (value1, run1) == (first[1], first[0] >> 4)
         if second is None:
-            assert (len(symbols), run2, value2) == (1, -1, value1), bits
+            assert (symbols, step, value2) == (1, run1 + 1, value1), bits
         else:
-            assert (symbols[1:], value2, run2) == ((second[0],), second[1], second[0] >> 4)
-        kinds[len(symbols)] += 1
+            assert (symbols, value2, run2) == (2, second[1], second[0] >> 4), bits
+        assert last == 64 - step, bits
+        kinds[symbols] += 1
     assert kinds[1] and kinds[2]
     entries = [entry for entry in _PAIRS if entry]
     assert len({id(entry) for entry in entries}) == len(set(entries))
@@ -867,12 +870,12 @@ def test_a_value_at_index_63_is_not_paired_with_what_follows():
     data = block_stream(2, CODES[DC_SYMBOL], *zrls, token(0xD1, 1), token(0x01, 1),
                         CODES[DC_SYMBOL], CODES[EOB])
     assert data == encode_blocks(tiles)
-    assert _PAIRS[window_at(data, start)][1:] == ((0x01,), 0, 1, -1, 1)
+    assert _PAIRS[window_at(data, start)][1:] == (1, 63, 1, 0, 1, 1)
     assert np.array_equal(decodes_as_the_reference(data).coeffs, tiles)
 
     data = block_stream(2, CODES[DC_SYMBOL], *zrls, token(0xD1, 1), token(0x01, 1),
                         token(0x01, 1), CODES[EOB])
-    assert _PAIRS[window_at(data, start)][1:] == ((0x01, 0x01), 0, 1, 0, 1)
+    assert _PAIRS[window_at(data, start)][1:] == (2, 62, 2, 0, 1, 1)
     assert decodes_as_the_reference(data) == "AC symbol where a DC category belongs"
 
     # the value at 62 is read through the symbol path (its code is 17 bits)
@@ -880,7 +883,7 @@ def test_a_value_at_index_63_is_not_paired_with_what_follows():
                         token(0x01, 1), CODES[DC_SYMBOL], CODES[EOB])
     start = len(CODES[DC_SYMBOL]) + 3 * len(CODES[ZRL]) + len(token(0xC1, 1))
     assert len(CODES[0xC1]) > 12
-    assert _PAIRS[window_at(data, start)][1:] == ((0x01, 0x01), 0, 1, 0, 1)
+    assert _PAIRS[window_at(data, start)][1:] == (2, 62, 2, 0, 1, 1)
     assert decodes_as_the_reference(data).tile_bits[0] == start + 2 * len(token(0x01, 1))
 
 
@@ -891,7 +894,7 @@ def test_a_pair_whose_second_run_passes_63_raises():
     data = block_stream(1, CODES[DC_SYMBOL], *[CODES[ZRL]] * 3, token(0xC1, 1),
                         token(0x01, 1), token(0x11, 1))
     start = len(CODES[DC_SYMBOL]) + 3 * len(CODES[ZRL]) + len(token(0xC1, 1))
-    assert _PAIRS[window_at(data, start)][1:] == ((0x01, 0x11), 0, 1, 1, 1)
+    assert _PAIRS[window_at(data, start)][1:] == (2, 61, 3, 0, 1, 1)
     assert decodes_as_the_reference(data) == "zero run past the end of a block"
 
 
@@ -910,7 +913,44 @@ def test_a_stream_cut_inside_a_pairs_second_token(second, message):
     code_end = 16 + len(token(symbol1, value1) + CODES[symbol2])
     assert (code_end > 24) == message.startswith("bits ran out after")
     assert 24 < 16 + len(pair) <= 28
-    assert _PAIRS[window_at(data, 16)][1:] == ((symbol1, symbol2), symbol1 >> 4, value1,
-                                               symbol2 >> 4, value2)
+    step = (symbol1 >> 4) + (symbol2 >> 4) + 2
+    assert _PAIRS[window_at(data, 16)][1:] == (2, 64 - step, step, symbol1 >> 4, value1, value2)
     assert len(decodes_as_the_reference(data).symbols) == 6
     assert decodes_as_the_reference(data[:6]) == message
+
+
+def test_a_zrl_after_a_pair_entry_value_before_eob_raises():
+    """DC, a value written through a _PAIRS entry, ZRL, EOB: at the EOB the
+    tile's last written index holds the ZRL's zero, so the decoder rejects
+    the ZRL as symbol by symbol."""
+    data = block_stream(1, CODES[DC_SYMBOL], token(0x01, 1), CODES[ZRL], CODES[EOB])
+    assert _PAIRS[window_at(data, len(CODES[DC_SYMBOL]))][1:] == (1, 63, 1, 0, 1, 1)
+    assert decodes_as_the_reference(data) == "ZRL before the end of a block"
+
+
+def test_an_eob_after_a_pair_whose_second_value_is_last_decodes():
+    """A pair writes its second value at the index just before the EOB;
+    that nonzero is what tells the EOB it follows a value, not a ZRL."""
+    data = block_stream(1, CODES[DC_SYMBOL], token(0x01, 1), token(0x11, -1), CODES[EOB])
+    assert _PAIRS[window_at(data, len(CODES[DC_SYMBOL]))][1:] == (2, 61, 3, 0, 1, -1)
+    decoded = decodes_as_the_reference(data)
+    assert decoded.symbols == [DC_SYMBOL, 0x01, 0x11, EOB]
+    assert zigzag_scan(decoded.coeffs[0])[:5].tolist() == [0, 1, 0, -1, 0]
+
+
+def test_symbols_read_on_access_are_the_decoded_ones():
+    """DecodedBlocks.symbols, worked out from the coefficients, is the
+    reference decoder's symbol list on every single-bit flip of the paper
+    example's stream that decodes, and on the dense forged stream; every
+    other flip raises the reference's error text."""
+    message = "I'm so proud to be Egyptian"
+    block = _pack_block(message, "caesar", 16, hash_message(message, "sha512"))
+    data = bytearray(encode_blocks(int_dct2(to_tiles(block))))
+    decoded = 0
+    for bit in range(8 * len(data)):
+        data[bit // 8] ^= 0x80 >> (bit % 8)
+        decoded += not isinstance(decodes_as_the_reference(bytes(data)), str)
+        data[bit // 8] ^= 0x80 >> (bit % 8)
+    assert decoded > 0
+    dense = decodes_as_the_reference(encode_blocks(dense_forged_tiles()))
+    assert len(dense.symbols) == 6 * 64

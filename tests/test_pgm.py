@@ -240,3 +240,27 @@ def test_read_pgm_head_reads_only_the_head():
     assert (width, height) == (2048, 2048)
     assert pixels == (bytes(range(256)) * 2)[:300]
     assert f.bytes_read <= 4096 + 300
+
+
+class ShrinkingFile(io.BytesIO):
+    """An in-memory file that another writer cuts to `keep` bytes right
+    after the reader takes its size with seek(0, 2)."""
+
+    def __init__(self, data, keep):
+        super().__init__(data)
+        self.keep = keep
+
+    def seek(self, pos, whence=0):
+        end = super().seek(pos, whence)
+        if whence == 2:
+            self.truncate(self.keep)
+        return end
+
+
+def test_read_pgm_head_rejects_a_file_that_shrinks_while_read():
+    header = b"P5\n4 4\n255\n"
+    data = header + bytes(range(16))
+    with pytest.raises(PgmError, match="^need 16 pixel bytes, found 11$"):
+        read_pgm_head(ShrinkingFile(data, len(header) + 11), 16)
+    # the pixels asked for are all still there
+    assert read_pgm_head(ShrinkingFile(data, len(header) + 11), 11) == (4, 4, bytes(range(11)))

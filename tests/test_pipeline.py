@@ -262,6 +262,22 @@ def test_hill_key_is_fixed_when_the_config_is_built(cover):
         configs[0].hill_key[0, 0] = 1
 
 
+def test_configs_compare_and_hash_a_hill_key_by_value():
+    """Configs built apart from equal keys, as an array or as lists, are
+    equal and hash the same; another key, or a Caesar config, is unequal.
+    The stored key stays read-only."""
+    apart = [SealConfig(cipher="hill", hill_key=key)
+             for key in (HILL_KEY, np.array(HILL_KEY), [list(row) for row in HILL_KEY])]
+    assert apart[0] == apart[1] == apart[2] and len({hash(c) for c in apart}) == 1
+    assert len(set(apart)) == 1
+    other = SealConfig(cipher="hill", hill_key=[[3, 3, 0], [2, 5, 0], [0, 0, 3]])
+    assert apart[0] != other and other == SealConfig(cipher="hill", hill_key=other.hill_key)
+    caesar = SealConfig(caesar_key=3)
+    assert apart[0] != caesar and caesar == SealConfig(caesar_key=3)
+    assert apart[0] != SealConfig(cipher="hill", hill_key=HILL_KEY, digest_algorithm="sha256")
+    assert not apart[0].hill_key.flags.writeable
+
+
 def test_stream_bound_holds_the_sealed_stream():
     """Seal writes a stream of the block's 6 tiles that fits in STREAM_BOUND
     bytes."""
