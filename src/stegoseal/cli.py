@@ -252,10 +252,10 @@ def _emit(**fields) -> None:
 
 
 def _cmd_seal(args) -> int:
+    config = _config(args.key, args.cipher, digest_algorithm=args.digest, embed_mode=args.mode)
     width, height, pixels = _read(args.input, sys.maxsize)  # before --out, which may be --in
     pixels = memoryview(pixels)
     cover, rest = _head(pixels[:_HEAD_PIXELS]), pixels[_HEAD_PIXELS:]
-    config = _config(args.key, args.cipher, digest_algorithm=args.digest, embed_mode=args.mode)
     sealed = pipeline.seal(args.message, config, cover)
     _replace_file(args.output, (header(width, height), sealed.tobytes(), rest))
     _emit(wrote=args.output, mode=args.mode,
@@ -264,8 +264,9 @@ def _cmd_seal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    config = _config(args.key, args.cipher)
     _, _, pixels = _read(args.input, _HEAD_PIXELS)
-    report = pipeline.verify(_head(pixels), _config(args.key, args.cipher))
+    report = pipeline.verify(_head(pixels), config)
     _emit(verdict=report.verdict, mode=report.mode, message=report.recovered_message,
           embedded_digest=report.embedded_digest,
           recomputed_digest=report.recomputed_digest, reason=report.reason)

@@ -321,9 +321,10 @@ def block_stream_bound(tiles: int) -> int:
     return BLOCK_HEADER_BYTES + (tiles * 68 * (_LONGEST + 11) + 7) // 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodedBlocks:
-    """What decode_blocks read from the start of a buffer."""
+    """What decode_blocks read from the start of a buffer. It holds an
+    array, so == and hash go by identity."""
 
     coeffs: np.ndarray     # int64, shape (tiles, 8, 8), natural order
     payload_bits: int      # bits after the header, padding excluded

@@ -30,15 +30,16 @@ give back their input, so the block, before it embeds anything.
 The key travels inside the payload (row 1), so verification needs no
 out-of-band secret; anyone holding the image can decode and re-seal it.
 This mirrors the scheme's design and is an integrity mechanism only, not
-confidentiality. When a key is supplied for verification it is checked
-against the embedded one as an extra tamper signal. Row 1 holds one
-letter per key entry, each 8 * (16 // entries) times over: a Caesar key
-fills the row with its letter and a Hill key writes 9 runs of 8 (see
-payload). Verify checks it by writing it again: _read_key_row takes the
-entry count from the row's length, reads a key from the first letter of
-each run and raises CipherError, so UNDECODABLE, unless _key_text writes
-that very row for it. A --key is decimal text, read by parse_key_text;
-both read their entries through _key.
+confidentiality. When a key is supplied for verification, it is compared
+by value with the key read from row 1, as an extra tamper signal. Row 1
+holds one letter per key entry, each 8 * (16 // entries) times over: a
+Caesar key fills the row with its letter and a Hill key writes 9 runs of
+8 (see payload). Verify checks it by writing it again: _read_key_row
+takes the entry count from the row's length, reads a key from the first
+letter of each run and raises CipherError, so UNDECODABLE, unless
+_key_text writes that very row for it. A --key is decimal text, read by
+parse_key_text; both read their entries through _key, which gives a key
+in SealConfig's form.
 
 Row 2 holds the digest as the lowercase hex that hash_message returns,
 and the report and the CLI print that row as it is.
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import contextlib
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,13 +94,14 @@ UNDECODABLE = "UNDECODABLE"
 @dataclass(frozen=True)
 class SealConfig:
     """Everything the pipeline needs besides the message and the cover. It is
-    checked once, when built, and frozen, so no field can be set after that;
-    a hill_key is kept as a read-only copy, reduced mod 26, and compared and
-    hashed by its entries."""
+    checked once, when built, and frozen, so no field can be set after that.
+    Keys are stored as plain values, a caesar_key as an int and a hill_key
+    as a tuple of its three rows of ints reduced mod 26, so == and hash
+    compare them."""
 
     cipher: str = CAESAR
     caesar_key: int | None = None
-    hill_key: object = None
+    hill_key: tuple | None = None
     digest_algorithm: str = _digest.DEFAULT_ALGORITHM
     embed_mode: str = OVERWRITE  # seal only: verify reads it with stream_mode
 
@@ -121,32 +123,20 @@ class SealConfig:
         if self.key is None:
             return
         if self.cipher == CAESAR:
-            _check_shift(self.key)
+            key = _check_shift(self.key)
         else:
             key = _as_key(self.key)
             hill_key_inverse(key)  # raises CipherError early
-            key.flags.writeable = False
-            object.__setattr__(self, "hill_key", key)
-
-    def _fields(self) -> tuple:
-        """The fields, with a hill_key as the tuple of its entries."""
-        key = self.hill_key if self.hill_key is None else tuple(self.hill_key.ravel().tolist())
-        return self.cipher, self.caesar_key, key, self.digest_algorithm, self.embed_mode
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SealConfig):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+            key = tuple(map(tuple, key.tolist()))
+        object.__setattr__(self, f"{self.cipher}_key", key)
 
 
 @dataclass
 class VerificationReport:
     """The verdict on an image. An UNDECODABLE reason reads
     "<stage class>: <detail>", as in "StreamError: missing block stream header".
-    `stream` is the one decoded in `mode`, whatever the verdict, or None if none did."""
+    `stream` is the one decoded in `mode`, whatever the verdict, or None if none did;
+    == leaves it out and compares what the reports say."""
 
     verdict: str
     recovered_message: str = ""
@@ -154,23 +144,23 @@ class VerificationReport:
     recomputed_digest: str = ""
     reason: str = ""
     mode: str = OVERWRITE
-    stream: DecodedBlocks | None = None
+    stream: DecodedBlocks | None = field(default=None, compare=False)
 
 
 def _key(entries: list):
     """(kind, key) of 1 (Caesar) or 9 (Hill, row-major) key entries in
-    [0, 25]; ValueError for any other list."""
+    [0, 25], the key in SealConfig's form; ValueError for any other list."""
     if len(entries) not in (1, 9) or not all(0 <= v <= 25 for v in entries):
         raise ValueError(entries)
     if len(entries) == 1:
         return CAESAR, entries[0]
-    return HILL, np.array(entries, dtype=np.int64).reshape(3, 3)
+    return HILL, tuple(tuple(entries[i:i + 3]) for i in (0, 3, 6))
 
 
 def parse_key_text(text: str):
     """Parse a --key, 1 or 9 comma-separated entries of ASCII digits, into
-    ("caesar", shift) or ("hill", matrix). int() alone would also take a
-    sign, spaces, underscores and other scripts' digits."""
+    ("caesar", shift) or ("hill", rows), as _key returns them. int() alone
+    would also take a sign, spaces, underscores and other scripts' digits."""
     parts = text.split(",")
     if all(part.isascii() and part.isdigit() for part in parts):
         with contextlib.suppress(ValueError):  # from _key, or int() past the digit limit
@@ -186,8 +176,9 @@ def _key_repeat(entries: int) -> int:
 
 
 def _key_text(kind: str, key) -> str:
-    """Payload row 1 as seal writes it for `key`, the one form verify accepts."""
-    values = [_check_shift(key)] if kind == CAESAR else _as_key(key).ravel().tolist()
+    """Payload row 1 as seal writes it for a key in SealConfig's form, the
+    one form verify accepts."""
+    values = [key] if kind == CAESAR else [v for row in key for v in row]
     return "".join(chr(ord("A") + v) * _key_repeat(len(values)) for v in values)
 
 
@@ -281,7 +272,7 @@ def verify(stego: GrayImage, config: SealConfig | None = None) -> VerificationRe
         problems.append("digest mismatch")
     elif not _is_sealed_form(block, message, kind, key, recomputed):
         problems.append("block differs from the one seal writes for its message")
-    if config and config.key is not None and _key_text(config.cipher, config.key) != key_row:
+    if config and config.key is not None and (config.cipher, config.key) != (kind, key):
         problems.append("embedded key differs from the expected key")
     verdict = VERIFIED if not problems else TAMPERED
     return VerificationReport(verdict, message, embedded_digest, recomputed,

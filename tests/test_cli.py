@@ -723,6 +723,20 @@ def test_key_exit_codes(cover_file, tmp_path, capsys, command, flags, code):
     assert (tmp_path / "out.pgm").exists() == (command == "seal" and code == 0)
 
 
+@pytest.mark.parametrize("command", ["seal", "verify"])
+def test_a_bad_key_is_a_usage_error_whatever_the_input(tmp_path, capsys, command):
+    """--key is read before --in: a bad key exits 64 even when --in is
+    missing, and a good key with a missing --in exits 66."""
+    for key, code in (("99", 64), ("16", 66)):
+        argv = [command, "--in", str(tmp_path / "missing.pgm"), "--key", key]
+        if command == "seal":
+            argv += ["--out", str(tmp_path / "out.pgm"), "--message", "hi"]
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith(
+            "error: --key '99'" if code == 64 else "error: cannot read ")
+    assert not (tmp_path / "out.pgm").exists()
+
+
 def test_verify_takes_the_key_flags_of_seal(cover_file, tmp_path, capsys):
     """The --key and --cipher that sealed a Hill image verify it; a --cipher
     that does not name the kind of --key, or one without a --key, is a

@@ -18,6 +18,7 @@ from stegoseal.transform import int_dct2
 
 from conftest import FUZZ
 from test_entropy import random_coefficient_tiles
+from test_pipeline import assert_sealed_stream
 
 
 def _real_streams():
@@ -96,5 +97,6 @@ def test_verify_never_raises_on_flipped_seals(mode, bits):
     image = GrayImage(64, 64, np.frombuffer(bytes(pixels), np.uint8))
     report = verify(image, SealConfig(caesar_key=16))
     assert report.verdict in (VERIFIED, TAMPERED, UNDECODABLE)
+    assert_sealed_stream(image, report)
     if report.verdict == VERIFIED:
         assert report.recovered_message == "I'm so proud to be Egyptian"
