@@ -288,7 +288,7 @@ def _cmd_inspect(args) -> int:
     if decoded is None:
         _emit(error="no embedded stream found")
         return EX_UNDECODABLE
-    elements, consumed, tile_bits = decoded.coeffs.size, decoded.consumed, decoded.tile_bits
+    elements, consumed, tile_bits = decoded.zigzag.size, decoded.consumed, decoded.tile_bits
     per_row = len(tile_bits) // ROWS
     ciphertext_bits, key_bits, digest_bits = (
         sum(tile_bits[start:start + per_row]) for start in range(0, len(tile_bits), per_row))

@@ -34,32 +34,39 @@ encoder emits each symbol from a precomputed bit string: a DC difference
 or an AC value after no zeros keys a dict of code-plus-amplitude strings
 that holds the values -2047..2047; after a run, the (run, size) code
 precedes the value's amplitude string. The strings are joined once and
-become bytes in one int(bits, 2). A value the dicts lack has no code:
-its KeyError stops the encoder at the first symbol without a code, and
-the StreamError names that symbol from the loop's state, the value and
-the run of zeros before it (None at a DC). The decoder keeps the next
-bits of the stream in an integer, refilled 8 bytes at a time, and
-indexes 4096-entry tables with the next 12 of them, as the fast paths of
-zlib's inflate and libjpeg do. At an AC position, where those bits start
-with one or two whole AC values of size >= 1, one lookup writes both if
-both land inside the tile and the stream: its entry holds the last index
-it may start at and how far it moves the index. All else, and so every
-rejection, takes the symbol path, whose token table gives the symbol,
-its code length and its amplitude size; that path reads the amplitude
-bits from the stream. The decoder counts the symbols it reads, for the
-error of a stream that runs out, and lists none: DecodedBlocks.symbols
-works them out from the coefficients by the encoder's rules when read,
-as a stream is the only encoding of its coefficients. So the ZRL check
-reads the tile: an EOB at index k follows a ZRL exactly when k > 1 and
-index k - 1 holds zero, since a value leaves a nonzero there and the DC
-leaves k at 1. Codes longer than 12 bits (a few rare symbols) fall back
-to a map from codeword, with its length, to symbol, probed with the
-stream's next 13, 14, ... 18 bits; as the code is prefix-free, the first
-hit is the only one. DC and AC symbols share this read, as in libjpeg's
-decode_mcu (ITU-T T.81, Annex F.2.2), and the position in the tile says
-which kind belongs there. The checks run in a fixed order: truncation of
-a code, then the kind of the symbol and its run, then truncation of an
-amplitude, then the padding.
+become bytes in one int(bits, 2). A tile whose AC values are all zero,
+as found by one scan of them, writes its EOB right after its DC. A value
+the dicts lack has no code: its KeyError stops the encoder at the first
+symbol without a code, and the StreamError names that symbol from the
+loop's state, the value and the run of zeros before it (None at a DC).
+The decoder keeps the next bits of the stream in an integer, refilled 8
+bytes at a time, and indexes 4096-entry tables with the next 12 of them,
+as the fast paths of zlib's inflate and libjpeg do. At an AC position,
+where those bits start with one or two whole AC values of size >= 1, one
+lookup writes both if both land inside the tile and the stream: its
+entry holds the last index it may start at and how far it moves the
+index. All else, and so every rejection, takes the symbol path, whose
+token table gives the symbol, its code length and its amplitude size;
+that path reads the amplitude bits from the stream. Each tile's values
+go into a list in zig-zag order. Only after the last tile are the lists
+packed, with one struct call each, into one buffer that becomes the
+read-only int64 array DecodedBlocks.zigzag, shape (tiles, 64), so a
+stream rejected part of the way through packs nothing.
+DecodedBlocks.coeffs, the tiles in natural order, is worked out from
+that array when first read. The decoder counts the symbols it reads, for
+the error of a stream that runs out, and lists none:
+DecodedBlocks.symbols works them out from the zig-zag values by the
+encoder's rules when read, as a stream is the only encoding of its
+coefficients. So the ZRL check reads the tile: an EOB at index k follows
+a ZRL exactly when k > 1 and index k - 1 holds zero, since a value
+leaves a nonzero there and the DC leaves k at 1. Codes longer than 12
+bits (a few rare symbols) fall back to a map from codeword, with its
+length, to symbol, probed with the stream's next 13, 14, ... 18 bits; as
+the code is prefix-free, the first hit is the only one. DC and AC
+symbols share this read, as in libjpeg's decode_mcu (ITU-T T.81, Annex
+F.2.2), and the position in the tile says which kind belongs there. The
+checks run in a fixed order: truncation of a code, then the kind of the
+symbol and its run, then truncation of an amplitude, then the padding.
 
 How BLOCK_TABLE was derived: 1000 blocks were built by
 pipeline._pack_block, as seal builds them, and their symbols counted;
@@ -86,6 +93,7 @@ after 9. 0x4D is the table of today's blocks.
 from __future__ import annotations
 
 import heapq
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -321,23 +329,34 @@ def block_stream_bound(tiles: int) -> int:
     return BLOCK_HEADER_BYTES + (tiles * 68 * (_LONGEST + 11) + 7) // 8
 
 
+# One tile's 64 zig-zag values as native int64, the layout of an int64 array row.
+_PACK_TILE = struct.Struct("=64q").pack
+
+
 @dataclass(frozen=True, eq=False)
 class DecodedBlocks:
-    """What decode_blocks read from the start of a buffer. It holds an
-    array, so == and hash go by identity."""
+    """What decode_blocks read from the start of a buffer. The decoder
+    hands over its values as one packed array, zigzag; coeffs and symbols
+    are worked out from it on first access. It holds an array, so == and
+    hash go by identity."""
 
-    coeffs: np.ndarray     # int64, shape (tiles, 8, 8), natural order
+    zigzag: np.ndarray     # int64, shape (tiles, 64), zig-zag order, read-only
     payload_bits: int      # bits after the header, padding excluded
     consumed: int          # bytes of the whole stream
     tile_bits: list        # the payload bits of each tile, in stream order
 
     @cached_property
+    def coeffs(self) -> np.ndarray:
+        """The tiles in natural order: int64, shape (tiles, 8, 8)."""
+        return self.zigzag[:, _UNZIGZAG].reshape(-1, 8, 8)
+
+    @cached_property
     def symbols(self) -> list:
-        """The Huffman symbols, in stream order, worked out from coeffs on
+        """The Huffman symbols, in stream order, worked out from zigzag on
         first access by encode_blocks' rules: a stream that decodes is the
         only encoding of its coefficients."""
         symbols, previous = [], 0
-        for row in self.coeffs.reshape(-1, 64)[:, _ZIGZAG_FLAT].tolist():
+        for row in self.zigzag.tolist():
             symbols.append(DC_SYMBOL + abs(row[0] - previous).bit_length())
             previous, run = row[0], 0
             for value in row[1:]:
@@ -369,8 +388,12 @@ def encode_blocks(coeffs) -> bytes:
             run, value = None, row[0] - previous      # run None: a DC symbol
             append(dc_bits[value])
             previous = row[0]
+            ac = row[1:]
+            if not any(ac):
+                append(codes[EOB])
+                continue
             run = 0
-            for value in row[1:]:
+            for value in ac:
                 if not value:
                     run += 1
                 elif not run:
@@ -477,8 +500,8 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
     pos = ends[-1]
     if pos & 7 and body[pos >> 3] & ((0x100 >> (pos & 7)) - 1):
         raise StreamError("padding bits after the last block are not zero")
-    coeffs = np.array(rows, dtype=np.int64)[:, _UNZIGZAG]
-    return DecodedBlocks(coeffs.reshape(count, 8, 8), pos,
+    zigzag = np.frombuffer(b"".join([_PACK_TILE(*zz) for zz in rows]), np.int64)
+    return DecodedBlocks(zigzag.reshape(count, 64), pos,
                          BLOCK_HEADER_BYTES + (pos + 7) // 8,
                          [end - start for start, end in zip([0] + ends, ends)])
 

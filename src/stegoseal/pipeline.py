@@ -18,7 +18,9 @@ runs the exact reverse and yields one of three verdicts:
 
 Every step between the block and the stream is one-to-one: the decoder
 rejects each bit string that encode_blocks would not have written, and
-int_idct2 is the exact inverse of int_dct2 on integers. A stream that
+the inverse transform is the exact inverse of int_dct2 on integers;
+verify runs its core, transform._inverse, which int_idct2 wraps, on the
+decoded zig-zag values gathered straight into its layout. A stream that
 decodes is therefore the only encoding of its block, and a changed
 stream that still decodes yields a changed block. The digest alone does
 not catch every changed block: the integer transform can turn one
@@ -69,12 +71,12 @@ from .cipher import (HILL_PAD, _as_key, _check_shift, caesar_decrypt,
                      caesar_encrypt, hill_decrypt, hill_encrypt,
                      hill_key_inverse, normalize_letters)
 from .entropy import (DecodedBlocks, block_stream_bound, decode_blocks,
-                      encode_blocks)
+                      encode_blocks, zigzag_unscan)
 from .errors import BlockError, CipherError, EmbedError, StegosealError
-from .payload import ROW_LENGTH, TILES, from_tiles, pack, to_tiles, unpack
+from .payload import ROW_LENGTH, TILES, pack, to_tiles, unpack
 from .pgm import GrayImage
 from .stego import LSB1, MODES, OVERWRITE, capacity, embed, extract
-from .transform import int_dct2_checked, int_idct2
+from .transform import _inverse, int_dct2_checked
 
 CAESAR = "caesar"
 HILL = "hill"
@@ -85,6 +87,12 @@ CIPHERS = (CAESAR, HILL)
 # both touch only the first STREAM_BOUND pixels in overwrite mode and 8 times
 # as many in lsb1 mode.
 STREAM_BOUND = block_stream_bound(TILES)
+
+# Where _recover_block reads each coefficient from the TILES zig-zag rows of
+# a decoded stream, laid out (v, tile, u) as transform._inverse takes them:
+# 64 * tile plus the zig-zag index of coeffs[tile, u, v].
+_INVERSE_ORDER = (zigzag_unscan(np.arange(64)).T[:, None, :]
+                  + 64 * np.arange(TILES)[:, None]).reshape(8, -1)
 
 VERIFIED = "VERIFIED"
 TAMPERED = "TAMPERED"
@@ -217,12 +225,16 @@ def _is_sealed_form(block: bytes, message: str, kind: str, key,
         return False
 
 
-def _recover_block(coeffs) -> bytes:
-    """Inverse transform: coefficient tiles back to the byte block."""
-    tiles = int_idct2(coeffs)
+def _recover_block(zigzag: np.ndarray) -> bytes:
+    """Inverse transform: the TILES zig-zag rows of a decoded stream back to
+    the byte block, as from_tiles(int_idct2(coeffs)) gives it. One gather
+    puts the rows in the layout of the transform's core, _inverse, without
+    int_idct2's 2**35 guard: the decoder caps every DC difference and AC
+    value at 2047, so a DC is at most 2047 * TILES in magnitude."""
+    tiles = _inverse(zigzag.take(_INVERSE_ORDER).astype(float))    # (x, tile, y)
     if tiles.min() < 0 or tiles.max() > 255:
         raise BlockError("reconstructed bytes fall outside [0, 255]")
-    return from_tiles(tiles.astype(np.uint8))
+    return tiles.transpose(1, 0, 2).astype(np.uint8).tobytes()
 
 
 def seal(message: str, config: SealConfig, cover: GrayImage) -> GrayImage:
@@ -259,7 +271,7 @@ def verify(stego: GrayImage, config: SealConfig | None = None) -> VerificationRe
     mode, decoded = stream_mode(stego), None
     try:
         decoded = read_stream(stego, mode)
-        block = _recover_block(decoded.coeffs)
+        block = _recover_block(decoded.zigzag)
         ciphertext, key_row, embedded_digest = unpack(block)
         kind, key = _read_key_row(key_row)
         message, recomputed = _decrypt_and_hash(ciphertext, kind, key, embedded_digest)

@@ -59,22 +59,37 @@ C and A side by side must give R and X, or it raises ValueError.
 int_idct2 runs that pass on C, then on A, column by column, so when both
 halves match it returns the tiles: 36 shear steps, against 48 for both.
 
+Both inverse passes are one core, _inverse. It takes the coefficient
+tiles as float, laid out (v, tile, u) in an (8, 8 * tiles) array, and
+returns the tiles laid out (x, tile, y). It has two callers. int_idct2
+checks its input, gathers it into that layout, and gathers the result
+back into int64 tiles. Verify (pipeline._recover_block) gathers a
+decoded stream's zig-zag values straight into that layout in one take
+and writes bytes from the result in one more gather, with no int64 array
+in between. It skips int_idct2's 2**35 guard because its input is far
+below it: the decoder caps every AC value at 2047 and every DC
+difference at 2047, so a DC over the 6 tiles of a block is at most
+6 * 2047 = 12 282 in magnitude.
+
 The products run in float64 through BLAS, on the matrices divided by
 2**14, as the ndarray's dot method, which skips np.dot's
-__array_function__ dispatch and calls the same BLAS routine. Their entries are multiples of 2**-14, so every product, partial
-sum and pre-floor value is one too. The largest pre-floor magnitude is
-7.9999 times the largest entry in int_dct2 and 7.07 times in int_idct2,
-measured on the tiles that maximise each intermediate; for entries below
-2**35 that is below 2**38, so a partial sum of a shear row, at most two
-such values and the rounding offset, stays below 2**39, and a multiple of
-2**-14 below 2**39 fits in float64's 53 bits. So every operation is exact,
-in any summation order and with or without fused multiply-add, and floor
-gives the integer result. Both transforms raise BlockError on an entry of
-magnitude 2**35 or more. A tile with entries below 2**31 has coefficients
-below 8 * 2**31 = 2**34, so int_idct2 takes int_dct2's output back on all
-of them. The pipeline stays far inside that: seal passes byte tiles, and
-the decoder caps an AC value at 2047 and a DC difference at 2047, so a
-decoded DC stays below 2047 * 65 535 < 2**27 even at 65 535 tiles.
+__array_function__ dispatch and calls the same BLAS routine; dot and
+floor take their output array positionally, which they parse faster than
+a keyword. Their entries are multiples of 2**-14, so every product,
+partial sum and pre-floor value is one too. The largest pre-floor
+magnitude is 7.9999 times the largest entry in int_dct2 and 7.07 times
+in int_idct2, measured on the tiles that maximise each intermediate; for
+entries below 2**35 that is below 2**38, so a partial sum of a shear
+row, at most two such values and the rounding offset, stays below 2**39,
+and a multiple of 2**-14 below 2**39 fits in float64's 53 bits. So every
+operation is exact, in any summation order and with or without fused
+multiply-add, and floor gives the integer result. Both transforms raise
+BlockError on an entry of magnitude 2**35 or more. A tile with entries
+below 2**31 has coefficients below 8 * 2**31 = 2**34, so int_idct2 takes
+int_dct2's output back on all of them. The pipeline stays far inside
+that: seal passes byte tiles, and the decoder caps an AC value at 2047
+and a DC difference at 2047, so a decoded DC stays below 2047 * 65 535 <
+2**27 even at 65 535 tiles.
 """
 
 from __future__ import annotations
@@ -173,10 +188,10 @@ def _pass(x: np.ndarray, chain) -> np.ndarray:
     first, offset, rest = chain
     x = first.dot(x)
     x += offset
-    np.floor(x, out=x)
+    np.floor(x, x)
     y = np.empty_like(x)
     for m in rest:
-        np.floor(m.dot(x, out=y), out=x)
+        np.floor(m.dot(x, y), x)
     return x
 
 
@@ -217,12 +232,21 @@ def int_dct2_checked(tiles) -> np.ndarray:
     return _int_dct2(tiles, True)
 
 
+def _inverse(y: np.ndarray) -> np.ndarray:
+    """Both inverse passes on coefficient tiles held as a float (8, 8 * tiles)
+    array laid out (v, tile, u): the tiles, float (8, tiles, 8), laid out
+    (x, tile, y). Entries must be integers below 2**35 in magnitude."""
+    n = y.shape[1] // BLOCK
+    x = _pass(y, _INVERSE)[:BLOCK].reshape(BLOCK, n, BLOCK)                        # (y, tile, u)
+    x = _pass(x.transpose(2, 1, 0).reshape(BLOCK, -1), _INVERSE)[:BLOCK]            # (x, tile, y)
+    return x.reshape(BLOCK, n, BLOCK)
+
+
 def int_idct2(coeffs) -> np.ndarray:
     """Exact inverse of int_dct2: int_idct2(int_dct2(t)) == t whenever
     int_dct2(t) is below 2**35 in magnitude, as for any t below 2**31."""
     c = _as_tiles(coeffs, "coeffs")
     n = c.size // (BLOCK * BLOCK)
     y = c.reshape(n, BLOCK, BLOCK).transpose(2, 0, 1).astype(float, order="C")     # (v, tile, u)
-    x = _pass(y.reshape(BLOCK, -1), _INVERSE)[:BLOCK].reshape(BLOCK, n, BLOCK)       # (y, tile, u)
-    x = _pass(x.transpose(2, 1, 0).reshape(BLOCK, -1), _INVERSE)[:BLOCK]            # (x, tile, y)
-    return x.reshape(BLOCK, n, BLOCK).transpose(1, 0, 2).astype(np.int64, order="C").reshape(c.shape)
+    x = _inverse(y.reshape(BLOCK, -1))                                               # (x, tile, y)
+    return x.transpose(1, 0, 2).astype(np.int64, order="C").reshape(c.shape)

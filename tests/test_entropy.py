@@ -954,3 +954,35 @@ def test_symbols_read_on_access_are_the_decoded_ones():
     assert decoded > 0
     dense = decodes_as_the_reference(encode_blocks(dense_forged_tiles()))
     assert len(dense.symbols) == 6 * 64
+
+
+def test_decoded_blocks_hand_over_one_read_only_zigzag_array():
+    """decode_blocks hands its values over as one int64 (tiles, 64) array in
+    zig-zag order, which cannot be written to; coeffs is that array in
+    natural order, worked out once, and symbols reads it as the reference
+    decoder reads the stream."""
+    message = "I'm so proud to be Egyptian"
+    block = _pack_block(message, "caesar", 16, hash_message(message, "sha512"))
+    data = encode_blocks(int_dct2(to_tiles(block)))
+    decoded = decode_blocks(data)
+    zigzag = decoded.zigzag
+    assert zigzag.dtype == np.int64 and zigzag.shape == (TILES, 64)
+    with pytest.raises(ValueError):
+        zigzag[0, 0] = 1
+    for t in range(TILES):
+        assert np.array_equal(decoded.coeffs[t], zigzag_unscan(zigzag[t]))
+    assert decoded.coeffs is decoded.coeffs
+    assert decoded.symbols == reference_decode(data)[1]
+
+
+def test_the_largest_dc_walk_decodes_exactly():
+    """A 4096-tile stream whose DC climbs by the largest difference, 2047,
+    on each tile and then comes back down by -2047 holds DCs up to
+    2047 * 2048, and every one decodes exactly."""
+    dcs = 2047 * np.concatenate((np.arange(1, 2049), np.arange(2047, -1, -1)))
+    tiles = np.zeros((4096, 8, 8), np.int64)
+    tiles[:, 0, 0] = dcs
+    decoded = decode_blocks(encode_blocks(tiles))
+    assert np.array_equal(decoded.zigzag[:, 0], dcs)
+    assert not decoded.zigzag[:, 1:].any()
+    assert np.array_equal(decoded.coeffs, tiles)

@@ -18,12 +18,13 @@ from stegoseal.cipher import (caesar_decrypt, caesar_encrypt, hill_encrypt,
 from stegoseal.digest import algorithm_for_hex_length, hash_message
 from stegoseal.entropy import (BLOCK_MAGIC, BLOCK_TABLE, DC_SYMBOL, block_stream_bound,
                                decode_blocks, encode_blocks)
-from stegoseal.errors import BlockError, CipherError, EmbedError, StegosealError
-from stegoseal.payload import _TO_BLOCK, from_tiles, pack, to_tiles, unpack
+from stegoseal.errors import BlockError, CipherError, EmbedError, StegosealError, StreamError
+from stegoseal.payload import _TO_BLOCK, TILES, from_tiles, pack, to_tiles, unpack
 from stegoseal.pgm import GrayImage
 from stegoseal.pipeline import (STREAM_BOUND, TAMPERED, UNDECODABLE, VERIFIED,
-                                SealConfig, _key_text, _read_key_row, parse_key_text,
-                                read_stream, seal, stream_mode, tamper, verify)
+                                SealConfig, _key_text, _pack_block, _read_key_row,
+                                _recover_block, parse_key_text, read_stream, seal,
+                                stream_mode, tamper, verify)
 from stegoseal.stego import LSB1, OVERWRITE, capacity, embed, extract
 from stegoseal.transform import int_dct2, int_idct2
 
@@ -856,6 +857,35 @@ def test_dense_forged_stream_decodes_in_full_and_fails_the_block_check(cover):
     assert (report.verdict, report.reason) == (
         UNDECODABLE, "BlockError: reconstructed bytes fall outside [0, 255]")
     assert report.stream.consumed == 1341
+
+
+def test_recover_block_gives_the_block_of_the_public_inverse_transform():
+    """verify's recovery, from the decoded zig-zag rows straight into the
+    inverse transform's core, gives from_tiles(int_idct2(coeffs)) or raises
+    the same BlockError text, on the paper example's stream, every
+    single-bit flip of it that decodes, and the dense forged stream."""
+    block = _pack_block(PAPER_MESSAGE, "caesar", 16, hash_message(PAPER_MESSAGE, "sha512"))
+    data = bytearray(encode_blocks(int_dct2(to_tiles(block))))
+    streams = [bytes(data), encode_blocks(dense_forged_tiles())]
+    for bit in range(8 * len(data)):
+        data[bit // 8] ^= 0x80 >> (bit % 8)
+        streams.append(bytes(data))
+        data[bit // 8] ^= 0x80 >> (bit % 8)
+    outcomes = collections.Counter()
+    for stream in streams:
+        try:
+            decoded = decode_blocks(stream, TILES)
+        except StreamError:
+            continue
+        tiles = int_idct2(decoded.coeffs)
+        if tiles.min() < 0 or tiles.max() > 255:
+            with pytest.raises(BlockError, match=r"^reconstructed bytes fall outside \[0, 255\]$"):
+                _recover_block(decoded.zigzag)
+            outcomes["raised"] += 1
+        else:
+            assert _recover_block(decoded.zigzag) == from_tiles(tiles.astype(np.uint8))
+            outcomes["recovered"] += 1
+    assert outcomes["raised"] > 1 and outcomes["recovered"] > 1, outcomes
 
 
 def test_reports_compare_what_they_say_and_streams_by_identity(cover):
