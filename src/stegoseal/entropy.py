@@ -34,7 +34,10 @@ encoder emits each symbol from a precomputed bit string: a DC difference
 or an AC value after no zeros keys a dict of code-plus-amplitude strings
 that holds the values -2047..2047; after a run, the (run, size) code
 precedes the value's amplitude string. The strings are joined once and
-become bytes in one int(bits, 2). A tile whose AC values are all zero,
+become bytes in one int(bits, 2). The encoder's core, _encode_rows,
+takes each tile's zig-zag values as a list of Python ints: encode_blocks
+checks its tiles and scans them into that form, and seal gathers them
+straight from the transform's output. A tile whose AC values are all zero,
 as found by one scan of them, writes its EOB right after its DC. A value
 the dicts lack has no code: its KeyError stops the encoder at the first
 symbol without a code, and the StreamError names that symbol from the
@@ -378,7 +381,12 @@ def encode_blocks(coeffs) -> bytes:
         raise StreamError(f"expected 1-65535 tiles of shape (n, 8, 8), got {arr.shape}")
     if arr.dtype.kind not in "iu":
         raise TypeError(f"coefficients must be integers, got {arr.dtype}")
-    rows = arr.reshape(-1, 64)[:, _ZIGZAG_FLAT].tolist()
+    return _encode_rows(arr.reshape(-1, 64)[:, _ZIGZAG_FLAT].tolist())
+
+
+def _encode_rows(rows: list) -> bytes:
+    """encode_blocks on its tiles' zig-zag values: one list of 64 ints per
+    tile, 1-65535 tiles. Seal gathers them straight from the transform."""
     amplitude, dc_bits, ac_bits, codes = _AMPLITUDE, _DC_BITS, _AC_BITS, BLOCK_TABLE.codes
     bits = [format(BLOCK_MAGIC << 16 | len(rows), "024b")]
     append = bits.append

@@ -39,37 +39,49 @@ relative gap of -5.1e-5.
 
 Both 2D transforms run the 1D transform down the columns, then along the
 rows, as dct2 = C @ tile @ C.T does, on all the columns of a tile stack
-at once: an (8, 8 * tiles) array. Each shear step is one 9x9 integer
-matrix M on [x; 1] that shears all the disjoint pairs of its layer at
-once, and the step is x <- floor(M @ [x; 1] / 2**14). M holds 2**14
-times the identity, the multiplier p or s in each sheared row, and the
-rounding offset in that row's ninth column: 2**13 forward, and 2**13 - 1
-in the inverse, which negates the multipliers and runs the steps in
-reverse order. Since -floor((a + 2**13) / 2**14) ==
+at once, in one layout: a float (9, 8 * tiles) array [x; 1], whose last
+row is ones. Each shear step is one 9x9 integer matrix M on [x; 1] that
+shears all the disjoint pairs of its layer at once, and the step is
+[x; 1] <- floor(M @ [x; 1] / 2**14); M's last row keeps the ones. M
+holds 2**14 times the identity, the multiplier p or s in each sheared
+row, and the rounding offset in that row's ninth column: 2**13 forward,
+and 2**13 - 1 in the inverse, which negates the multipliers and runs the
+steps in reverse order. Since -floor((a + 2**13) / 2**14) ==
 floor((-a + 2**13 - 1) / 2**14) for every integer a, floor serves both
-directions. A 1D pass is 12 such products. The first adds M's ninth
-column to the 8 rows times its first 8, which makes the row of ones. A
-signed-permutation product then puts X_u in place; int_idct2 folds its
-inverse into its first M (_UNOUT), which only moves and negates entries.
+directions. A 1D pass, _pass, is 12 such products, and its output has
+its input's form, so the other pass reads it through one gather, _swap,
+that carries the row of ones along. The last forward step also puts X_u
+in place: its row u is the last shear's row _SOURCE[u], negated where
+_SIGN is -1, and by the same identity a negated sheared row takes the
+offset 2**13 - 1 (a negated row the step does not shear keeps offset 0,
+as -floor(x) == floor(-x) for an integer x). So a forward pass gives
+[X; 1]. The first inverse step reads [X; 1]: its columns are moved and
+negated the same way.
 
-int_dct2_checked, which seal calls, checks its result in one batched
-inverse pass. The column pass takes the tiles X to A and the row pass
-takes A, laid out by rows as R, to C. One inverse pass on the columns of
-C and A side by side must give R and X, or it raises ValueError.
-int_idct2 runs that pass on C, then on A, column by column, so when both
-halves match it returns the tiles: 36 shear steps, against 48 for both.
+The forward core, _forward, checks its result in one batched inverse
+pass when asked, as int_dct2_checked and seal ask. The column pass takes
+the tiles X to A and the row pass takes A, laid out by rows as R, to C.
+One inverse pass on the columns of C and A side by side must give R and
+X, or it raises ValueError. int_idct2 runs that pass on C, then on A,
+column by column, so when both halves match it returns the tiles: 36
+shear steps, against 48 for both.
 
-Both inverse passes are one core, _inverse. It takes the coefficient
-tiles as float, laid out (v, tile, u) in an (8, 8 * tiles) array, and
-returns the tiles laid out (x, tile, y). It has two callers. int_idct2
-checks its input, gathers it into that layout, and gathers the result
-back into int64 tiles. Verify (pipeline._recover_block) gathers a
-decoded stream's zig-zag values straight into that layout in one take
-and writes bytes from the result in one more gather, with no int64 array
-in between. It skips int_idct2's 2**35 guard because its input is far
-below it: the decoder caps every AC value at 2047 and every DC
-difference at 2047, so a DC over the 6 tiles of a block is at most
-6 * 2047 = 12 282 in magnitude.
+The two cores work on that layout only. _forward takes the tiles laid
+out (x, tile, y) and returns the coefficients laid out (v, tile, u);
+_inverse takes the coefficients laid out (v, tile, u) and returns the
+tiles laid out (x, tile, y). int_dct2, int_dct2_checked and int_idct2
+check their input, gather it into that layout with a row of ones, and
+gather the result back into int64 tiles. The pipeline gathers its own
+data straight into and out of it. Seal (pipeline.seal) takes _forward's
+input from the block's bytes and a 1 after them in one take, and the
+zig-zag rows it encodes from _forward's output in one more. Verify
+(pipeline._recover_block) gathers a decoded stream's zig-zag values into
+_inverse's input in one take, adds the row of ones, and writes bytes
+from the result in one more gather, with no int64 tile array in between.
+It skips int_idct2's 2**35 guard because its input is far below it: the
+decoder caps every AC value at 2047 and every DC difference at 2047, so
+a DC over the 6 tiles of a block is at most 6 * 2047 = 12 282 in
+magnitude.
 
 The products run in float64 through BLAS, on the matrices divided by
 2**14, as the ndarray's dot method, which skips np.dot's
@@ -94,6 +106,7 @@ and a DC difference at 2047, so a decoded DC stays below 2047 * 65 535 <
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -147,10 +160,10 @@ _SIGN = (1, -1, -1, 1, -1, -1, 1, -1)
 _LIMIT = 1 << 35
 
 
-def _shears(sign: int, half: int) -> tuple:
-    """The 12 shear steps, three per layer, as 9x9 matrices on [x; 1]
-    divided by 2**14: 2**14 times the identity, plus sign times the
-    multiplier and half in the ninth column in each row a step shears."""
+def _shears(sign: int, half: int) -> list:
+    """The 12 shear steps, three per layer, as 9x9 integer matrices on
+    [x; 1]: 2**14 times the identity, plus sign times the multiplier and
+    half in the ninth column in each row a step shears."""
     steps = []
     for layer in _ROTATIONS:
         first = np.diag(np.full(BLOCK + 1, 1 << _BITS, np.int64))
@@ -161,38 +174,50 @@ def _shears(sign: int, half: int) -> tuple:
             second[j, i] = sign * round(math.sin(t) * (1 << _BITS))
             first[i, BLOCK] = second[j, BLOCK] = half
         steps += [first, second, first]
-    return tuple(m / (1 << _BITS) for m in steps)
+    return steps
 
 
-def _chain(steps) -> tuple:
-    """(the first step's columns on the 8 entries, its offset column, the rest)"""
-    return np.ascontiguousarray(steps[0][:, :BLOCK]), steps[0][:, BLOCK:].copy(), steps[1:]
+def _steps() -> tuple:
+    """(forward, inverse): each 12 shear steps divided by 2**14. The last
+    forward step writes [X; 1] and the first inverse step reads it: after
+    the last shear X_u is held at _SOURCE[u], negated where _SIGN is -1."""
+    half = 1 << (_BITS - 1)
+    forward, inverse = _shears(1, half), _shears(-1, half - 1)[::-1]
+    order, sign = list(_SOURCE) + [BLOCK], np.array(_SIGN + (1,))
+    last = forward[-1][order] * sign[:, None]
+    last[last[:, BLOCK] < 0, BLOCK] = half - 1    # see the module docstring
+    forward[-1], inverse[0] = last, inverse[0][:, order] * sign
+    return tuple(tuple(m / (1 << _BITS) for m in steps) for steps in (forward, inverse))
 
 
-# After the last step X_u is held at _SOURCE[u], negated where _SIGN is -1:
-# X = _OUT @ [x; 1] and [x; 1] = _UNOUT @ [X; 1].
-_OUT = np.zeros((BLOCK, BLOCK + 1))
-_OUT[range(BLOCK), _SOURCE] = _SIGN
-_UNOUT = np.zeros((BLOCK + 1, BLOCK + 1))
-_UNOUT[_SOURCE, range(BLOCK)] = _SIGN
-_UNOUT[BLOCK, BLOCK] = 1
-_FORWARD = _chain(_shears(1, 1 << (_BITS - 1)))
-_INVERSE = _shears(-1, (1 << (_BITS - 1)) - 1)[::-1]
-_INVERSE = _chain((_INVERSE[0] @ _UNOUT,) + _INVERSE[1:])
+_FORWARD, _INVERSE = _steps()
 
 
-def _pass(x: np.ndarray, chain) -> np.ndarray:
-    """The shear steps on each column of x, shape (8, n), as a (9, n) array
-    whose last row is ones: each is a matrix product rounded down, and
-    after the first they run in two buffers."""
-    first, offset, rest = chain
-    x = first.dot(x)
-    x += offset
-    np.floor(x, x)
-    y = np.empty_like(x)
-    for m in rest:
-        np.floor(m.dot(x, y), x)
+def _pass(x: np.ndarray, steps) -> np.ndarray:
+    """The shear steps on each column of x, a (9, n) array whose last row is
+    ones: each a matrix product rounded down, in two new buffers. The
+    result has the same form."""
+    y, z = np.empty(x.shape), np.empty(x.shape)
+    for m in steps:
+        x = np.floor(m.dot(x, y), z)
     return x
+
+
+@functools.lru_cache(maxsize=8)
+def _swap(n: int) -> np.ndarray:
+    """Where one pass's input reads each entry of the other pass's output,
+    both (9, n): rows 0-7 laid out (a, tile, b) become (b, tile, a), and
+    row 8 reads a 1 from row 8."""
+    swap = np.full((BLOCK + 1, n), BLOCK * n)
+    rows = np.arange(BLOCK * n).reshape(BLOCK, -1, BLOCK)
+    swap[:BLOCK] = rows.transpose(2, 1, 0).reshape(BLOCK, n)
+    swap.flags.writeable = False
+    return swap
+
+
+def _with_ones(rows) -> np.ndarray:
+    """An (8, n) array as the float (9, n) array [rows; 1] that _pass takes."""
+    return np.concatenate((rows, np.ones((1, rows.shape[1]))))
 
 
 def _as_tiles(m, name: str) -> np.ndarray:
@@ -206,18 +231,26 @@ def _as_tiles(m, name: str) -> np.ndarray:
     return arr
 
 
+def _forward(x: np.ndarray, check: bool) -> np.ndarray:
+    """Both forward passes on tiles held as a float (9, 8 * tiles) array
+    laid out (x, tile, y) over a row of ones: the coefficients in the same
+    form, laid out (v, tile, u). With check, ValueError unless the batched
+    inverse pass takes them back (see the module docstring)."""
+    a = _pass(x, _FORWARD)                 # (u, tile, y)
+    r = a.take(_swap(x.shape[1]))          # (y, tile, u)
+    c = _pass(r, _FORWARD)                 # (v, tile, u)
+    if check and not (_pass(np.concatenate((c, a), axis=1), _INVERSE)
+                      == np.concatenate((r, x), axis=1)).all():
+        raise ValueError("the inverse transform does not reconstruct the payload")
+    return c
+
+
 def _int_dct2(tiles, check: bool) -> np.ndarray:
     t = _as_tiles(tiles, "tiles")
     n = t.size // (BLOCK * BLOCK)
-    x = t.reshape(n, BLOCK, BLOCK).transpose(1, 0, 2).astype(float, order="C")   # (x, tile, y)
-    x = x.reshape(BLOCK, -1)
-    a = _OUT.dot(_pass(x, _FORWARD))                                              # (u, tile, y)
-    r = a.reshape(BLOCK, n, BLOCK).transpose(2, 1, 0).reshape(BLOCK, -1)          # (y, tile, u)
-    c = _OUT.dot(_pass(r, _FORWARD))                                              # (v, tile, u)
-    if check and not (_pass(np.concatenate((c, a), axis=1), _INVERSE)[:BLOCK]
-                      == np.concatenate((r, x), axis=1)).all():
-        raise ValueError("the inverse transform does not reconstruct the payload")
-    return c.reshape(BLOCK, n, BLOCK).transpose(1, 2, 0).astype(np.int64, order="C").reshape(t.shape)
+    x = t.reshape(n, BLOCK, BLOCK).transpose(1, 0, 2).reshape(BLOCK, -1)    # (x, tile, y)
+    c = _forward(_with_ones(x), check)[:BLOCK].reshape(BLOCK, n, BLOCK)      # (v, tile, u)
+    return c.transpose(1, 2, 0).astype(np.int64, order="C").reshape(t.shape)
 
 
 def int_dct2(tiles) -> np.ndarray:
@@ -233,13 +266,11 @@ def int_dct2_checked(tiles) -> np.ndarray:
 
 
 def _inverse(y: np.ndarray) -> np.ndarray:
-    """Both inverse passes on coefficient tiles held as a float (8, 8 * tiles)
-    array laid out (v, tile, u): the tiles, float (8, tiles, 8), laid out
-    (x, tile, y). Entries must be integers below 2**35 in magnitude."""
-    n = y.shape[1] // BLOCK
-    x = _pass(y, _INVERSE)[:BLOCK].reshape(BLOCK, n, BLOCK)                        # (y, tile, u)
-    x = _pass(x.transpose(2, 1, 0).reshape(BLOCK, -1), _INVERSE)[:BLOCK]            # (x, tile, y)
-    return x.reshape(BLOCK, n, BLOCK)
+    """Both inverse passes on coefficient tiles held as a float (9, 8 * tiles)
+    array laid out (v, tile, u) over a row of ones: the tiles in the same
+    form, laid out (x, tile, y). Entries must be integers below 2**35 in
+    magnitude."""
+    return _pass(_pass(y, _INVERSE).take(_swap(y.shape[1])), _INVERSE)
 
 
 def int_idct2(coeffs) -> np.ndarray:
@@ -247,6 +278,6 @@ def int_idct2(coeffs) -> np.ndarray:
     int_dct2(t) is below 2**35 in magnitude, as for any t below 2**31."""
     c = _as_tiles(coeffs, "coeffs")
     n = c.size // (BLOCK * BLOCK)
-    y = c.reshape(n, BLOCK, BLOCK).transpose(2, 0, 1).astype(float, order="C")     # (v, tile, u)
-    x = _inverse(y.reshape(BLOCK, -1))                                               # (x, tile, y)
+    y = c.reshape(n, BLOCK, BLOCK).transpose(2, 0, 1).reshape(BLOCK, -1)    # (v, tile, u)
+    x = _inverse(_with_ones(y))[:BLOCK].reshape(BLOCK, n, BLOCK)             # (x, tile, y)
     return x.transpose(1, 0, 2).astype(np.int64, order="C").reshape(c.shape)

@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import gc
 import hashlib
+import itertools
 import random
 import re
 import string
@@ -19,7 +20,7 @@ from stegoseal.digest import algorithm_for_hex_length, hash_message
 from stegoseal.entropy import (BLOCK_MAGIC, BLOCK_TABLE, DC_SYMBOL, block_stream_bound,
                                decode_blocks, encode_blocks)
 from stegoseal.errors import BlockError, CipherError, EmbedError, StegosealError, StreamError
-from stegoseal.payload import _TO_BLOCK, TILES, from_tiles, pack, to_tiles, unpack
+from stegoseal.payload import _TO_BLOCK, ROW_LENGTH, TILES, from_tiles, pack, to_tiles, unpack
 from stegoseal.pgm import GrayImage
 from stegoseal.pipeline import (STREAM_BOUND, TAMPERED, UNDECODABLE, VERIFIED,
                                 SealConfig, _key_text, _pack_block, _read_key_row,
@@ -148,8 +149,8 @@ def test_seal_rejects_lossy_scale(cover, monkeypatch):
     import stegoseal.transform as transform
     exact = transform._pass
 
-    def lossy(x, chain):
-        return exact(x, chain) // 2 * 2 if chain is transform._INVERSE else exact(x, chain)
+    def lossy(x, steps):
+        return exact(x, steps) // 2 * 2 if steps is transform._INVERSE else exact(x, steps)
 
     monkeypatch.setattr(transform, "_pass", lossy)
     with pytest.raises(ValueError):
@@ -159,15 +160,23 @@ def test_seal_rejects_lossy_scale(cover, monkeypatch):
 INEXACT = "the inverse transform does not reconstruct the payload"
 
 
+def lower_offsets(monkeypatch, name, index, rows=slice(None)):
+    """Replace step `index` of transform.`name` by a copy whose offset
+    column, in `rows`, is 2**-20 low."""
+    import stegoseal.transform as transform
+    steps = list(getattr(transform, name))
+    steps[index] = steps[index].copy()
+    steps[index][rows, 8] -= 2 ** -20
+    monkeypatch.setattr(transform, name, tuple(steps))
+
+
 def test_seal_rejects_an_inexact_inverse_transform(cover, monkeypatch):
     """An inverse transform whose offset column is 2**-20 low, as from an
     inexact float product, fails seal's self-check on the real inverse pass.
     The error is negative because every pre-floor value is a multiple of
     2**-14: a rise of 2**-20 never reaches the next integer and floor
     absorbs it, while a fall takes each integer value down by one."""
-    import stegoseal.transform as transform
-    first, offset, rest = transform._INVERSE
-    monkeypatch.setattr(transform, "_INVERSE", (first, offset - 2 ** -20, rest))
+    lower_offsets(monkeypatch, "_INVERSE", 0)
     with pytest.raises(ValueError, match=INEXACT):
         seal(PAPER_MESSAGE, paper_config(), cover)
 
@@ -175,9 +184,7 @@ def test_seal_rejects_an_inexact_inverse_transform(cover, monkeypatch):
 def test_seal_rejects_an_inexact_forward_transform(cover, monkeypatch):
     """The same fault in the forward pass's offset column: the coefficients
     are no longer int_dct2's, and the exact inverse does not take them back."""
-    import stegoseal.transform as transform
-    first, offset, rest = transform._FORWARD
-    monkeypatch.setattr(transform, "_FORWARD", (first, offset - 2 ** -20, rest))
+    lower_offsets(monkeypatch, "_FORWARD", 0)
     with pytest.raises(ValueError, match=INEXACT):
         seal(PAPER_MESSAGE, paper_config(), cover)
 
@@ -186,11 +193,16 @@ def test_seal_rejects_an_inexact_middle_inverse_step(cover, monkeypatch):
     """The fault in the offsets of one middle inverse step, rows 0-7 only:
     unlike the first step's, it keeps the row of ones that later steps
     take their offsets from."""
-    import stegoseal.transform as transform
-    first, offset, rest = transform._INVERSE
-    step = rest[5].copy()
-    step[:8, 8] -= 2 ** -20
-    monkeypatch.setattr(transform, "_INVERSE", (first, offset, rest[:5] + (step,) + rest[6:]))
+    lower_offsets(monkeypatch, "_INVERSE", 6, slice(8))
+    with pytest.raises(ValueError, match=INEXACT):
+        seal(PAPER_MESSAGE, paper_config(), cover)
+
+
+def test_seal_rejects_an_inexact_last_forward_step(cover, monkeypatch):
+    """The fault in the offsets of the last forward step, rows 0-7 only:
+    the step that also puts each X_u in place and negates it, so that a
+    pass gives the coefficients over the row of ones."""
+    lower_offsets(monkeypatch, "_FORWARD", -1, slice(8))
     with pytest.raises(ValueError, match=INEXACT):
         seal(PAPER_MESSAGE, paper_config(), cover)
 
@@ -453,6 +465,52 @@ def assert_sealed_stream(image, report):
     resealed = seal(report.recovered_message, config, image)
     length = read_stream(resealed, mode).consumed
     assert extract(resealed, length, mode) == extract(image, decoded.consumed, mode)
+
+
+def test_seal_writes_the_stream_of_the_public_transform_and_coder():
+    """Seal gathers the block straight into the transform's layout and the
+    zig-zag rows straight out of it, with no tile array. For every
+    random_specs message of both ciphers, in both embed modes, its stream
+    is encode_blocks(int_dct2(to_tiles(block))) of the block it packs."""
+    cover = make_cover(99, 128, 128)
+    for cipher in ("caesar", "hill"):
+        for message, config in random_specs(cipher):
+            protected = message if cipher == "caesar" else normalize_letters(message)
+            digest = hash_message(protected, config.digest_algorithm)
+            expected = block_stream_of(_pack_block(protected, cipher, config.key, digest))
+            for mode in (OVERWRITE, LSB1):
+                sealed = seal(message, dataclasses.replace(config, embed_mode=mode), cover)
+                assert extract(sealed, len(expected), mode) == expected, (cipher, message, mode)
+
+
+SPLICE_SEALS = [(PAPER_MESSAGE, SealConfig(caesar_key=16)),
+                ("Attack at dawn", SealConfig(cipher="hill", hill_key=HILL_KEY)),
+                *(next(random_specs(cipher, 1)) for cipher in ("caesar", "hill"))]
+
+
+def test_no_row_splice_of_two_seals_is_verified():
+    """Row splices between two seals: each of the 3 payload rows taken from
+    one seal or the other, in every mix but the two seals themselves, for
+    every pair of 4 seals. All 36 forgeries are re-encoded with int_dct2
+    and encode_blocks and embedded, so they decode; none is VERIFIED, and
+    each is TAMPERED by its digest: the digest row never matches the
+    message that the other two rows decrypt to."""
+    cover = GrayImage(64, 64, np.arange(64 * 64) % 256)
+    blocks = [_recover_block(read_stream(seal(message, config, cover), OVERWRITE).zigzag)
+              for message, config in SPLICE_SEALS]
+    seen = collections.Counter()
+    for pair in itertools.combinations(blocks, 2):
+        for mix in itertools.product((0, 1), repeat=3):
+            if len(set(mix)) == 1:
+                continue
+            block = b"".join(pair[k][row * ROW_LENGTH:(row + 1) * ROW_LENGTH]
+                             for row, k in enumerate(mix))
+            image = embed_block(block, cover)
+            report = verify(image)
+            assert report.stream is not None, mix
+            assert_sealed_stream(image, report)
+            seen[report.verdict, report.reason] += 1
+    assert seen == {(TAMPERED, "digest mismatch"): 36}
 
 
 @pytest.mark.parametrize("message, config, counts", [
