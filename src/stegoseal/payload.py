@@ -94,11 +94,3 @@ def to_tiles(block: bytes) -> np.ndarray:
     order gives the block's bytes back.
     """
     return np.frombuffer(block, np.uint8).reshape(TILES, 8, 8)
-
-
-def from_tiles(tiles) -> bytes:
-    """Exact inverse of to_tiles for uint8 tiles."""
-    arr = np.asarray(tiles)
-    if arr.shape != (TILES, 8, 8):
-        raise BlockError(f"expected tiles of shape ({TILES}, 8, 8), got {arr.shape}")
-    return arr.astype(np.uint8, copy=False).tobytes()

@@ -3,13 +3,11 @@
 Sealing runs encrypt -> hash -> pack -> tile -> int_dct2 -> zig-zag ->
 (run, size) Huffman coding with the fixed table -> embed. The tiles are
 consecutive 64-byte runs of the block, and the transform is the exactly
-invertible integer DCT, so no quantization step is needed. Seal hands
-each step its input in the layout that step computes in: one gather puts
-the block's bytes, and a 1 for the row of ones, into the layout of the
-forward core, transform._forward, which int_dct2_checked wraps; one more
-gathers each tile's zig-zag values from its output, as Python ints for
-entropy._encode_rows, the core of encode_blocks. No tile array is built.
-Verification runs the exact reverse and yields one of three verdicts:
+invertible integer DCT, so no quantization step is needed. Seal and
+verify run the transform's cores, which int_dct2 and int_idct2 wrap, on
+their own data gathered straight into and out of the cores' layout (see
+the gather tables below), so no tile array is built. Verification runs
+the exact reverse and yields one of three verdicts:
 
     VERIFIED     the stream decoded, the recomputed digest equals the
                  embedded one, the block is byte for byte the one seal
@@ -23,11 +21,9 @@ Verification runs the exact reverse and yields one of three verdicts:
 
 Every step between the block and the stream is one-to-one: the decoder
 rejects each bit string that encode_blocks would not have written, and
-the inverse transform is the exact inverse of int_dct2 on integers;
-verify runs its core, transform._inverse, which int_idct2 wraps, on the
-decoded zig-zag values gathered straight into its layout, over an added
-row of ones. A stream that decodes is therefore the only encoding of its
-block, and a changed stream that still decodes yields a changed block.
+the inverse transform is the exact inverse of int_dct2 on integers. A
+stream that decodes is therefore the only encoding of its block, and a
+changed stream that still decodes yields a changed block.
 The digest alone does not catch every changed block: the integer
 transform can turn one flipped bit into a change of a few bytes by 1,
 and Hill decryption drops non-letters. So verify rebuilds the block from
@@ -94,7 +90,9 @@ CIPHERS = (CAESAR, HILL)
 # as many in lsb1 mode.
 STREAM_BOUND = block_stream_bound(TILES)
 
-# Flat indices between the pipeline's data and the transform's layouts.
+# Flat indices between the pipeline's data and the layout of the transform's
+# cores: seal and verify each gather their data into a core with one take and
+# out of it with one more, and build no tile array.
 # Seal reads transform._forward's input, laid out (x, tile, y) over a row of
 # ones, from the block's bytes and a 1 after them: byte 8x + y of tile k is
 # block byte 64k + 8x + y, and every entry of row 8 reads the 1.
@@ -104,12 +102,14 @@ _TILE_ORDER[:8] = np.arange(BLOCK_BYTES).reshape(TILES, 8, 8).transpose(1, 0, 2)
 # laid out the same way: the inverse gather.
 _BLOCK_ORDER = np.argsort(_TILE_ORDER, axis=None)[:BLOCK_BYTES]
 # _recover_block reads each coefficient from the TILES zig-zag rows of a
-# decoded stream, laid out (v, tile, u) as transform._inverse takes them:
-# 64 * tile plus the zig-zag index of coeffs[tile, u, v].
+# decoded stream, laid out (v, tile, u) as transform._inverse takes them
+# once _with_ones adds the row of ones: 64 * tile plus the zig-zag index of
+# coeffs[tile, u, v].
 _INVERSE_ORDER = (zigzag_unscan(np.arange(64)).T[:, None, :]
                   + 64 * np.arange(TILES)[:, None]).reshape(8, -1)
-# Seal reads each tile's zig-zag values from _forward's output, laid out
-# (v, tile, u): the inverse gather.
+# Seal reads each tile's zig-zag values, for entropy._encode_rows, the core of
+# encode_blocks, from _forward's output, laid out (v, tile, u): the inverse
+# gather.
 _ZIGZAG_ORDER = np.argsort(_INVERSE_ORDER, axis=None).reshape(TILES, 64)
 
 VERIFIED = "VERIFIED"
@@ -245,10 +245,10 @@ def _is_sealed_form(block: bytes, message: str, kind: str, key,
 
 def _recover_block(zigzag: np.ndarray) -> bytes:
     """Inverse transform: the TILES zig-zag rows of a decoded stream back to
-    the byte block, as from_tiles(int_idct2(coeffs)) gives it. One gather
-    and a row of ones put the rows in the layout of the transform's core,
-    _inverse, without int_idct2's 2**35 guard: the decoder caps every DC
-    difference and AC value at 2047, so a DC is at most 2047 * TILES in
+    the byte block, the bytes of int_idct2(coeffs). One gather and a row of
+    ones put the rows in the layout of the transform's core, _inverse,
+    without int_idct2's 2**35 guard: the decoder caps every DC difference
+    and AC value at 2047, so a DC is at most 6 * 2047 = 12 282 in
     magnitude. One more gather puts the result in block order."""
     block = _inverse(_with_ones(zigzag.take(_INVERSE_ORDER))).take(_BLOCK_ORDER)
     if block.min() < 0 or block.max() > 255:
@@ -266,7 +266,7 @@ def seal(message: str, config: SealConfig, cover: GrayImage) -> GrayImage:
     digest_hex = _digest.hash_message(protected, config.digest_algorithm)
     block = _pack_block(protected, config.cipher, config.key, digest_hex)
 
-    # int_dct2_checked(to_tiles(block)), zig-zag scanned, with no tile array:
+    # int_dct2(to_tiles(block)), checked and zig-zag scanned, with no tile array:
     tiles = np.frombuffer(block + b"\x01", np.uint8).take(_TILE_ORDER).astype(float)
     rows = _forward(tiles, True).take(_ZIGZAG_ORDER).astype(np.int64).tolist()
     return embed(cover, _encode_rows(rows), config.embed_mode)

@@ -59,29 +59,20 @@ as -floor(x) == floor(-x) for an integer x). So a forward pass gives
 negated the same way.
 
 The forward core, _forward, checks its result in one batched inverse
-pass when asked, as int_dct2_checked and seal ask. The column pass takes
-the tiles X to A and the row pass takes A, laid out by rows as R, to C.
-One inverse pass on the columns of C and A side by side must give R and
-X, or it raises ValueError. int_idct2 runs that pass on C, then on A,
-column by column, so when both halves match it returns the tiles: 36
-shear steps, against 48 for both.
+pass when asked, as seal asks. The column pass takes the tiles X to A
+and the row pass takes A, laid out by rows as R, to C. One inverse pass
+on the columns of C and A side by side must give R and X, or it raises
+ValueError. int_idct2 runs that pass on C, then on A, column by column,
+so when both halves match it returns the tiles: 36 shear steps, against
+48 for both.
 
 The two cores work on that layout only. _forward takes the tiles laid
 out (x, tile, y) and returns the coefficients laid out (v, tile, u);
 _inverse takes the coefficients laid out (v, tile, u) and returns the
-tiles laid out (x, tile, y). int_dct2, int_dct2_checked and int_idct2
-check their input, gather it into that layout with a row of ones, and
-gather the result back into int64 tiles. The pipeline gathers its own
-data straight into and out of it. Seal (pipeline.seal) takes _forward's
-input from the block's bytes and a 1 after them in one take, and the
-zig-zag rows it encodes from _forward's output in one more. Verify
-(pipeline._recover_block) gathers a decoded stream's zig-zag values into
-_inverse's input in one take, adds the row of ones, and writes bytes
-from the result in one more gather, with no int64 tile array in between.
-It skips int_idct2's 2**35 guard because its input is far below it: the
-decoder caps every AC value at 2047 and every DC difference at 2047, so
-a DC over the 6 tiles of a block is at most 6 * 2047 = 12 282 in
-magnitude.
+tiles laid out (x, tile, y). int_dct2 and int_idct2 check their input,
+gather it into that layout with a row of ones, and gather the result
+back into int64 tiles. Seal and verify gather their own data straight
+into and out of it (see pipeline's gather tables).
 
 The products run in float64 through BLAS, on the matrices divided by
 2**14, as the ndarray's dot method, which skips np.dot's
@@ -99,9 +90,8 @@ multiply-add, and floor gives the integer result. Both transforms raise
 BlockError on an entry of magnitude 2**35 or more. A tile with entries
 below 2**31 has coefficients below 8 * 2**31 = 2**34, so int_idct2 takes
 int_dct2's output back on all of them. The pipeline stays far inside
-that: seal passes byte tiles, and the decoder caps an AC value at 2047
-and a DC difference at 2047, so a decoded DC stays below 2047 * 65 535 <
-2**27 even at 65 535 tiles.
+that: seal passes byte tiles, and pipeline._recover_block bounds what
+verify passes.
 """
 
 from __future__ import annotations
@@ -245,24 +235,14 @@ def _forward(x: np.ndarray, check: bool) -> np.ndarray:
     return c
 
 
-def _int_dct2(tiles, check: bool) -> np.ndarray:
-    t = _as_tiles(tiles, "tiles")
-    n = t.size // (BLOCK * BLOCK)
-    x = t.reshape(n, BLOCK, BLOCK).transpose(1, 0, 2).reshape(BLOCK, -1)    # (x, tile, y)
-    c = _forward(_with_ones(x), check)[:BLOCK].reshape(BLOCK, n, BLOCK)      # (v, tile, u)
-    return c.transpose(1, 2, 0).astype(np.int64, order="C").reshape(t.shape)
-
-
 def int_dct2(tiles) -> np.ndarray:
     """Integer 2D DCT of an 8x8 tile or a stack of them, shape (..., 8, 8):
     int64 coefficients of the same shape, within rounding of dct2."""
-    return _int_dct2(tiles, False)
-
-
-def int_dct2_checked(tiles) -> np.ndarray:
-    """int_dct2, after checking that int_idct2 takes the result back to
-    `tiles`: ValueError if either inverse pass misses (see the module docstring)."""
-    return _int_dct2(tiles, True)
+    t = _as_tiles(tiles, "tiles")
+    n = t.size // (BLOCK * BLOCK)
+    x = t.reshape(n, BLOCK, BLOCK).transpose(1, 0, 2).reshape(BLOCK, -1)    # (x, tile, y)
+    c = _forward(_with_ones(x), False)[:BLOCK].reshape(BLOCK, n, BLOCK)      # (v, tile, u)
+    return c.transpose(1, 2, 0).astype(np.int64, order="C").reshape(t.shape)
 
 
 def _inverse(y: np.ndarray) -> np.ndarray:

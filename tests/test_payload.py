@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from stegoseal.errors import BlockError
-from stegoseal.payload import (_FROM_BLOCK, _TO_BLOCK, from_tiles, pack, to_tiles,
-                               unpack)
+from stegoseal.payload import _FROM_BLOCK, _TO_BLOCK, pack, to_tiles, unpack
 
 
 def test_pack_has_384_elements_at_defaults():
@@ -115,27 +114,11 @@ def test_tiling_layout_is_row_major_bands():
                 assert tiles[j, r, c] == data[64 * j + 8 * r + c]
 
 
-def test_from_tiles_inverts_to_tiles():
+def test_to_tiles_flattens_back_to_the_block():
     rng = np.random.default_rng(3)
     for _ in range(100):
         block = rng.integers(0, 256, 384, dtype=np.uint8).tobytes()
-        assert from_tiles(to_tiles(block)) == block
-
-
-def test_from_tiles_all_zero():
-    block = from_tiles(np.zeros((6, 8, 8), np.uint8))
-    assert block == bytes(384)
-    assert unpack(block) == ("", "", "")
-
-
-def test_from_tiles_wrong_count():
-    with pytest.raises(BlockError, match=r"expected tiles of shape \(6, 8, 8\), got \(5, 8, 8\)"):
-        from_tiles(np.zeros((5, 8, 8), np.uint8))
-
-
-def test_from_tiles_wrong_tile_shape():
-    with pytest.raises(BlockError, match=r"expected tiles of shape \(6, 8, 8\), got \(6, 4, 8\)"):
-        from_tiles(np.zeros((6, 4, 8), np.uint8))
+        assert to_tiles(block).tobytes() == block
 
 
 def test_element_count_conserved():

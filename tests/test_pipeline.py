@@ -20,7 +20,7 @@ from stegoseal.digest import algorithm_for_hex_length, hash_message
 from stegoseal.entropy import (BLOCK_MAGIC, BLOCK_TABLE, DC_SYMBOL, block_stream_bound,
                                decode_blocks, encode_blocks)
 from stegoseal.errors import BlockError, CipherError, EmbedError, StegosealError, StreamError
-from stegoseal.payload import _TO_BLOCK, ROW_LENGTH, TILES, from_tiles, pack, to_tiles, unpack
+from stegoseal.payload import _TO_BLOCK, ROW_LENGTH, TILES, pack, to_tiles, unpack
 from stegoseal.pgm import GrayImage
 from stegoseal.pipeline import (STREAM_BOUND, TAMPERED, UNDECODABLE, VERIFIED,
                                 SealConfig, _key_text, _pack_block, _read_key_row,
@@ -459,7 +459,7 @@ def assert_sealed_stream(image, report):
     if report.verdict != VERIFIED:
         return
     decoded, mode = report.stream, report.mode
-    kind, key = _read_key_row(unpack(from_tiles(int_idct2(decoded.coeffs).astype(np.uint8)))[1])
+    kind, key = _read_key_row(unpack(int_idct2(decoded.coeffs).astype(np.uint8).tobytes())[1])
     config = SealConfig(cipher=kind, **{f"{kind}_key": key}, embed_mode=mode,
                         digest_algorithm=algorithm_for_hex_length(len(report.embedded_digest)))
     resealed = seal(report.recovered_message, config, image)
@@ -539,6 +539,42 @@ def test_no_coefficient_edit_that_decodes_is_verified(message, config, counts):
     assert seen == counts
 
 
+SEALED_FORM = "block differs from the one seal writes for its message"
+KEY_ROW_ERROR = "CipherError: key row "
+CIPHERTEXT_ERROR = "CipherError: ciphertext has "
+
+
+@pytest.mark.parametrize("message, kind, key, counts", [
+    (PAPER_MESSAGE, "caesar", 16,
+     {(TAMPERED, "digest mismatch"): 898, (UNDECODABLE, KEY_ROW_ERROR): 512}),
+    ("ATTACKATDAWN", "hill", HILL_KEY,
+     {(TAMPERED, "digest mismatch"): 584, (TAMPERED, SEALED_FORM): 128,
+      (UNDECODABLE, KEY_ROW_ERROR): 368, (UNDECODABLE, CIPHERTEXT_ERROR): 128}),
+], ids=["paper", "hill"])
+def test_no_block_byte_edit_is_verified(message, kind, key, counts):
+    """Each byte b of the block seal packs, with SHA-512, set to b - 1, b + 1,
+    0, b - 36 and b + 36 where that is another byte value (under pack's byte
+    map, 36 apart is the other case of a letter), re-encoded and embedded:
+    every forgery decodes, none is VERIFIED, and their verdicts and reasons,
+    the key row's and the ciphertext's CipherError by their prefix, split
+    as pinned."""
+    cover = make_cover(5)
+    block = _pack_block(message, kind, key, hash_message(message, "sha512"))
+    seen = collections.Counter()
+    for i, old in enumerate(block):
+        for new in dict.fromkeys((old - 1, old + 1, 0, old - 36, old + 36)):
+            if new == old or not 0 <= new <= 255:
+                continue
+            image = embed_block(block[:i] + bytes([new]) + block[i + 1:], cover)
+            report = verify(image)
+            assert report.stream is not None, (i, new)
+            assert_sealed_stream(image, report)
+            reason = next((prefix for prefix in (KEY_ROW_ERROR, CIPHERTEXT_ERROR)
+                           if report.reason.startswith(prefix)), report.reason)
+            seen[report.verdict, reason] += 1
+    assert seen == counts
+
+
 def test_verify_rejects_blocks_seal_would_not_write(cover):
     key = [[6, 24, 1], [13, 16, 10], [20, 17, 15]]
     digest = hash_message("ATTACKATDAWN")
@@ -565,7 +601,7 @@ def test_digest_row_is_the_hex_digest_in_one_form():
     row = hash_message(PAPER_MESSAGE)
     small = GrayImage(64, 64, np.zeros(64 * 64, np.uint8))
     decoded = read_stream(seal(PAPER_MESSAGE, paper_config(), small), OVERWRITE)
-    block = from_tiles(int_idct2(decoded.coeffs).astype(np.uint8))
+    block = int_idct2(decoded.coeffs).astype(np.uint8).tobytes()
     assert unpack(block)[2] == row
     assert set(block[256:].rstrip(b"\x00")) <= set(range(27, 43))
     ciphertext = caesar_encrypt(PAPER_MESSAGE, 16)
@@ -575,10 +611,6 @@ def test_digest_row_is_the_hex_digest_in_one_form():
                 block = pack(ciphertext, CAESAR_KEY_ROW, row[:i] + new + row[i + 1:])
                 report = verify(embed_block(block, small))
                 assert (report.verdict, report.reason) == (TAMPERED, "digest mismatch"), (i, new)
-
-
-SEALED_FORM = "block differs from the one seal writes for its message"
-KEY_ROW_ERROR = "CipherError: key row "
 
 
 @pytest.mark.parametrize("key_row, verdict", [
@@ -633,7 +665,7 @@ def sealed_key_row(config):
     """Payload row 1 of "Attack at dawn" as seal writes it under `config`."""
     sealed = seal("Attack at dawn", config, GrayImage(64, 64, np.zeros(64 * 64, np.uint8)))
     decoded = read_stream(sealed, OVERWRITE)
-    return unpack(from_tiles(int_idct2(decoded.coeffs).astype(np.uint8)))[1]
+    return unpack(int_idct2(decoded.coeffs).astype(np.uint8).tobytes())[1]
 
 
 def test_key_text_and_key_row_read_back_the_same_key():
@@ -919,7 +951,7 @@ def test_dense_forged_stream_decodes_in_full_and_fails_the_block_check(cover):
 
 def test_recover_block_gives_the_block_of_the_public_inverse_transform():
     """verify's recovery, from the decoded zig-zag rows straight into the
-    inverse transform's core, gives from_tiles(int_idct2(coeffs)) or raises
+    inverse transform's core, gives the bytes of int_idct2(coeffs) or raises
     the same BlockError text, on the paper example's stream, every
     single-bit flip of it that decodes, and the dense forged stream."""
     block = _pack_block(PAPER_MESSAGE, "caesar", 16, hash_message(PAPER_MESSAGE, "sha512"))
@@ -941,7 +973,7 @@ def test_recover_block_gives_the_block_of_the_public_inverse_transform():
                 _recover_block(decoded.zigzag)
             outcomes["raised"] += 1
         else:
-            assert _recover_block(decoded.zigzag) == from_tiles(tiles.astype(np.uint8))
+            assert _recover_block(decoded.zigzag) == tiles.astype(np.uint8).tobytes()
             outcomes["recovered"] += 1
     assert outcomes["raised"] > 1 and outcomes["recovered"] > 1, outcomes
 

@@ -6,7 +6,7 @@ import pytest
 
 from stegoseal.entropy import encode_blocks
 from stegoseal.errors import BlockError
-from stegoseal.transform import dct2, idct2, int_dct2, int_dct2_checked, int_idct2
+from stegoseal.transform import _forward, _with_ones, dct2, idct2, int_dct2, int_idct2
 
 
 def dct2_by_summation(tile):
@@ -206,14 +206,19 @@ def test_int_dct2_stack_matches_single_tiles():
     assert np.array_equal(tiles, before)
 
 
-def test_int_dct2_checked_returns_int_dct2_bit_for_bit():
-    """The checked forward that seal calls passes its own check and returns
-    int_dct2's array, same dtype and shape, on a stack, the extreme tiles,
-    one tile and no tiles."""
+def test_seals_checked_forward_core_returns_int_dct2_bit_for_bit():
+    """The forward core with the check, as seal runs it, passes its own
+    check and, gathered back the way int_dct2 gathers it, gives int_dct2's
+    array, same dtype and shape, on a stack, the extreme tiles, one tile
+    and no tiles."""
     rng = np.random.default_rng(24)
     for tiles in (byte_tiles(25), np.array(extreme_tiles()),
                   rng.integers(0, 256, (8, 8), dtype=np.uint8), np.zeros((0, 8, 8), np.uint8)):
-        expected, checked = int_dct2(tiles), int_dct2_checked(tiles)
+        n = tiles.size // 64
+        x = tiles.reshape(n, 8, 8).transpose(1, 0, 2).reshape(8, -1)
+        c = _forward(_with_ones(x), True)[:8].reshape(8, n, 8)
+        checked = c.transpose(1, 2, 0).astype(np.int64, order="C").reshape(tiles.shape)
+        expected = int_dct2(tiles)
         assert checked.shape == expected.shape == tiles.shape
         assert checked.dtype == expected.dtype == np.int64
         assert np.array_equal(checked, expected)
