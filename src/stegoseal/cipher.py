@@ -2,6 +2,24 @@
 
 Neither cipher is secure; they are kept byte-faithful so that sealed
 messages round-trip exactly and tampering shows up in the digest check.
+
+Hill keys. The Hill functions take a key in any form that np.asarray reads
+as a 3x3 integer matrix (an ndarray of any integer dtype, nested lists,
+numpy ints) and reduce it mod 26; a bool, float or past-int64 key is a
+ValueError. Inside, a key is a tuple of its three rows of Python ints in
+[0, 25], the form SealConfig holds and pipeline._key returns. A key in
+that form is checked entry by entry and used as it is, so the pipeline's
+Hill calls make no numpy call; the inverse is computed on the same rows.
+
+Byte lanes. _hill multiplies the text's letter triples by the key without
+a loop over letters. Column j of the text (data[j::3]) is mapped by three
+bytes.translate tables, one for each entry a of key row j, to the bytes
+a * letter mod 26, and the three results are laid end to end: one byte per
+letter of each output column. Read as one big-endian int, each input
+column adds these byte lanes to the lanes of the others. A lane sums three
+values of at most 25, so it holds at most 75 and never carries into the
+next byte. The sum's bytes, mapped mod 26 to letters by one more table,
+are the three output columns, which are interleaved back into triples.
 """
 
 from __future__ import annotations
@@ -45,8 +63,7 @@ def caesar_encrypt(plaintext: str, shift: int) -> str:
 
 def caesar_decrypt(ciphertext: str, shift: int) -> str:
     """Inverse of caesar_encrypt with the same shift."""
-    k = _check_shift(shift)
-    return caesar_encrypt(ciphertext, (ALPHABET_SIZE - k) % ALPHABET_SIZE)
+    return ciphertext.translate(_CAESAR_TABLES[-_check_shift(shift)])  # shift (26 - k) % 26
 
 
 # Every ASCII byte but A-Z, for bytes.translate to delete
@@ -62,26 +79,43 @@ def normalize_letters(text: str) -> str:
     return text.upper().encode("ascii", "ignore").translate(None, _NOT_LETTERS).decode()
 
 
-def _as_key(key) -> np.ndarray:
-    """The key reduced mod 26 as an int64 3x3 array.
+# bytes.translate tables: _TIMES[m] maps each letter byte A-Z to m * letter
+# mod 26 (A = 0), and _LETTERS maps each sum of three such values, at most
+# 75, back to its letter mod 26
+_TIMES = tuple(bytes.maketrans(bytes(range(0x41, 0x5B)),
+                               bytes(m * t % ALPHABET_SIZE for t in range(ALPHABET_SIZE)))
+               for m in range(ALPHABET_SIZE))
+_LETTERS = bytes(0x41 + s % ALPHABET_SIZE for s in range(256))
 
-    Only integer keys are taken: a float key would be truncated and an
-    integer past int64 would overflow, so each is a ValueError.
+
+def _key_rows(key) -> tuple:
+    """The key reduced mod 26 as a tuple of three rows of ints.
+
+    A tuple of three tuple rows of ints in [0, 25] is that form already and
+    is returned as it is. Any other key goes through numpy, and only an
+    integer key is taken: a float key would be truncated and an integer
+    past int64 would overflow, so each is a ValueError.
     """
+    if type(key) is tuple and len(key) == HILL_BLOCK:
+        r0, r1, r2 = key
+        if (type(r0) is type(r1) is type(r2) is tuple
+                and len(r0) == len(r1) == len(r2) == HILL_BLOCK
+                and all(type(v) is int and 0 <= v < ALPHABET_SIZE for v in r0 + r1 + r2)):
+            return key
     k = np.asarray(key)
     if k.shape != (HILL_BLOCK, HILL_BLOCK) or k.dtype.kind not in "iu":
         raise ValueError(f"hill key must be a 3x3 integer matrix, got {k.dtype} "
                          f"of shape {k.shape}")
-    return (k % ALPHABET_SIZE).astype(np.int64)
+    return tuple(map(tuple, (k % ALPHABET_SIZE).tolist()))
 
 
-def hill_key_inverse(key) -> np.ndarray:
-    """Return the matrix inverse of `key` mod 26.
+def _inverse_rows(rows: tuple) -> tuple:
+    """The inverse mod 26 of a key in _key_rows' form, in that form.
 
     Computed as adjugate times the modular inverse of the determinant, on
     Python integers. Raises CipherError when gcd(det mod 26, 26) != 1.
     """
-    a, b, c, d, e, f, g, h, i = _as_key(key).ravel().tolist()
+    (a, b, c), (d, e, f), (g, h, i) = rows
     adj = (e * i - f * h, c * h - b * i, b * f - c * e,
            f * g - d * i, a * i - c * g, c * d - a * f,
            d * h - e * g, b * g - a * h, a * e - b * d)
@@ -89,14 +123,29 @@ def hill_key_inverse(key) -> np.ndarray:
     if gcd(det, ALPHABET_SIZE) != 1:
         raise CipherError(f"det = {det} shares a factor with 26")
     det_inv = pow(det, -1, ALPHABET_SIZE)
-    return np.array([det_inv * v % ALPHABET_SIZE for v in adj], np.int64).reshape(3, 3)
+    inv = [det_inv * v % ALPHABET_SIZE for v in adj]
+    return tuple(inv[0:3]), tuple(inv[3:6]), tuple(inv[6:9])
 
 
-def _hill(text: str, matrix: np.ndarray) -> str:
-    """`text`, letters A-Z in rows of 3, times `matrix` mod 26, as letters."""
-    vals = np.frombuffer(text.encode("ascii"), dtype=np.uint8).astype(np.int64) - 65
-    out = (vals.reshape(-1, HILL_BLOCK) @ matrix) % ALPHABET_SIZE + 65
-    return out.astype(np.uint8).tobytes().decode("ascii")
+def hill_key_inverse(key) -> np.ndarray:
+    """Return the matrix inverse of `key` mod 26 as an int64 3x3 array.
+    Raises CipherError when gcd(det mod 26, 26) != 1."""
+    return np.array(_inverse_rows(_key_rows(key)), np.int64)
+
+
+def _hill(text: str, rows: tuple) -> str:
+    """`text`, letters A-Z in rows of 3, times the key `rows` mod 26, as
+    letters, on byte lanes (see the module docstring)."""
+    data = text.encode("ascii")
+    n = len(data) // HILL_BLOCK
+    lanes = 0
+    for column, (m0, m1, m2) in zip((data[0::3], data[1::3], data[2::3]), rows):
+        lanes += int.from_bytes(column.translate(_TIMES[m0]) + column.translate(_TIMES[m1])
+                                + column.translate(_TIMES[m2]), "big")
+    sums = lanes.to_bytes(len(data), "big").translate(_LETTERS)
+    out = bytearray(len(data))
+    out[0::3], out[1::3], out[2::3] = sums[:n], sums[n:2 * n], sums[2 * n:]
+    return out.decode("ascii")
 
 
 def hill_encrypt(plaintext: str, key) -> str:
@@ -106,11 +155,11 @@ def hill_encrypt(plaintext: str, key) -> str:
     a multiple of 3. The caller is responsible for remembering how many pad
     letters were added; see hill_pad_count.
     """
-    k = _as_key(key)
+    rows = _key_rows(key)
     text = normalize_letters(plaintext)
     if not text:
         raise CipherError("no letters to encrypt after normalization")
-    return _hill(text + HILL_PAD * (-len(text) % HILL_BLOCK), k)
+    return _hill(text + HILL_PAD * (-len(text) % HILL_BLOCK), rows)
 
 
 def hill_decrypt(ciphertext: str, key, pad_count: int = 0) -> str:
@@ -125,7 +174,7 @@ def hill_decrypt(ciphertext: str, key, pad_count: int = 0) -> str:
         raise CipherError(f"ciphertext has {len(text)} letters, not a multiple of 3")
     if not text:
         return ""
-    plain = _hill(text, hill_key_inverse(key))
+    plain = _hill(text, _inverse_rows(_key_rows(key)))
     return plain[: len(plain) - pad_count]
 
 

@@ -24,7 +24,8 @@ one read. Every command reads through one helper, which checks the pixel
 byte count against the file size first, so a truncated or over-long file
 is rejected without reading its pixels. seal seals the head and writes
 the canonical header, the sealed head and the remaining pixels as they
-were read. tamper writes the whole image with its one flipped bit.
+were read. tamper writes the canonical header and the pixels as they
+were read, around the one pixel it flips, with no joined copy.
 
 How seal and tamper write --out: both read all of --in first, so --in may
 name the same file as --out. The output goes to a new file in the
@@ -275,8 +276,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_tamper(args) -> int:
     image = GrayImage(*_read(args.input, sys.maxsize))
-    flipped = pipeline.tamper(image, args.pixel, args.bit)
-    _replace_file(args.output, (header(image.width, image.height), flipped.tobytes()))
+    pieces = pipeline._tampered_raster(image, args.pixel, args.bit)
+    _replace_file(args.output, (header(image.width, image.height), *pieces))
     _emit(wrote=args.output, pixel=args.pixel, bit=args.bit)
     return EX_OK
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import hashlib
 
-ALGORITHMS = ("sha256", "sha512")
+# The named constructors: a call costs less than hashlib.new's lookup by name
+_CONSTRUCTORS = {"sha256": hashlib.sha256, "sha512": hashlib.sha512}
+ALGORITHMS = tuple(_CONSTRUCTORS)
 DEFAULT_ALGORITHM = "sha512"
-_BY_HEX_LENGTH = {2 * hashlib.new(name).digest_size: name for name in ALGORITHMS}
+_BY_HEX_LENGTH = {2 * new().digest_size: name for name, new in _CONSTRUCTORS.items()}
 
 
 def hash_message(message: bytes | str, algorithm: str = DEFAULT_ALGORITHM) -> str:
@@ -21,7 +23,7 @@ def hash_message(message: bytes | str, algorithm: str = DEFAULT_ALGORITHM) -> st
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unsupported digest algorithm {algorithm!r}")
     data = message.encode("utf-8") if isinstance(message, str) else message
-    return hashlib.new(algorithm, data).hexdigest()
+    return _CONSTRUCTORS[algorithm](data).hexdigest()
 
 
 def algorithm_for_hex_length(n: int) -> str | None:

@@ -69,9 +69,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import digest as _digest
-from .cipher import (HILL_PAD, _as_key, _check_shift, caesar_decrypt,
-                     caesar_encrypt, hill_decrypt, hill_encrypt,
-                     hill_key_inverse, normalize_letters)
+from .cipher import (HILL_PAD, _check_shift, _inverse_rows, _key_rows,
+                     caesar_decrypt, caesar_encrypt, hill_decrypt, hill_encrypt,
+                     normalize_letters)
 from .entropy import (DecodedBlocks, _encode_rows, block_stream_bound,
                       decode_blocks, zigzag_unscan)
 from .errors import BlockError, CipherError, EmbedError, StegosealError
@@ -151,9 +151,8 @@ class SealConfig:
         if self.cipher == CAESAR:
             key = _check_shift(self.key)
         else:
-            key = _as_key(self.key)
-            hill_key_inverse(key)  # raises CipherError early
-            key = tuple(map(tuple, key.tolist()))
+            key = _key_rows(self.key)
+            _inverse_rows(key)  # raises CipherError early
         object.__setattr__(self, f"{self.cipher}_key", key)
 
 
@@ -201,11 +200,16 @@ def _key_repeat(entries: int) -> int:
     return 8 * (16 // entries)
 
 
+# Payload row 1's run of each key letter, by the key's entry count
+_KEY_RUNS = {n: tuple(chr(ord("A") + v) * _key_repeat(n) for v in range(26)) for n in (1, 9)}
+
+
 def _key_text(kind: str, key) -> str:
     """Payload row 1 as seal writes it for a key in SealConfig's form, the
     one form verify accepts."""
-    values = [key] if kind == CAESAR else [v for row in key for v in row]
-    return "".join(chr(ord("A") + v) * _key_repeat(len(values)) for v in values)
+    values = (key,) if kind == CAESAR else (*key[0], *key[1], *key[2])
+    runs = _KEY_RUNS[len(values)]
+    return "".join([runs[v] for v in values])
 
 
 def _read_key_row(row: str):
@@ -319,6 +323,14 @@ def tamper(image: GrayImage, pixel_index: int, bit: int) -> GrayImage:
     would take a numpy bool as a mask and flip every pixel or none, and True
     would name pixel 1, so either, like a float, is a ValueError.
     """
+    return GrayImage(image.width, image.height,
+                     b"".join(_tampered_raster(image, pixel_index, bit)))
+
+
+def _tampered_raster(image: GrayImage, pixel_index: int, bit: int) -> tuple:
+    """tamper's raster in three pieces, after tamper's checks: the pixels
+    before the flipped one, its flipped byte, and the pixels after it. The
+    CLI writes them to --out as they are, with no joined copy."""
     try:
         if isinstance(pixel_index, bool) or isinstance(bit, bool):
             raise TypeError
@@ -331,9 +343,8 @@ def tamper(image: GrayImage, pixel_index: int, bit: int) -> GrayImage:
     if not 0 <= bit <= 7:
         raise EmbedError(f"bit {bit} outside [0, 7]")
     raster = memoryview(image.tobytes())
-    flipped = bytes([raster[pixel_index] ^ 1 << bit])
-    return GrayImage(image.width, image.height,
-                     b"".join((raster[:pixel_index], flipped, raster[pixel_index + 1:])))
+    return (raster[:pixel_index], bytes([raster[pixel_index] ^ 1 << bit]),
+            raster[pixel_index + 1:])
 
 
 def _decrypt_and_hash(ciphertext: str, kind: str, key, embedded_digest: str):

@@ -160,19 +160,56 @@ def test_singular_examples():
     [[2**70, 0, 0], [0, 1, 0], [0, 0, 1]],
     [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
     [[1, 0, 0], [0, 1, 0]],
-], ids=["scalar", "float", "past-int64", "strings", "2x3"])
+    ((True, False, False), (False, True, False), (False, False, True)),
+    np.eye(3, dtype=bool),
+], ids=["scalar", "float", "past-int64", "strings", "2x3", "bool", "numpy-bool"])
 def test_hill_key_must_be_a_3x3_integer_matrix(key):
-    """1.9 * I would truncate to the identity and 2**70 overflow int64."""
+    """1.9 * I would truncate to the identity and 2**70 overflow int64. A
+    bool key, even as tuple rows, is not taken as the integers 0 and 1."""
     for use in (hill_key_inverse, lambda k: hill_encrypt("ATTACK", k),
                 lambda k: hill_decrypt("ATTACK", k)):
         with pytest.raises(ValueError, match="3x3 integer matrix"):
             use(key)
 
 
+def test_bool_key_error_names_its_dtype_and_shape():
+    rows = ((True, False, False), (False, True, False), (False, False, True))
+    with pytest.raises(ValueError, match=r"^hill key must be a 3x3 integer matrix, "
+                                         r"got bool of shape \(3, 3\)$"):
+        hill_encrypt("ATTACK", rows)
+
+
 def test_hill_key_of_any_integer_dtype_is_reduced_mod_26():
     key = np.array([[27, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=np.uint8)
     assert hill_encrypt("BAT", key) == hill_encrypt("BAT", IDENTITY)
     assert hill_encrypt("BAT", -25 * IDENTITY) == "BAT"
+
+
+# The same key, (3, 3, 0), (2, 5, 0), (0, 0, 1) mod 26, in forms that are not
+# SealConfig's tuple rows of ints in [0, 25]: each reduces as its ndarray does.
+KEY_FORMS = {
+    "tuple rows past 25 and below 0": ((29, -23, 26), (-24, 31, 52), (0, -26, 27)),
+    "tuple rows of numpy ints": tuple(tuple(np.int64(v) for v in row)
+                                      for row in ((3, 3, 0), (2, 5, 0), (0, 0, 1))),
+    "tuple rows of uint8": tuple(tuple(np.uint8(v) for v in row)
+                                 for row in ((3, 3, 26), (2, 5, 0), (0, 0, 1))),
+    "a bool among ints": ((3, 3, 0), (2, 5, False), (0, 0, True)),
+    "list rows": [[3, 3, 0], [2, 5, 0], [0, 0, 1]],
+}
+
+
+@pytest.mark.parametrize("key", KEY_FORMS.values(), ids=KEY_FORMS.keys())
+def test_every_key_form_reduces_as_its_ndarray_does(key):
+    array = np.asarray(key)
+    assert array.dtype.kind in "iu"
+    rng = random.Random(35)
+    for n in (1, 2, 3, 4, 40):
+        text = "".join(rng.choice(string.ascii_uppercase) for _ in range(n))
+        assert hill_encrypt(text, key) == hill_encrypt(text, array)
+        ciphertext = hill_encrypt(text, array)
+        assert hill_decrypt(ciphertext, key) == hill_decrypt(ciphertext, array)
+    inverse = hill_key_inverse(key)
+    assert inverse.dtype == np.int64 and np.array_equal(inverse, hill_key_inverse(array))
 
 
 # --- hill encrypt / decrypt ---------------------------------------------
@@ -201,6 +238,56 @@ def test_hill_matches_row_vector_oracle():
                  for j in range(3)]
             expected.extend(chr(v + 65) for v in c)
         assert hill_encrypt(msg, k) == "".join(expected)
+
+
+def inverse_mod26(k):
+    """Independent inverse mod 26: each cofactor from its 2x2 minor,
+    transposed, times the determinant's inverse found by search."""
+    def minor(i, j):
+        rows = [[int(k[r][c]) for c in range(3) if c != j] for r in range(3) if r != i]
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    det = sum((-1) ** j * int(k[0][j]) * minor(0, j) for j in range(3)) % 26
+    det_inv = next(x for x in range(26) if det * x % 26 == 1)
+    return np.array([[det_inv * (-1) ** (i + j) * minor(j, i) % 26 for j in range(3)]
+                     for i in range(3)])
+
+
+def hill_by_rows(text, k):
+    """Longhand row-vector product: each letter triple p gives p K mod 26."""
+    vals = [ord(c) - 65 for c in text]
+    out = []
+    for i in range(0, len(vals), 3):
+        p = vals[i:i + 3]
+        out.extend(chr(65 + sum(p[t] * int(k[t][j]) for t in range(3)) % 26) for j in range(3))
+    return "".join(out)
+
+
+def test_hill_matches_longhand_oracle_in_both_directions():
+    """Every text length from 3 to 120 letters in steps of 3, over 320
+    invertible keys (318 random), each given as an ndarray and as tuple
+    rows; 18 of the random keys have an entry set to 0 or 25."""
+    rng = random.Random(3501)
+    keys = [random_invertible_key(rng) for _ in range(300)]
+    keys += [25 * IDENTITY, np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])]
+    while len(keys) < 320:
+        k = random_invertible_key(rng)
+        k[rng.randrange(3)][rng.randrange(3)] = rng.choice((0, 25))
+        if gcd(int(round(np.linalg.det(k))) % 26, 26) == 1:
+            keys.append(k)
+    assert {0, 25} <= {int(v) for k in keys for v in k.ravel()}
+    for index, k in enumerate(keys):
+        k_inv = inverse_mod26(k)
+        inverse = hill_key_inverse(k)
+        assert inverse.dtype == np.int64 and inverse.shape == (3, 3)
+        assert np.array_equal(inverse, k_inv)
+        assert np.array_equal(matmul_mod26(k, k_inv), IDENTITY)
+        n = 3 * (index % 40 + 1)
+        text = "".join(rng.choice(string.ascii_uppercase) for _ in range(n))
+        rows = tuple(tuple(int(v) for v in row) for row in k)
+        expected = hill_by_rows(text, k)
+        assert hill_encrypt(text, k) == hill_encrypt(text, rows) == expected
+        assert hill_decrypt(text, k) == hill_decrypt(text, rows) == hill_by_rows(text, k_inv)
+        assert hill_decrypt(expected, rows) == text
 
 
 def test_hill_round_trip_with_padding():

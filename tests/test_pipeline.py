@@ -252,11 +252,13 @@ def test_numpy_integer_caesar_key_seals_as_an_int(cover):
     assert verify(sealed, SealConfig(caesar_key=np.int64(16))).verdict == VERIFIED
 
 
-@pytest.mark.parametrize("key", [1.9 * np.eye(3), [[2**70, 0, 0], [0, 1, 0], [0, 0, 1]]],
-                         ids=["float", "past-int64"])
+@pytest.mark.parametrize("key", [1.9 * np.eye(3), [[2**70, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                 ((True, False, False), (False, True, False), (False, False, True)),
+                                 np.eye(3, dtype=bool)],
+                         ids=["float", "past-int64", "bool", "numpy-bool"])
 def test_hill_key_must_be_an_integer_matrix(key):
     """A float key would seal as its truncation, and a key past int64 would
-    raise OverflowError from verify."""
+    raise OverflowError from verify. A bool key is not read as 0s and 1s."""
     with pytest.raises(ValueError, match="integer matrix"):
         SealConfig(cipher="hill", hill_key=key)
 
@@ -290,6 +292,45 @@ def test_configs_compare_and_hash_a_hill_key_by_value():
     assert apart[0] != caesar and caesar == SealConfig(caesar_key=3)
     assert apart[0] != SealConfig(cipher="hill", hill_key=HILL_KEY, digest_algorithm="sha256")
     assert apart[0].hill_key == ((3, 3, 0), (2, 5, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize("key", [
+    ((29, -23, 26), (-24, 31, 52), (0, -26, 27)),
+    tuple(tuple(np.int64(v) for v in row) for row in [[3, 3, 0], [2, 5, 0], [0, 0, 1]]),
+    tuple(tuple(np.uint8(v) for v in row) for row in [[29, 3, 26], [2, 5, 0], [0, 0, 1]]),
+], ids=["past 25 and below 0", "numpy ints", "numpy uint8"])
+def test_hill_key_rows_reduce_as_their_ndarray_does(key):
+    """Tuple rows that are not SealConfig's form (ints in [0, 25]) give the
+    config that the same key as an ndarray gives, and so the same seal."""
+    config = SealConfig(cipher="hill", hill_key=key)
+    assert config == SealConfig(cipher="hill", hill_key=np.array(key))
+    assert config.hill_key == ((3, 3, 0), (2, 5, 0), (0, 0, 1))
+    assert {type(v) for row in config.hill_key for v in row} == {int}
+    cover = make_cover(35)
+    sealed = seal("Attack at dawn", config, cover)
+    assert sealed == seal("Attack at dawn", SealConfig(cipher="hill", hill_key=HILL_KEY), cover)
+    assert verify(sealed, config).verdict == VERIFIED
+
+
+def test_hill_seal_and_verify_make_no_numpy_call_in_the_cipher(monkeypatch):
+    """SealConfig's tuple rows run through the cipher as they are: with the
+    cipher module's numpy gone, a Hill config, seal and verify still work."""
+    import stegoseal.cipher as cipher
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"cipher read np.{name}")
+
+    cover = make_cover(35)
+    monkeypatch.setattr(cipher, "np", NoNumpy())
+    for key in (((3, 3, 0), (2, 5, 0), (0, 0, 1)), parse_key_text("6,24,1,13,16,10,20,17,15")[1]):
+        config = SealConfig(cipher="hill", hill_key=key)
+        sealed = seal("Attack at dawn", config, cover)
+        for expected in (config, None):
+            report = verify(sealed, expected)
+            assert (report.verdict, report.recovered_message) == (VERIFIED, "ATTACKATDAWN")
+    with pytest.raises(AssertionError, match="cipher read np"):
+        SealConfig(cipher="hill", hill_key=np.array(HILL_KEY))
 
 
 def test_stream_bound_holds_the_sealed_stream():
