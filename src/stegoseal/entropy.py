@@ -42,19 +42,28 @@ as found by one scan of them, writes its EOB right after its DC. A value
 the dicts lack has no code: its KeyError stops the encoder at the first
 symbol without a code, and the StreamError names that symbol from the
 loop's state, the value and the run of zeros before it (None at a DC).
-The decoder keeps the next bits of the stream in an integer, refilled 8
-bytes at a time, and indexes 4096-entry tables with the next 12 of them,
-as the fast paths of zlib's inflate and libjpeg do. At an AC position,
-where those bits start with one or two whole AC values of size >= 1, one
-lookup writes both if both land inside the tile and the stream: its
-entry holds the last index it may start at and how far it moves the
-index. All else, and so every rejection, takes the symbol path, whose
-token table gives the symbol, its code length and its amplitude size;
-that path reads the amplitude bits from the stream. Each tile's values
-go into a list in zig-zag order. Only after the last tile are the lists
-packed, with one struct call each, into one buffer that becomes the
-read-only int64 array DecodedBlocks.zigzag, shape (tiles, 64), so a
-stream rejected part of the way through packs nothing.
+The decoder keeps the next bits of the stream in an integer, its hold.
+Holding fewer than _REFILL = 29 bits (the longest code and amplitude), it
+drops the bits it has read and takes in the next word of _WORD = 32
+bytes, so the hold stays under 285 bits; the body is read with _WORD - 1
+zero bytes after it, so that a word read from its last byte is whole. A
+refill costs about one table lookup. The paper example's stream takes 5
+refills of 32 bytes for its 115 lookups, against 18 of 8 bytes, and
+words of 16 to 64 bytes decoded 6-9% faster than 8-byte ones and within
+2% of each other, 32 as fast as any (ROADMAP, "Tried and rejected"). The
+decoder indexes 4096-entry tables with the next 12 bits, as the fast
+paths of zlib's inflate and libjpeg do. At an AC position, where those
+bits start with one or two whole AC values of size >= 1, one lookup
+writes both if both land inside the tile and the stream: its entry holds
+the last index it may start at and how far it moves the index. All
+else, and so every rejection, takes the symbol path, whose token table
+gives the symbol, its code length and its amplitude size; that path
+reads the amplitude bits from the hold and works out their value in
+line. Each tile's values go into a list in zig-zag order. Only
+after the last tile are the lists packed, with one struct call each,
+into one buffer that becomes the read-only int64 array
+DecodedBlocks.zigzag, shape (tiles, 64), so a stream rejected part of
+the way through packs nothing.
 DecodedBlocks.coeffs, the tiles in natural order, is worked out from
 that array when first read. The decoder counts the symbols it reads, for
 the error of a stream that runs out, and lists none:
@@ -224,16 +233,12 @@ BLOCK_TABLE = HuffmanTable.from_lengths(
     {sym: length for length, syms in _BLOCK_CODE_LENGTHS.items() for sym in syms})
 _LONGEST = max(_BLOCK_CODE_LENGTHS)
 _WINDOW = 12
+_WORD, _REFILL = 32, _LONGEST + 11     # the decoder's refill: see the module docstring
 
 
 def _size(symbol: int) -> int:
     """Amplitude bits that follow a block symbol."""
     return symbol - DC_SYMBOL if symbol >= DC_SYMBOL else symbol & 15
-
-
-def _signed(bits: int, size: int) -> int:
-    """Coefficient value of `size` amplitude bits (size >= 1)."""
-    return bits if bits >> (size - 1) else bits + 1 - (1 << size)
 
 
 def _amplitude_bits() -> dict:
@@ -440,14 +445,15 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
         raise StreamError("block stream with zero tiles")
     if tiles is not None and count != tiles:
         raise StreamError(f"stream declares {count} tiles, expected {tiles}")
-    body = bytes(data[BLOCK_HEADER_BYTES:block_stream_bound(count)])
-    nbits = 8 * len(body)
-    body += bytes(12)     # zeros to read past the end; the checks below stop there
+    body = b"".join((memoryview(data)[BLOCK_HEADER_BYTES:block_stream_bound(count)],
+                     bytes(_WORD - 1)))    # zeros: the checks below stop the decoder there
+    nbits = 8 * (len(body) - _WORD + 1)
     # acc holds the next `have` bits in its low bits; i bytes of body are
     # read, and a read that leaves `have` below `slack` ran past nbits
     acc = have = i = dc = read = 0     # read: the symbols decoded so far
     slack = -nbits
-    tokens, pairs, window, refill = _TOKENS, _PAIRS, _WINDOW, _LONGEST + 11
+    tokens, pairs, window, refill = _TOKENS, _PAIRS, _WINDOW, _REFILL
+    word, span = _WORD, 8 * _WORD    # bytes and bits of one refill
     rows, ends = [], []   # each decoded tile's zig-zag values, and the bit after it
     for _ in range(count):
         zz = [0] * 64
@@ -455,10 +461,10 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
         k = 0
         while k < 64:
             if have < refill:
-                acc = (acc & ((1 << have) - 1)) << 64 | int.from_bytes(body[i:i + 8], "big")
-                i += 8
-                have += 64
-                slack += 64
+                acc = (acc & ((1 << have) - 1)) << span | int.from_bytes(body[i:i + word], "big")
+                i += word
+                have += span
+                slack += span
             index = (acc >> (have - window)) & 0xFFF
             if k and (entry := pairs[index]):        # one or two whole AC values
                 bits, symbols, last, step, run1, value1, value2 = entry
@@ -482,7 +488,8 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
                     have -= size
                     if have < slack:
                         raise StreamError("bits ran out inside an amplitude")
-                    zz[k] = _signed((acc >> have) & ((1 << size) - 1), size)
+                    value = (acc >> have) & ((1 << size) - 1)
+                    zz[k] = value if value >> (size - 1) else value + 1 - (1 << size)
                     k += 1
                 elif symbol == EOB:
                     if k > 1 and not zz[k - 1]:         # a ZRL came last
@@ -501,7 +508,8 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
                     have -= size
                     if have < slack:
                         raise StreamError("bits ran out inside an amplitude")
-                    dc += _signed((acc >> have) & ((1 << size) - 1), size)
+                    value = (acc >> have) & ((1 << size) - 1)
+                    dc += value if value >> (size - 1) else value + 1 - (1 << size)
                 zz[0] = dc
                 k = 1
         ends.append(slack + nbits - have)

@@ -39,11 +39,11 @@ by value with the key read from row 1, as an extra tamper signal. Row 1
 holds one letter per key entry, each 8 * (16 // entries) times over: a
 Caesar key fills the row with its letter and a Hill key writes 9 runs of
 8 (see payload). Verify checks it by writing it again: _read_key_row
-takes the entry count from the row's length, reads a key from the first
-letter of each run and raises CipherError, so UNDECODABLE, unless
-_key_text writes that very row for it. A --key is decimal text, read by
-parse_key_text; both read their entries through _key, which gives a key
-in SealConfig's form.
+takes the entry count from the row's length, turns the first letter of
+each run into the run _key_text writes for it and raises CipherError, so
+UNDECODABLE, unless that gives the row back; the letters are then the
+key, in SealConfig's form. A --key is decimal text, read by
+parse_key_text through _key, which gives a key in that form too.
 
 Row 2 holds the digest as the lowercase hex that hash_message returns,
 and the report and the CLI print that row as it is.
@@ -200,8 +200,11 @@ def _key_repeat(entries: int) -> int:
     return 8 * (16 // entries)
 
 
-# Payload row 1's run of each key letter, by the key's entry count
+# Payload row 1's run of each key letter (A = 0), by the key's entry count;
+# _ROW_RUNS indexes them by code point for str.translate, which deletes code
+# points below "A" and keeps one past "Z" as one character, not a run.
 _KEY_RUNS = {n: tuple(chr(ord("A") + v) * _key_repeat(n) for v in range(26)) for n in (1, 9)}
+_ROW_RUNS = {n: (None,) * ord("A") + runs for n, runs in _KEY_RUNS.items()}
 
 
 def _key_text(kind: str, key) -> str:
@@ -214,13 +217,17 @@ def _key_text(kind: str, key) -> str:
 
 def _read_key_row(row: str):
     """Payload row 1 back as (kind, key): a full row is one Caesar letter
-    and any other row 9 Hill letters, read at their repeat, when _key_text
-    writes this very row for that key."""
-    step = _key_repeat(1 if len(row) == ROW_LENGTH else 9)
-    with contextlib.suppress(ValueError):
-        kind, key = _key([ord(letter) - ord("A") for letter in row[::step]])
-        if _key_text(kind, key) == row:
-            return kind, key
+    and any other row 9 Hill letters, read at their repeat, when their runs
+    give this very row, the one _key_text writes for that key."""
+    entries = 1 if len(row) == ROW_LENGTH else 9
+    repeat = _key_repeat(entries)
+    letters = row[::repeat]
+    if len(row) == entries * repeat and letters.translate(_ROW_RUNS[entries]) == row:
+        values = [byte - ord("A") for byte in letters.encode()]
+        if entries == 1:
+            return CAESAR, values[0]
+        a, b, c, d, e, f, g, h, i = values
+        return HILL, ((a, b, c), (d, e, f), (g, h, i))
     raise CipherError(f"key row {row!r} is not 1 group of {_key_repeat(1)} or 9 groups "
                       f"of {_key_repeat(9)} equal letters A-Z")
 

@@ -64,7 +64,6 @@ def extract(stego: GrayImage, length: int, mode: str = OVERWRITE) -> bytes:
         raise EmbedError(f"payload needs {length} bytes, image holds {limit}")
     if length < 0:
         raise ValueError("length must be non-negative")
-    flat = stego.pixels.ravel()
     if mode == OVERWRITE:
-        return flat[:length].tobytes()
-    return np.packbits(flat[: pixels_for(length, mode)] & 1).tobytes()
+        return stego.tobytes()[:length]
+    return np.packbits(stego.pixels.ravel()[: pixels_for(length, mode)] & 1).tobytes()

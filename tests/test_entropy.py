@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from stegoseal.cipher import normalize_letters
 from stegoseal.digest import hash_message
-from stegoseal.entropy import (_AMPLITUDE, _PAIRS, _TOKENS, _ZIGZAG_FLAT, _long_token,
-                               BLOCK_MAGIC, BLOCK_TABLE, DC_SYMBOL, EOB, ZRL, block_stream_bound,
-                               build_table, decode_blocks, decode_prefix,
+from stegoseal.entropy import (_AMPLITUDE, _PAIRS, _TOKENS, _WORD, _ZIGZAG_FLAT, _long_token,
+                               BLOCK_HEADER_BYTES, BLOCK_MAGIC, BLOCK_TABLE, DC_SYMBOL, EOB, ZRL,
+                               block_stream_bound, build_table, decode_blocks, decode_prefix,
                                encode_blocks, zigzag_scan, zigzag_unscan)
 from stegoseal.errors import StegosealError, StreamError
 from stegoseal.payload import TILES, pack, to_tiles
@@ -345,6 +345,30 @@ def test_encode_blocks_time_is_linear_in_tiles():
     assert len(data) == 3 + (0xFFFF * (len(CODES[DC_SYMBOL]) + len(CODES[EOB])) + 7) // 8
 
 
+def test_decode_blocks_time_is_linear_in_tiles():
+    """The stream of the most tiles a header can declare decodes in well
+    under 3 s, and in under 4 times the time per tile of a 4096-tile
+    stream, the best of 5 runs each, taken in turn so that a busy host
+    slows both. A bit hold that kept the bits it has read would grow with
+    the stream, and every shift of it with it: such a hold took 8 times
+    the time per tile, the masked one under 2 times."""
+    def seconds(data):
+        start = time.perf_counter()
+        decode_blocks(data)
+        return time.perf_counter() - start
+
+    data = encode_blocks(np.zeros((0xFFFF, 8, 8), np.int64))
+    short = encode_blocks(np.zeros((0x1000, 8, 8), np.int64))
+    runs = [(seconds(data), seconds(short)) for _ in range(5)]
+    long_best, short_best = map(min, zip(*runs))
+    assert long_best < 3
+    assert long_best / 0xFFFF < 4 * short_best / 0x1000
+    decoded = decode_blocks(data)
+    assert decoded.consumed == len(data)
+    assert decoded.tile_bits == [len(CODES[DC_SYMBOL]) + len(CODES[EOB])] * 0xFFFF
+    assert not decoded.zigzag.any()
+
+
 def test_encode_blocks_rejects_values_past_the_table():
     for value, message in ((2 ** 11, "coefficient symbol 0xc has no code"),
                            (2 ** 15, "coefficient category 16 has no code"),
@@ -380,7 +404,8 @@ def test_block_table_matches_its_derivation():
 
 def test_block_table_codes_are_at_most_18_bits():
     """A symbol is at most 18 code bits and 11 amplitude bits, which the
-    decoder's 32-bit refill and the pipeline's stream bound allow for."""
+    decoder's refill, taken when it holds fewer than 18 + 11 bits, and the
+    pipeline's stream bound allow for."""
     assert max(len(code) for code in BLOCK_TABLE.codes.values()) <= 18
     assert block_stream_bound(TILES) <= 3 + (TILES * 68 * (18 + 11) + 7) // 8
 
@@ -954,6 +979,20 @@ def test_symbols_read_on_access_are_the_decoded_ones():
     assert decoded > 0
     dense = decodes_as_the_reference(encode_blocks(dense_forged_tiles()))
     assert len(dense.symbols) == 6 * 64
+
+
+def test_cuts_at_the_decoders_word_boundaries_decode_as_the_reference():
+    """The dense forged stream cut after every byte of two consecutive
+    refill words, and after the last byte of every word, decodes as the
+    reference does or raises its text. A cut stream ends inside some
+    word, and a word read from its last byte must still be whole."""
+    data = encode_blocks(dense_forged_tiles())
+    # the lengths that end a word: word w is data[3 + 32w:3 + 32(w + 1)]
+    ends = range(BLOCK_HEADER_BYTES + _WORD, len(data), _WORD)
+    lengths = sorted({*range(ends[0] + 1, ends[2] + 1), *ends, len(data)})
+    results = [decodes_as_the_reference(data[:n], 6) for n in lengths]
+    assert results[-1].consumed == len(data)
+    assert all(isinstance(result, str) for result in results[:-1])
 
 
 def test_decoded_blocks_hand_over_one_read_only_zigzag_array():

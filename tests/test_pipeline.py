@@ -738,6 +738,57 @@ def test_key_row_with_any_one_character_replaced_is_rejected(config):
                     _read_key_row(row[:i] + new + row[i + 1:])
 
 
+def key_row_error(row):
+    """The one CipherError text of _read_key_row, as a full-match pattern."""
+    text = f"key row {row!r} is not 1 group of 128 or 9 groups of 8 equal letters A-Z"
+    return f"^{re.escape(text)}$"
+
+
+def test_key_rows_read_back_exactly_the_rows_key_text_writes():
+    """All 26 Caesar rows and the rows of 200 random Hill keys (any 9
+    entries in [0, 25]) read back as their key, and each row one edit
+    away from one of them raises the one key row error: a letter changed
+    at the start of a run and inside one, a lowercase letter, a non-ASCII
+    letter and a digit at each of those two places, the row one
+    character short or one character long, and the row with its last run
+    cut to one lowercase, non-ASCII or past-"Z" character, which reads
+    back as that character's own run."""
+    rng = random.Random(3601)
+    keys = [("caesar", shift) for shift in range(26)] + [
+        ("hill", tuple(tuple(rng.randrange(26) for _ in range(3)) for _ in range(3)))
+        for _ in range(200)]
+    for kind, key in keys:
+        row = _key_text(kind, key)
+        assert _read_key_row(row) == (kind, key)
+        step = ROW_LENGTH if kind == "caesar" else 8
+        start = step * rng.randrange(len(row) // step)
+        edits = [row[:-1], row + row[-1], row[0] + row,
+                 *(row[:-step] + new for new in (row[-1].lower(), rng.choice("ÄÉÑßλЖ"), "["))]
+        for i in (start, start + rng.randrange(1, step)):
+            old = row[i]
+            for new in (rng.choice(string.ascii_uppercase.replace(old, "")), old.lower(),
+                        rng.choice("ÄÉÑßλЖ"), rng.choice(string.digits)):
+                edits.append(row[:i] + new + row[i + 1:])
+        for edited in edits:
+            with pytest.raises(CipherError, match=key_row_error(edited)):
+                _read_key_row(edited)
+
+
+@pytest.mark.parametrize("last", ["a", "[", "é"])
+def test_key_row_with_a_short_last_run_is_undecodable_under_its_digest(cover, last):
+    """HILL_KEY_ROW with its last run cut to one character past "Z" (97 =
+    19 mod 26 for "a"), under the ciphertext and digest of the key that
+    ends in 19: verify reads no key from it, whatever the digest says."""
+    key = [[3, 3, 0], [2, 5, 0], [0, 0, 19]]
+    key_row = HILL_KEY_ROW[:-8] + last
+    message = normalize_letters(PAPER_MESSAGE)
+    block = pack(hill_encrypt(message, key), key_row, hash_message(message))
+    report = verify(embed_block(block, cover))
+    assert report.verdict == UNDECODABLE
+    assert report.reason == (f"CipherError: key row {key_row!r} is not 1 group of 128 "
+                             "or 9 groups of 8 equal letters A-Z")
+
+
 @pytest.mark.parametrize("ciphertext, key_row", [
     (caesar_encrypt(PAPER_MESSAGE, 16), CAESAR_KEY_ROW),
     (hill_encrypt("ATTACKATDAWN", HILL_KEY), HILL_KEY_ROW),
