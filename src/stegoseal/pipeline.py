@@ -10,9 +10,9 @@ the gather tables below), so no tile array is built. Verification runs
 the exact reverse and yields one of three verdicts:
 
     VERIFIED     the stream decoded, the recomputed digest equals the
-                 embedded one, the block is byte for byte the one seal
-                 writes for the recovered message, and the expected key
-                 (if given) matches
+                 embedded one, the block is byte for byte the one
+                 _pack_block writes for the recovered message, and the
+                 expected key (if given) matches
     TAMPERED     the stream decoded but one of those checks failed
     UNDECODABLE  the stream would not decode at all; no message is claimed,
                  and the reason is "<stage class>: <detail>", where the
@@ -27,9 +27,10 @@ changed stream that still decodes yields a changed block.
 The digest alone does not catch every changed block: the integer
 transform can turn one flipped bit into a change of a few bytes by 1,
 and Hill decryption drops non-letters. So verify rebuilds the block from
-the recovered message and requires it to match. Seal checks that both
-inverse transform passes give back their input, so the block, before it
-embeds anything.
+the recovered message with _pack_block, as seal builds it, and requires
+it to match, so a message _pack_block refuses has no sealed form. Seal
+checks that both inverse transform passes give back their input, so the
+block, before it embeds anything.
 
 The key travels inside the payload (row 1), so verification needs no
 out-of-band secret; anyone holding the image can decode and re-seal it.
@@ -41,9 +42,9 @@ Caesar key fills the row with its letter and a Hill key writes 9 runs of
 8 (see payload). Verify checks it by writing it again: _read_key_row
 takes the entry count from the row's length, turns the first letter of
 each run into the run _key_text writes for it and raises CipherError, so
-UNDECODABLE, unless that gives the row back; the letters are then the
-key, in SealConfig's form. A --key is decimal text, read by
-parse_key_text through _key, which gives a key in that form too.
+UNDECODABLE, unless that gives the row back. Its letters, like the
+decimal entries of a --key in parse_key_text, then go through _key, the
+one function that turns key entries into a key in SealConfig's form.
 
 Row 2 holds the digest as the lowercase hex that hash_message returns,
 and the report and the CLI print that row as it is.
@@ -175,11 +176,12 @@ class VerificationReport:
 def _key(entries: list):
     """(kind, key) of 1 (Caesar) or 9 (Hill, row-major) key entries in
     [0, 25], the key in SealConfig's form; ValueError for any other list."""
-    if len(entries) not in (1, 9) or not all(0 <= v <= 25 for v in entries):
-        raise ValueError(entries)
-    if len(entries) == 1:
+    if len(entries) == 1 and 0 <= entries[0] <= 25:
         return CAESAR, entries[0]
-    return HILL, tuple(tuple(entries[i:i + 3]) for i in (0, 3, 6))
+    if len(entries) == 9 and 0 <= min(entries) and max(entries) <= 25:
+        a, b, c, d, e, f, g, h, i = entries
+        return HILL, ((a, b, c), (d, e, f), (g, h, i))
+    raise ValueError(entries)
 
 
 def parse_key_text(text: str):
@@ -216,38 +218,36 @@ def _key_text(kind: str, key) -> str:
 
 
 def _read_key_row(row: str):
-    """Payload row 1 back as (kind, key): a full row is one Caesar letter
+    """Payload row 1 back as _key gives it: a full row is one Caesar letter
     and any other row 9 Hill letters, read at their repeat, when their runs
     give this very row, the one _key_text writes for that key."""
     entries = 1 if len(row) == ROW_LENGTH else 9
     repeat = _key_repeat(entries)
     letters = row[::repeat]
     if len(row) == entries * repeat and letters.translate(_ROW_RUNS[entries]) == row:
-        values = [byte - ord("A") for byte in letters.encode()]
-        if entries == 1:
-            return CAESAR, values[0]
-        a, b, c, d, e, f, g, h, i = values
-        return HILL, ((a, b, c), (d, e, f), (g, h, i))
+        return _key([byte - ord("A") for byte in letters.encode()])
     raise CipherError(f"key row {row!r} is not 1 group of {_key_repeat(1)} or 9 groups "
                       f"of {_key_repeat(9)} equal letters A-Z")
 
 
 def _pack_block(protected: str, kind: str, key, digest_hex: str) -> bytes:
     """The block seal writes for the protected message under `key`, with
-    the lowercase hex digest_hex as row 2."""
+    the lowercase hex digest_hex as row 2; seal and verify refuse "" here."""
+    if not protected:
+        raise CipherError("refusing to seal an empty message")
     encrypt = caesar_encrypt if kind == CAESAR else hill_encrypt
     return pack(encrypt(protected, key), _key_text(kind, key), digest_hex)
 
 
 def _is_sealed_form(block: bytes, message: str, kind: str, key,
                     digest_hex: str) -> bool:
-    """Whether `block` is byte for byte what seal writes for `message`.
+    """Whether `block` is byte for byte what _pack_block writes for `message`,
+    False for a message it refuses: VERIFIED needs a block _pack_block writes.
 
     This catches the changes that decryption ignores, such as a nonzero
     byte in the zero padding of a Hill ciphertext or a lowercase letter in
     it, which normalize_letters would drop or fold. The key row needs no
-    such check: _read_key_row accepts only the form _key_text writes.
-    """
+    such check: _read_key_row accepts only the form _key_text writes."""
     try:
         return _pack_block(message, kind, key, digest_hex) == block
     except StegosealError:
@@ -269,8 +269,6 @@ def _recover_block(zigzag: np.ndarray) -> bytes:
 
 def seal(message: str, config: SealConfig, cover: GrayImage) -> GrayImage:
     """Seal `message` into `cover`; the result verifies under the same config."""
-    if not message:
-        raise CipherError("refusing to seal an empty message")
     if config.key is None:
         raise ValueError(f"sealing with the {config.cipher} cipher needs {config.cipher}_key")
     protected = message if config.cipher == CAESAR else normalize_letters(message)
@@ -312,11 +310,11 @@ def verify(stego: GrayImage, config: SealConfig | None = None) -> VerificationRe
                                   mode=mode, stream=decoded)
 
     problems = []
-    if recomputed != embedded_digest:
+    if not recomputed or recomputed != embedded_digest:  # "": a length of no algorithm
         problems.append("digest mismatch")
     elif not _is_sealed_form(block, message, kind, key, recomputed):
         problems.append("block differs from the one seal writes for its message")
-    if config and config.key is not None and (config.cipher, config.key) != (kind, key):
+    if config and config.key is not None and config.key != key:
         problems.append("embedded key differs from the expected key")
     verdict = VERIFIED if not problems else TAMPERED
     return VerificationReport(verdict, message, embedded_digest, recomputed,

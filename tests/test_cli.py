@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import hashlib
 import io
 import os
 import stat
@@ -16,9 +17,12 @@ import pytest
 import stegoseal
 from stegoseal import cli, pipeline
 from stegoseal.cli import main
+from stegoseal.cipher import caesar_encrypt
 from stegoseal.entropy import BLOCK_TABLE, encode_blocks
+from stegoseal.payload import pack, to_tiles
 from stegoseal.pgm import GrayImage, read_pgm, write_pgm
 from stegoseal.stego import embed
+from stegoseal.transform import int_dct2
 
 from conftest import dense_forged_tiles, make_cover
 
@@ -233,6 +237,22 @@ SHA256_RENDEZVOUS = "53a0357017c0f5342d219b2d72c7ec1730be7f69f606a954354c692b5b5
 # has no pixel 1 to read the embed mode from, and pixel 1 of 2x1 is odd.
 TINY = {"1x1": (1, 1, b"\x4d"), "2x1": (2, 1, b"\x4d\x01"), "1x2": (1, 2, b"\x4d\x00")}
 
+SHA256_EMPTY = hashlib.sha256(b"").hexdigest()
+# Blocks seal never writes, under the Caesar key row of key 16, and verify's
+# stdout for them: the digest row emptied under a message, and an empty
+# ciphertext under the digest of the empty message.
+FORGED_BLOCKS = {
+    "emptied-digest": (
+        pack(caesar_encrypt("pay mallory 9999", 16), 128 * "Q", ""),
+        "verdict=TAMPERED\nmode={mode}\nmessage=pay mallory 9999\nembedded_digest=\n"
+        "recomputed_digest=\nreason=digest mismatch\n"),
+    "empty-message": (
+        pack("", 128 * "Q", SHA256_EMPTY),
+        "verdict=TAMPERED\nmode={mode}\nmessage=\n"
+        f"embedded_digest={SHA256_EMPTY}\nrecomputed_digest={SHA256_EMPTY}\n"
+        "reason=block differs from the one seal writes for its message\n"),
+}
+
 # Each command's whole stdout, line order included, with {dir} for the
 # directory of the files.
 EXACT_STDOUT = {
@@ -280,18 +300,27 @@ EXACT_STDOUT = {
         ["verify", "--in", "{dir}/1x1.pgm"], 2,
         "verdict=UNDECODABLE\nmode=overwrite\nmessage=\nembedded_digest=\n"
         "recomputed_digest=\nreason=StreamError: missing block stream header\n"),
+    **{f"verify-{name}-{mode}": (["verify", "--in", f"{{dir}}/{name}-{mode}.pgm", "--key", "16"],
+                                 1, stdout.replace("{mode}", mode))
+       for name, (_, stdout) in FORGED_BLOCKS.items() for mode in ("overwrite", "lsb1")},
 }
 
 
 @pytest.fixture(scope="module")
 def pinned_dir(tmp_path_factory):
     """A cover, its two sealed images, as SEAL_OVERWRITE and SEAL_LSB1 write
-    them, the cover with the dense forged stream and the TINY images."""
+    them, the cover with the dense forged stream, the FORGED_BLOCKS coded
+    and embedded in both modes with the public reference API, and the
+    TINY images."""
     path = tmp_path_factory.mktemp("pinned")
     cover = make_cover(0x515)
     (path / "cover.pgm").write_bytes(write_pgm(cover))
     dense = embed(cover, encode_blocks(dense_forged_tiles()))
     (path / "dense.pgm").write_bytes(write_pgm(dense))
+    for name, (block, _) in FORGED_BLOCKS.items():
+        for mode in ("overwrite", "lsb1"):
+            forged = embed(cover, encode_blocks(int_dct2(to_tiles(block))), mode)
+            (path / f"{name}-{mode}.pgm").write_bytes(write_pgm(forged))
     for shape, (width, height, pixels) in TINY.items():
         (path / f"{shape}.pgm").write_bytes(write_pgm(GrayImage(width, height, pixels)))
     for argv in (SEAL_OVERWRITE, SEAL_LSB1):
@@ -755,3 +784,14 @@ def test_verify_takes_the_key_flags_of_seal(cover_file, tmp_path, capsys):
         assert main(["verify", "--in", str(hill)] + flags) == 64
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {error}\n")
+
+
+def test_hill_message_with_no_letters_is_refused_as_empty(cover_file, tmp_path, capsys):
+    """A Hill message normalizes to its letters, and seal refuses one with
+    none as it refuses an empty message: a data error that writes no --out."""
+    out = tmp_path / "out.pgm"
+    assert main(["seal", "--in", str(cover_file), "--out", str(out), "--message", "123",
+                 "--key", "3,3,0,2,5,0,0,0,1", "--cipher", "hill"]) == 65
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: refusing to seal an empty message\n")
+    assert not out.exists()

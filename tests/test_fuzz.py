@@ -4,21 +4,27 @@ The runs are derandomized with a fixed number of examples, so each run of
 the suite draws the same inputs.
 """
 
+import string
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stegoseal.cipher import caesar_decrypt, caesar_encrypt, hill_decrypt
+from stegoseal.digest import hash_message
 from stegoseal.entropy import BLOCK_MAGIC, decode_blocks, encode_blocks
-from stegoseal.errors import StegosealError
+from stegoseal.errors import CipherError, StegosealError
+from stegoseal.payload import ROW_LENGTH
 from stegoseal.pgm import GrayImage
 from stegoseal.pipeline import (TAMPERED, UNDECODABLE, VERIFIED, SealConfig,
-                                seal, verify)
+                                _key_text, seal, verify)
 from stegoseal.stego import LSB1, OVERWRITE
 from stegoseal.transform import int_dct2
 
-from conftest import FUZZ
+from conftest import FUZZ, make_cover
 from test_entropy import random_coefficient_tiles
-from test_pipeline import assert_sealed_stream
+from test_pipeline import (assert_sealed_stream, embed_block, random_hill_key,
+                           unchecked_block)
 
 
 def _real_streams():
@@ -100,3 +106,61 @@ def test_verify_never_raises_on_flipped_seals(mode, bits):
     assert_sealed_stream(image, report)
     if report.verdict == VERIFIED:
         assert report.recovered_message == "I'm so proud to be Egyptian"
+
+
+@st.composite
+def payload_rows(draw):
+    """The three rows of a block that seal may or may not write: a
+    ciphertext that is empty, letters (a multiple of 3 for Hill), lowercase
+    letters or letters with an inner NUL; the key row of a random Caesar or
+    invertible Hill key, or that row one edit away; and the digest of the
+    ciphertext decrypted under that key (or of the ciphertext itself when
+    it will not decrypt), an empty digest row, or a digest of a length that
+    no algorithm has."""
+    kind = draw(st.sampled_from(["caesar", "hill"]))
+    if kind == "caesar":
+        key = draw(st.integers(0, 25))
+    else:
+        key = tuple(map(tuple, random_hill_key(draw(st.randoms(use_true_random=False))).tolist()))
+    letters = draw(st.text(string.ascii_uppercase, min_size=3, max_size=30))
+    if kind == "hill":
+        letters = letters[:len(letters) - len(letters) % 3]
+    ciphertext = draw(st.sampled_from(["", letters, letters.lower(),
+                                       letters[:1] + "\x00" + letters[1:]]))
+    key_row = _key_text(kind, key)
+    if draw(st.booleans()):
+        edit = draw(st.sampled_from(["replace", "delete", "insert"]))
+        i = draw(st.integers(0, len(key_row) - 1))
+        char = draw(st.sampled_from(string.ascii_letters + string.digits))
+        key_row = {"replace": key_row[:i] + char + key_row[i + 1:],
+                   "delete": key_row[:i] + key_row[i + 1:],
+                   "insert": (key_row[:i] + char + key_row[i:])[:ROW_LENGTH]}[edit]
+    try:
+        plain = (caesar_decrypt if kind == "caesar" else hill_decrypt)(ciphertext, key)
+    except CipherError:
+        plain = ciphertext
+    digest = hash_message(plain, draw(st.sampled_from(["sha256", "sha512"])))
+    shape = draw(st.sampled_from(["digest", "empty", "other length"]))
+    if shape == "empty":
+        digest = ""
+    elif shape == "other length":
+        digest = (2 * digest)[:draw(st.integers(1, ROW_LENGTH - 1).filter(lambda n: n != 64))]
+    return ciphertext, key_row, digest
+
+
+ROWS_COVER = make_cover(62, 128, 128)
+
+
+@FUZZ
+@given(payload_rows(), st.sampled_from([OVERWRITE, LSB1]))
+# an emptied digest row, and an empty ciphertext under the digests of ""
+@example((caesar_encrypt("pay mallory 9999", 16), 128 * "Q", ""), OVERWRITE)
+@example(("", 128 * "Q", hash_message("", "sha256")), LSB1)
+@example(("", 128 * "Q", hash_message("", "sha512")), OVERWRITE)
+def test_verified_payload_rows_are_the_rows_seal_writes(rows, mode):
+    """Blocks built from payload_rows, embedded as embed_block does: a
+    VERIFIED one is the stream seal writes for its message."""
+    image = embed_block(unchecked_block(*rows), ROWS_COVER, mode)
+    report = verify(image)
+    assert report.verdict in (VERIFIED, TAMPERED, UNDECODABLE)
+    assert_sealed_stream(image, report)

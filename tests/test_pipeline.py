@@ -124,8 +124,12 @@ def test_every_random_message_codes_at_ratio_1_5():
 
 
 def test_seal_rejects_empty_message(cover):
-    with pytest.raises(CipherError, match="refusing to seal an empty message"):
-        seal("", paper_config(), cover)
+    """An empty message, and a Hill message with no letters, which
+    normalizes to one."""
+    for message, config in (("", paper_config()),
+                            ("123", SealConfig(cipher="hill", hill_key=HILL_KEY))):
+        with pytest.raises(CipherError, match="^refusing to seal an empty message$"):
+            seal(message, config, cover)
 
 
 def test_seal_message_too_long_for_row(cover):
@@ -488,9 +492,16 @@ def block_stream_of(block):
     return encode_blocks(int_dct2(to_tiles(block)))
 
 
-def embed_block(block, cover):
+def embed_block(block, cover, mode=OVERWRITE):
     """Seal an arbitrary block, bypassing the checks seal makes."""
-    return embed(cover, block_stream_of(block), OVERWRITE)
+    return embed(cover, block_stream_of(block), mode)
+
+
+def unchecked_block(ciphertext, key_row, digest):
+    """The block pack builds from these rows, without pack's checks: a row
+    may hold a NUL."""
+    return b"".join(row.encode().ljust(ROW_LENGTH, b"\x00")
+                    for row in (ciphertext, key_row, digest)).translate(_TO_BLOCK)
 
 
 def assert_sealed_stream(image, report):
@@ -794,12 +805,17 @@ def test_key_row_with_a_short_last_run_is_undecodable_under_its_digest(cover, la
     (hill_encrypt("ATTACKATDAWN", HILL_KEY), HILL_KEY_ROW),
 ], ids=["caesar", "hill"])
 def test_digest_row_of_no_known_length_is_a_mismatch(cover, ciphertext, key_row):
-    """A 63-character digest names no algorithm, so nothing is recomputed."""
-    block = pack(ciphertext, key_row, "a" * 63)
-    report = verify(embed_block(block, cover))
-    assert report.verdict == TAMPERED
-    assert report.reason == "digest mismatch"
-    assert report.recomputed_digest == ""
+    """A 63-character digest and an emptied digest row name no algorithm, so
+    nothing is recomputed, and the "" that gives never matches, not even
+    an empty row, in either embed mode."""
+    for digest in ("a" * 63, ""):
+        for mode in (OVERWRITE, LSB1):
+            image = embed_block(pack(ciphertext, key_row, digest), cover, mode)
+            report = verify(image)
+            assert (report.verdict, report.reason, report.mode) == (
+                TAMPERED, "digest mismatch", mode), (digest, mode)
+            assert (report.embedded_digest, report.recomputed_digest) == (digest, "")
+            assert_sealed_stream(image, report)
 
 
 def test_digest_mismatch_hashes_the_message_once(cover, monkeypatch):
@@ -817,17 +833,20 @@ def test_digest_mismatch_hashes_the_message_once(cover, monkeypatch):
 
 
 def test_rebuild_that_raises_is_not_the_sealed_form(cover):
-    """Blocks whose message seal refuses: no letters for Hill, a NUL for Caesar."""
-    hill = pack("123", HILL_KEY_ROW, hash_message(""))
-    report = verify(embed_block(hill, cover))
-    assert (report.verdict, report.reason) == (TAMPERED, SEALED_FORM)
-
-    ciphertext = "a\x00b"
-    digest = hash_message(caesar_decrypt(ciphertext, 16))
-    caesar = b"".join(row.encode().ljust(128, b"\x00")
-                      for row in (ciphertext, CAESAR_KEY_ROW, digest)).translate(_TO_BLOCK)
-    report = verify(embed_block(caesar, cover))
-    assert (report.verdict, report.reason) == (TAMPERED, SEALED_FORM)
+    """Blocks whose message seal refuses, in either embed mode: no letters
+    for Hill, a NUL for Caesar, and an empty Caesar ciphertext under the
+    SHA-256 and the SHA-512 of the empty message it decrypts to."""
+    nul = unchecked_block("a\x00b", CAESAR_KEY_ROW, hash_message(caesar_decrypt("a\x00b", 16)))
+    blocks = {"hill": pack("123", HILL_KEY_ROW, hash_message("")), "caesar-nul": nul,
+              **{f"caesar-empty-{algorithm}": pack("", CAESAR_KEY_ROW, hash_message("", algorithm))
+                 for algorithm in ("sha256", "sha512")}}
+    for name, block in blocks.items():
+        for mode in (OVERWRITE, LSB1):
+            image = embed_block(block, cover, mode)
+            report = verify(image)
+            assert (report.verdict, report.reason, report.mode) == (
+                TAMPERED, SEALED_FORM, mode), (name, mode)
+            assert_sealed_stream(image, report)
 
 
 def test_verify_lsb1_locality(cover):
