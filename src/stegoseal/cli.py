@@ -88,13 +88,13 @@ _HEAD_PIXELS = max(stego.pixels_for(pipeline.STREAM_BOUND, m) for m in stego.MOD
 _ESCAPES = str.maketrans({c: repr(c)[1:-1] for c in "\\\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
-class _UsageError(Exception):
-    pass
+class _Refusal(Exception):
+    """A command refused: its args are (exit code, the text of its error line)."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise _Refusal(EX_USAGE, message)
 
 
 @functools.cache
@@ -142,25 +142,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except _Refusal as exc:     # only a parse error prints the usage
+        print(f"error: {exc.args[1]}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EX_USAGE
     try:
         return args.run(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except _FileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_NOINPUT
+    except _Refusal as exc:
+        code, text = exc.args
     except (StegosealError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_DATAERR
-
-
-class _FileError(Exception):
-    pass
+        code, text = EX_DATAERR, exc
+    print(f"error: {text}", file=sys.stderr)
+    return code
 
 
 @contextlib.contextmanager
@@ -168,7 +161,7 @@ def _file_errors(action: str, path: str):
     try:
         yield
     except OSError as exc:
-        raise _FileError(f"cannot {action} {path}: {exc.strerror or exc}") from None
+        raise _Refusal(EX_NOINPUT, f"cannot {action} {path}: {exc.strerror or exc}") from None
 
 
 def _read(path: str, limit: int) -> tuple[int, int, bytes]:
@@ -230,19 +223,19 @@ def _replace_file(path: str, chunks) -> None:
 
 def _config(key_text: str | None, cipher: str | None, **fields) -> pipeline.SealConfig:
     """A SealConfig with the cipher and key of --key, if given. A key that
-    pipeline.parse_key_text rejects is a usage error, and so is a --cipher
-    (None when not given) that does not name the kind of the key."""
+    pipeline.parse_key_text rejects is a usage error with its text, and so
+    is a --cipher (None when not given) that does not name the kind of the
+    key."""
     if key_text is None:
         if cipher is not None:
-            raise _UsageError(f"--cipher {cipher} needs a --key")
+            raise _Refusal(EX_USAGE, f"--cipher {cipher} needs a --key")
         return pipeline.SealConfig(**fields)
     try:
         kind, key = pipeline.parse_key_text(key_text)
-    except CipherError:
-        raise _UsageError(f"--key {key_text!r} is neither a caesar shift 0-25 "
-                          "nor 9 comma-separated hill entries 0-25") from None
+    except CipherError as exc:
+        raise _Refusal(EX_USAGE, str(exc)) from None
     if cipher not in (None, kind):
-        raise _UsageError(f"--key is a {kind} key but --cipher is {cipher}")
+        raise _Refusal(EX_USAGE, f"--key is a {kind} key but --cipher is {cipher}")
     return pipeline.SealConfig(cipher=kind, **{f"{kind}_key": key}, **fields)
 
 

@@ -71,14 +71,18 @@ DecodedBlocks.symbols works them out from the zig-zag values by the
 encoder's rules when read, as a stream is the only encoding of its
 coefficients. So the ZRL check reads the tile: an EOB at index k follows
 a ZRL exactly when k > 1 and index k - 1 holds zero, since a value
-leaves a nonzero there and the DC leaves k at 1. Codes longer than 12
-bits (a few rare symbols) fall back to a map from codeword, with its
-length, to symbol, probed with the stream's next 13, 14, ... 18 bits; as
-the code is prefix-free, the first hit is the only one. DC and AC
-symbols share this read, as in libjpeg's decode_mcu (ITU-T T.81, Annex
-F.2.2), and the position in the tile says which kind belongs there. The
-checks run in a fixed order: truncation of a code, then the kind of the
-symbol and its run, then truncation of an amplitude, then the padding.
+leaves a nonzero there and the DC leaves k at 1. The 146 codes longer
+than 12 bits, all of rare symbols, start in the last 10 windows, where
+_TOKENS holds None: as the code is canonical and complete, they are its
+last codes. There the symbol path indexes a second table built by the
+same rule, _LONG_TOKENS, with the next 18 bits less the first of those
+windows shifted left by 6; none of its 640 entries is None. zlib's
+inflate reads the codes longer than its root table from such
+second-level tables (inftrees.c). DC and AC symbols share this read, as
+in libjpeg's decode_mcu (ITU-T T.81, Annex F.2.2), and the position in
+the tile says which kind belongs there. The checks run in a fixed order:
+truncation of a code, then the kind of the symbol and its run, then
+truncation of an amplitude, then the padding.
 
 How BLOCK_TABLE was derived: 1000 blocks were built by
 pipeline._pack_block, as seal builds them, and their symbols counted;
@@ -260,20 +264,25 @@ _DC_BITS = {v: BLOCK_TABLE.codes[DC_SYMBOL + len(a)] + a for v, a in _AMPLITUDE.
 _AC_BITS = {v: BLOCK_TABLE.codes[len(a)] + a for v, a in _AMPLITUDE.items()}
 
 
-def _tokens() -> list:
-    """The decoder's symbol table, indexed by the next _WINDOW bits. Its
-    entry is (symbol, code length, amplitude size) of the code the window
-    starts with, or None where that code is longer than the window."""
-    table = [None] * (1 << _WINDOW)
+def _tokens(window: int, base: int = 0) -> list:
+    """A decoder symbol table, indexed by the next `window` bits less
+    `base`. Its entry is (symbol, code length, amplitude size) of the code
+    those bits start with, or None where that code is longer than the
+    window. _TOKENS reads 12 bits from 0; _LONG_TOKENS reads 18 from
+    _LONG_BASE, where the codes longer than 12 bits start."""
+    table = [None] * ((1 << window) - base)
     for sym, code in BLOCK_TABLE.codes.items():
-        room = _WINDOW - len(code)
-        if room >= 0:
-            start = int(code, 2) << room
+        room = window - len(code)
+        if room >= 0 and (start := (int(code, 2) << room) - base) >= 0:
             table[start:start + (1 << room)] = [(sym, len(code), _size(sym))] * (1 << room)
     return table
 
 
-_TOKENS = _tokens()
+_TOKENS = _tokens(_WINDOW)
+# The code is canonical and complete, so the codes longer than the window
+# are the last ones: they fill the windows from the first None on.
+_LONG_BASE = _TOKENS.index(None) << (_LONGEST - _WINDOW)
+_LONG_TOKENS = _tokens(_LONGEST, _LONG_BASE)
 
 
 def _pairs() -> list:
@@ -311,21 +320,6 @@ def _pairs() -> list:
 
 
 _PAIRS = _pairs()
-# Codes longer than the window, keyed by the codeword with a 1 bit in front.
-_LONG_CODES = {int("1" + code, 2): sym
-               for sym, code in BLOCK_TABLE.codes.items() if len(code) > _WINDOW}
-
-
-def _long_token(acc: int, have: int) -> tuple:
-    """(symbol, code length, amplitude size) of the code longer than the
-    window at the top of the `have` low bits of acc: its one 13-18 bit
-    prefix that is a code."""
-    top = (acc >> (have - _LONGEST)) & ((1 << _LONGEST) - 1) | (1 << _LONGEST)
-    for length in range(_WINDOW + 1, _LONGEST + 1):
-        sym = _LONG_CODES.get(top >> (_LONGEST - length))
-        if sym is not None:
-            return sym, length, _size(sym)
-    raise AssertionError("BLOCK_TABLE is a complete code")
 
 
 def block_stream_bound(tiles: int) -> int:
@@ -452,7 +446,8 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
     # read, and a read that leaves `have` below `slack` ran past nbits
     acc = have = i = dc = read = 0     # read: the symbols decoded so far
     slack = -nbits
-    tokens, pairs, window, refill = _TOKENS, _PAIRS, _WINDOW, _REFILL
+    tokens, longs, long_base = _TOKENS, _LONG_TOKENS, _LONG_BASE
+    pairs, window, refill = _PAIRS, _WINDOW, _REFILL
     word, span = _WORD, 8 * _WORD    # bytes and bits of one refill
     rows, ends = [], []   # each decoded tile's zig-zag values, and the bit after it
     for _ in range(count):
@@ -475,7 +470,8 @@ def decode_blocks(data: bytes, tiles: int | None = None) -> DecodedBlocks:
                     have -= bits
                     read += symbols
                     continue
-            symbol, length, size = tokens[index] or _long_token(acc, have)
+            symbol, length, size = (tokens[index] or
+                                    longs[(acc >> (have - _LONGEST) & 0x3FFFF) - long_base])
             have -= length
             if have < slack:
                 raise StreamError(f"bits ran out after {read} symbols")

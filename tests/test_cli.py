@@ -190,9 +190,13 @@ def test_unknown_command_is_usage_error(capsys):
 
 
 def test_bad_key_value_is_usage_error(cover_file, capsys):
+    """A --key that pipeline.parse_key_text rejects exits 64 with that
+    function's own text, and prints no usage."""
     code = main(["seal", "--in", str(cover_file), "--out", "x.pgm",
                  "--message", "m", "--key", "ten"])
     assert code == 64
+    assert capsys.readouterr().err == (
+        "error: key 'ten' is not 1 or 9 comma-separated integers in [0, 25]\n")
 
 
 def test_unreadable_input_file(tmp_path, capsys):
@@ -761,8 +765,11 @@ def test_a_bad_key_is_a_usage_error_whatever_the_input(tmp_path, capsys, command
         if command == "seal":
             argv += ["--out", str(tmp_path / "out.pgm"), "--message", "hi"]
         assert main(argv) == code
-        assert capsys.readouterr().err.startswith(
-            "error: --key '99'" if code == 64 else "error: cannot read ")
+        err = capsys.readouterr().err
+        if code == 64:
+            assert err == "error: key '99' is not 1 or 9 comma-separated integers in [0, 25]\n"
+        else:
+            assert err.startswith("error: cannot read ")
     assert not (tmp_path / "out.pgm").exists()
 
 

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from stegoseal.cipher import normalize_letters
 from stegoseal.digest import hash_message
-from stegoseal.entropy import (_AMPLITUDE, _PAIRS, _TOKENS, _WORD, _ZIGZAG_FLAT, _long_token,
-                               BLOCK_HEADER_BYTES, BLOCK_MAGIC, BLOCK_TABLE, DC_SYMBOL, EOB, ZRL,
+from stegoseal.entropy import (_AMPLITUDE, _LONG_BASE, _LONG_TOKENS, _PAIRS, _TOKENS, _WORD,
+                               _ZIGZAG_FLAT, BLOCK_HEADER_BYTES, BLOCK_MAGIC, BLOCK_TABLE,
+                               DC_SYMBOL, EOB, ZRL,
                                block_stream_bound, build_table, decode_blocks, decode_prefix,
                                encode_blocks, zigzag_scan, zigzag_unscan)
 from stegoseal.errors import StegosealError, StreamError
@@ -822,18 +823,43 @@ def test_token_table_holds_the_code_that_starts_each_window():
         symbol for symbol, code in CODES.items() if len(code) <= 12}
 
 
-def test_long_token_reads_the_code_at_the_top_of_the_held_bits():
-    """_long_token gives (symbol, code length, amplitude size) for each
-    13-18 bit code at the top of the `have` low bits of acc, whatever the
-    bits below it and the spent bits above it."""
-    rng = random.Random(29)
+def test_long_code_table_holds_each_long_code_at_every_18_bit_value_it_starts():
+    """_LONG_TOKENS, indexed by the next 18 bits less _LONG_BASE, holds
+    (symbol, code length, amplitude size) of each 13-18 bit code at every
+    value that code starts. Its base is the first window where _TOKENS
+    holds None, shifted left by 6, and no entry of it is None."""
     long_codes = {symbol: code for symbol, code in CODES.items() if len(code) > 12}
     assert {len(code) for code in long_codes.values()} == set(range(13, 19))
+    assert _LONG_BASE == _TOKENS.index(None) << 6
+    assert len(_LONG_TOKENS) == (1 << 18) - _LONG_BASE == 640
+    assert None not in _LONG_TOKENS
+    seen = 0
     for symbol, code in long_codes.items():
-        for have in (18, 29, 93):
-            below = have - len(code)
-            acc = rng.getrandbits(16) << have | int(code, 2) << below | rng.getrandbits(below)
-            assert _long_token(acc, have) == (symbol, len(code), amplitude_size(symbol))
+        room = 18 - len(code)
+        for low in range(1 << room):
+            entry = _LONG_TOKENS[(int(code, 2) << room | low) - _LONG_BASE]
+            assert entry == (symbol, len(code), amplitude_size(symbol)), (code, low)
+        seen += 1 << room
+    assert seen == len(_LONG_TOKENS)
+
+
+def test_long_codes_decode_whatever_the_bits_below_and_above():
+    """Each 13-18 bit code, after a first tile of random length and before
+    random bits, decodes through decode_blocks as the reference decodes it
+    symbol by symbol: the spent bits above the code in the decoder's hold
+    and the bits below it do not change what it reads."""
+    rng = random.Random(29)
+    long_codes = {symbol: code for symbol, code in CODES.items() if len(code) > 12}
+    for symbol, code in long_codes.items():
+        for _ in range(8):
+            values = [rng.choice([-5, -2, -1, 1, 2, 5]) for _ in range(rng.randrange(40))]
+            first = [token(DC_SYMBOL + 2, rng.choice([-3, 2]))]
+            first += [token(abs(value).bit_length(), value) for value in values] + [CODES[EOB]]
+            second = [code] if symbol >= DC_SYMBOL else [CODES[DC_SYMBOL], code]
+            tail = format(rng.getrandbits(64), "064b")
+            decoded = decodes_as_the_reference(block_stream(2, *first, *second, tail))
+            if not isinstance(decoded, str):
+                assert decoded.symbols[len(first) + len(second) - 1] == symbol
 
 
 def test_value_table_holds_the_whole_value_tokens_of_each_window():
