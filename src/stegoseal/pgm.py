@@ -143,15 +143,20 @@ def read_pgm_head(f, limit: int) -> tuple[int, int, bytes]:
             data += more
     expected, found = width * height, size - offset
     if found < expected:
-        raise PgmError(f"need {expected} pixel bytes, found {found}")
+        raise missing_pixels(expected, found)
     if found > expected:
         raise PgmError(f"{found - expected} bytes after the pixel data")
     f.seek(offset)
     wanted = min(limit, expected)
     pixels = f.read(wanted)
     if len(pixels) < wanted:  # the file shrank after its size was read
-        raise PgmError(f"need {expected} pixel bytes, found {len(pixels)}")
+        raise missing_pixels(expected, len(pixels))
     return width, height, pixels
+
+
+def missing_pixels(expected: int, found: int) -> PgmError:
+    """The error for a raster that ends after `found` of its `expected` pixel bytes."""
+    return PgmError(f"need {expected} pixel bytes, found {found}")
 
 
 def header(width: int, height: int) -> bytes:

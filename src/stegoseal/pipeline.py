@@ -328,14 +328,16 @@ def tamper(image: GrayImage, pixel_index: int, bit: int) -> GrayImage:
     would take a numpy bool as a mask and flip every pixel or none, and True
     would name pixel 1, so either, like a float, is a ValueError.
     """
-    return GrayImage(image.width, image.height,
-                     b"".join(_tampered_raster(image, pixel_index, bit)))
+    pixel_index, mask = _tamper_target(image.width, image.height, pixel_index, bit)
+    raster = memoryview(image.tobytes())
+    return GrayImage(image.width, image.height, b"".join(
+        (raster[:pixel_index], bytes([raster[pixel_index] ^ mask]), raster[pixel_index + 1:])))
 
 
-def _tampered_raster(image: GrayImage, pixel_index: int, bit: int) -> tuple:
-    """tamper's raster in three pieces, after tamper's checks: the pixels
-    before the flipped one, its flipped byte, and the pixels after it. The
-    CLI writes them to --out as they are, with no joined copy."""
+def _tamper_target(width: int, height: int, pixel_index: int, bit: int) -> tuple[int, int]:
+    """tamper's checks of its arguments for a width x height image, and
+    what they name: (the index of the pixel, the mask of the bit to flip).
+    The CLI runs them before it reads the pixel."""
     try:
         if isinstance(pixel_index, bool) or isinstance(bit, bool):
             raise TypeError
@@ -343,13 +345,11 @@ def _tampered_raster(image: GrayImage, pixel_index: int, bit: int) -> tuple:
     except TypeError:
         raise ValueError(f"pixel and bit must be integers, got {pixel_index!r} "
                          f"and {bit!r}") from None
-    if not 0 <= pixel_index < image.width * image.height:
-        raise EmbedError(f"pixel {pixel_index} outside {image.width}x{image.height}")
+    if not 0 <= pixel_index < width * height:
+        raise EmbedError(f"pixel {pixel_index} outside {width}x{height}")
     if not 0 <= bit <= 7:
         raise EmbedError(f"bit {bit} outside [0, 7]")
-    raster = memoryview(image.tobytes())
-    return (raster[:pixel_index], bytes([raster[pixel_index] ^ 1 << bit]),
-            raster[pixel_index + 1:])
+    return pixel_index, 1 << bit
 
 
 def _decrypt_and_hash(ciphertext: str, kind: str, key, embedded_digest: str):

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import fcntl
 import hashlib
 import io
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 from pathlib import Path
 from time import perf_counter
 
@@ -20,7 +22,7 @@ from stegoseal.cli import main
 from stegoseal.cipher import caesar_encrypt
 from stegoseal.entropy import BLOCK_TABLE, encode_blocks
 from stegoseal.payload import pack, to_tiles
-from stegoseal.pgm import GrayImage, read_pgm, write_pgm
+from stegoseal.pgm import GrayImage, read_pgm, read_pgm_head, write_pgm
 from stegoseal.stego import embed
 from stegoseal.transform import int_dct2
 
@@ -663,6 +665,182 @@ def test_resealing_out_writes_a_new_file(cover_file, tmp_path, capsys):
     assert out.stat().st_ino != first
     assert out.read_bytes() == sealed_bytes(cover_file)
     assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
+
+class InterruptedWrite(FailingWrite):
+    """A file whose write number `fail_at` raises KeyboardInterrupt, as ^C would."""
+
+    def write(self, data):
+        try:
+            return super().write(data)
+        except OSError:
+            raise KeyboardInterrupt from None
+
+
+@pytest.mark.parametrize("existing", [True, False])
+@pytest.mark.parametrize("command", ["seal", "tamper"])
+def test_interrupted_write_leaves_out_as_it_was(cover_file, tmp_path, monkeypatch,
+                                                existing, command):
+    out = old_output(tmp_path, existing)
+
+    def interrupted_open(file, mode="r", *args, **kwargs):
+        f = open(file, mode, *args, **kwargs)
+        return f if "r" in mode else InterruptedWrite(f, 2)
+
+    monkeypatch.setattr(cli, "open", interrupted_open, raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        main(write_argv(command, cover_file, out))
+    assert_untouched(out, existing)
+
+
+# --- how seal and tamper copy the pixels they do not change ----------------
+
+
+def refused_pipe_size(fd, command, arg=0):
+    if command == fcntl.F_SETPIPE_SZ:
+        raise OSError(errno.EPERM, os.strerror(errno.EPERM))
+    return fcntl.fcntl(fd, command, arg)
+
+
+def splice_failing(error, pipe_to_file):
+    """os.splice, raising OSError(error) on each file->pipe call (the ones
+    with offset_src) or on each pipe->file call."""
+    def splice(src, dst, count, offset_src=None, **kwargs):
+        if (offset_src is None) == pipe_to_file:
+            raise OSError(error, os.strerror(error))
+        return os.splice(src, dst, count, offset_src=offset_src, **kwargs)
+    return splice
+
+
+@pytest.fixture(params=["kernel", "no splice", "pipe not enlarged",
+                        "file->pipe EINVAL", "pipe->file EINVAL"])
+def copy_way(request, monkeypatch):
+    """Each way seal and tamper can copy the pixels past the head; the
+    fixture's value is the list of os.splice calls made."""
+    calls = []
+    splice = {"file->pipe EINVAL": splice_failing(errno.EINVAL, False),
+              "pipe->file EINVAL": splice_failing(errno.EINVAL, True)}.get(request.param, os.splice)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return splice(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "os", OsWith(splice=None if request.param == "no splice" else counted))
+    if request.param == "pipe not enlarged":
+        monkeypatch.setattr(cli, "fcntl", types.SimpleNamespace(
+            F_SETPIPE_SZ=fcntl.F_SETPIPE_SZ, fcntl=refused_pipe_size))
+    yield calls
+    assert bool(calls) == (request.param not in ("no splice", "pipe not enlarged"))
+
+
+# Past _HEAD_PIXELS by more than two copy steps of cli._COPY_BYTES.
+COPY_SIZE = (1500, 1500)
+
+
+@pytest.mark.parametrize("key", ["16", HILL_KEY])
+@pytest.mark.parametrize("mode", ["overwrite", "lsb1"])
+def test_seal_output_equals_library_seal_each_copy_way(tmp_path, capsys, copy_way, key, mode):
+    cover = odd_cover(tmp_path / "cover.pgm", *COPY_SIZE)
+    kind, parsed = pipeline.parse_key_text(key)
+    config = pipeline.SealConfig(cipher=kind, **{f"{kind}_key": parsed}, embed_mode=mode)
+    expected = write_pgm(pipeline.seal(PAPER_MESSAGE, config, read_pgm(cover.read_bytes())))
+    stego = tmp_path / "stego.pgm"
+    for out in (stego, cover):  # --out may name the input file
+        assert main(["seal", "--in", str(cover), "--out", str(out), "--message", PAPER_MESSAGE,
+                     "--key", key, "--cipher", kind, "--mode", mode]) == 0
+        assert out.read_bytes() == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cover.pgm", "stego.pgm"]
+
+
+def test_tamper_output_equals_library_tamper_each_copy_way(tmp_path, capsys, copy_way):
+    cover = odd_cover(tmp_path / "cover.pgm", *COPY_SIZE)
+    original = read_pgm(cover.read_bytes())
+    count = COPY_SIZE[0] * COPY_SIZE[1]
+    flipped = tmp_path / "flipped.pgm"
+    for pixel in (0, cli._HEAD_PIXELS, cli._COPY_BYTES + 1, count - 1):
+        assert main(["tamper", "--in", str(cover), "--out", str(flipped),
+                     "--pixel", str(pixel), "--bit", "5"]) == 0
+        assert flipped.read_bytes() == write_pgm(pipeline.tamper(original, pixel, 5))
+    # --out may name the input file: twice in place gives the input back
+    written = write_pgm(original)
+    cover.write_bytes(written)
+    for expected in (write_pgm(pipeline.tamper(original, 40, 0)), written):
+        assert main(["tamper", "--in", str(cover), "--out", str(cover),
+                     "--pixel", "40", "--bit", "0"]) == 0
+        assert cover.read_bytes() == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cover.pgm", "flipped.pgm"]
+
+
+@pytest.mark.parametrize("command, mode", [("seal", "overwrite"), ("seal", "lsb1"),
+                                           ("tamper", None)])
+def test_seal_and_tamper_memory_is_bounded_by_the_head(tmp_path, capsys, command, mode):
+    """seal and tamper hold the head, not the 4 MB raster: the kernel
+    copies the pixels they do not change."""
+    cover = tmp_path / "cover.pgm"
+    cover.write_bytes(write_pgm(make_cover(0xB16, 2048, 2048)))
+    argv = write_argv(command, cover, tmp_path / "out.pgm") + (["--mode", mode] if mode else [])
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("error, pipe_to_file, side", [(errno.ENOSPC, True, "write"),
+                                                       (errno.EIO, False, "read")])
+@pytest.mark.parametrize("existing", [True, False])
+@pytest.mark.parametrize("command", ["seal", "tamper"])
+def test_failed_kernel_copy_leaves_out_as_it_was(cover_file, tmp_path, capsys, monkeypatch,
+                                                 error, pipe_to_file, side, existing, command):
+    """ENOSPC while the pipe is spliced into the new file is a write error;
+    EIO while --in is spliced into the pipe is a read error."""
+    out = old_output(tmp_path, existing)
+    monkeypatch.setattr(cli, "os", OsWith(splice=splice_failing(error, pipe_to_file)))
+    assert main(write_argv(command, cover_file, out)) == 66
+    path = out if side == "write" else cover_file
+    assert capsys.readouterr().err == f"error: cannot {side} {path}: {os.strerror(error)}\n"
+    assert_untouched(out, existing)
+
+
+@pytest.mark.parametrize("command", ["seal", "tamper"])
+def test_input_that_shrinks_while_copied_is_data_error(tmp_path, capsys, monkeypatch,
+                                                       copy_way, command):
+    """--in cut short after its size was checked: the copy ends early and
+    exits as a short file does, and no temp file is left."""
+    cover = tmp_path / "cover.pgm"
+    cover.write_bytes(write_pgm(make_cover(0xB16, 2048, 2048)))
+    kept = len(b"P5\n2048 2048\n255\n") + 1_000_000
+
+    def head_then_truncate(f, limit):
+        read = read_pgm_head(f, limit)
+        os.truncate(cover, kept)
+        return read
+
+    monkeypatch.setattr(cli, "read_pgm_head", head_then_truncate)
+    out = old_output(tmp_path, existing=True)
+    assert main(write_argv(command, cover, out)) == 65
+    assert capsys.readouterr().err == "error: need 4194304 pixel bytes, found 1000000\n"
+    assert_untouched(out, existing=True)
+
+
+def test_input_that_shrinks_before_the_tampered_pixel_is_data_error(tmp_path, capsys,
+                                                                     monkeypatch):
+    cover = tmp_path / "cover.pgm"
+    cover.write_bytes(write_pgm(make_cover(0x5E, 100, 100)))
+
+    def head_then_truncate(f, limit):
+        read = read_pgm_head(f, limit)
+        os.truncate(cover, len(b"P5\n100 100\n255\n") + 2)
+        return read
+
+    monkeypatch.setattr(cli, "read_pgm_head", head_then_truncate)
+    out = old_output(tmp_path, existing=False)
+    assert main(write_argv("tamper", cover, out)) == 65  # pixel 3
+    assert capsys.readouterr().err == "error: need 10000 pixel bytes, found 2\n"
+    assert_untouched(out, existing=False)
 
 
 @pytest.mark.parametrize("command", ["seal", "verify"])
